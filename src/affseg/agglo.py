@@ -24,10 +24,11 @@ import heapq
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
-from affseg.volume import AffinityVolume, LabelVolume, require_same_shape
+from affseg.volume import AffinityVolume, LabelVolume, edge_ends, require_same_shape
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -297,10 +298,9 @@ class Rag:
 
 def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
     """Accumulate node and boundary statistics for every adjacent label pair."""
-    shape = require_same_shape(labels, aff)
+    require_same_shape(labels, aff)
     rag = Rag(labels, aff)
     lab = labels.data
-    Z, Y, X = shape.as_tuple()
 
     uniq, counts = np.unique(lab, return_counts=True)
     for l, cnt in zip(uniq.tolist(), counts.tolist()):
@@ -310,21 +310,9 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
 
     # gather one (label_a, label_b, value) table per channel
     for c in range(3):
-        if c == 0:
-            la, lb = lab[: Z - 1, :, :], lab[1:, :, :]
-            av = aff.data[0, : Z - 1, :, :]
-        elif c == 1:
-            la, lb = lab[:, : Y - 1, :], lab[:, 1:, :]
-            av = aff.data[1, :, : Y - 1, :]
-        else:
-            la, lb = lab[:, :, : X - 1], lab[:, :, 1:]
-            av = aff.data[2, :, :, : X - 1]
-        la = la.ravel()
-        lb = lb.ravel()
-        av = av.ravel()
+        la, lb = (e.ravel() for e in edge_ends(lab, c))
+        av = edge_ends(aff.data[c], c)[0].ravel()
         valid = (la != 0) & (lb != 0)
-        if not valid.any():
-            continue
         la, lb, av = la[valid], lb[valid], av[valid]
 
         internal = la == lb
@@ -369,11 +357,19 @@ def edge_features(rag: Rag, edge: tuple[int, int]) -> np.ndarray:
     return edge_feature_vector(acc, rag.nodes[a].size, rag.nodes[b].size)
 
 
-def _relabel(labels: LabelVolume, mapping: dict[int, int]) -> LabelVolume:
-    """Apply a label -> label mapping; labels not in the mapping pass through."""
+def _chase(parent: dict[int, int], l: int) -> int:
+    """Follow absorbed -> survivor links from `l` to its current label."""
+    while l in parent:
+        l = parent[l]
+    return l
+
+
+def _replay(labels: LabelVolume, merges) -> LabelVolume:
+    """Apply (survivor, absorbed, score) merges in order to a labeling."""
+    parent = {t: s for s, t, _ in merges}
     flat = labels.data.ravel()
     uniq, inv = np.unique(flat, return_inverse=True)
-    lut = np.array([mapping.get(int(l), int(l)) for l in uniq], dtype=np.uint64)
+    lut = np.array([_chase(parent, l) for l in uniq.tolist()], dtype=np.uint64)
     return LabelVolume(lut[inv].reshape(labels.data.shape))
 
 
@@ -397,7 +393,6 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         heapq.heappush(heap, (-sc, a, b, 0))
 
     merges: list[tuple[int, int, float]] = []
-    parent: dict[int, int] = {}
 
     while heap:
         negs, a, b, ver = heapq.heappop(heap)
@@ -408,7 +403,6 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         if score < theta:
             break
         merges.append((a, b, score))
-        parent[b] = a
         b_nbrs = set(rag.adj[b])
         rag.merge_nodes(a, b)
         del version[key]
@@ -420,33 +414,18 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
             version[kx] = version.get(kx, -1) + 1
             sc = scorer.score(rag.edges[kx], rag.nodes[a].size, rag.nodes[x].size)
             heapq.heappush(heap, (-sc, kx[0], kx[1], version[kx]))
-
-    def resolve(l: int) -> int:
-        while l in parent:
-            l = parent[l]
-        return l
-
-    mapping = {l: resolve(l) for l in list(parent)}
-    out = _relabel(labels, mapping)
-    return out, MergeTree(merges=merges, base=labels)
+    return _replay(labels, merges), MergeTree(merges=merges, base=labels)
 
 
 def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVolume:
-    """Replay recorded merges with score >= theta, in recorded order."""
+    """Replay the longest prefix of recorded merges whose scores are all >= theta.
+
+    That prefix is exactly where `agglomerate` run at `theta` stops, so the
+    replay equals a fresh run for every scorer, monotone or not.
+    """
     if tree.base.data.shape != base.data.shape or not np.array_equal(tree.base.data, base.data):
         raise TreeBaseMismatch("merge tree was built from a different base labeling")
-    parent: dict[int, int] = {}
-
-    def resolve(l: int) -> int:
-        while l in parent:
-            l = parent[l]
-        return l
-
-    for s, t, sc in tree.merges:
-        if sc >= theta:
-            parent[t] = s
-    mapping = {l: resolve(l) for l in list(parent)}
-    return _relabel(base, mapping)
+    return _replay(base, takewhile(lambda m: m[2] >= theta, tree.merges))
 
 
 def _standardize(X: np.ndarray):
@@ -532,14 +511,8 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
         # merge this round's positives; pairs may have been absorbed by an
         # earlier merge in the same round, so chase the surviving labels
         alias: dict[int, int] = {}
-
-        def live(l: int) -> int:
-            while l in alias:
-                l = alias[l]
-            return l
-
         for a, b in positives:
-            ra, rb = live(a), live(b)
+            ra, rb = _chase(alias, a), _chase(alias, b)
             if ra == rb:
                 continue
             lo, hi = (ra, rb) if ra < rb else (rb, ra)

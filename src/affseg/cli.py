@@ -3,8 +3,9 @@
 One subcommand per pipeline stage plus `pipeline`, which chains
 watershed -> agglomerate -> eval and writes every intermediate.  Any flag
 can instead come from a JSON config file (``--config``): the file holds one
-object per subcommand, flags given on the command line win over config
-values, and config values win over built-in defaults.
+object per subcommand, keyed and converted like the flags; flags given on
+the command line win over config values, and config values win over
+built-in defaults.
 
 Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
 All subcommands are deterministic: identical inputs give byte-identical
@@ -47,20 +48,53 @@ def _read_affinities(path) -> AffinityVolume:
     vol = read_volume(path)
     if not isinstance(vol, AffinityVolume):
         raise CliError(f"{path}: expected an affinity volume")
-    return vol
+    try:
+        return AffinityVolume(vol.data)  # read_volume skips the range check
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from e
 
 
-def _load_config(path, section: str) -> dict:
+def _config_value(where: str, action: argparse.Action, value):
+    """Convert a config value with the type, arity and choices of its flag."""
+    if action.nargs == 0:  # a switch such as --normalize
+        if not isinstance(value, bool):
+            raise CliError(f"{where}: expected true or false, got {value!r}")
+        return value
+    many = action.nargs is not None
+    items = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or not items or action.nargs not in (None, "+", len(items)):
+        raise CliError(f"{where}: expected {action.nargs or 1} value(s), got {value!r}")
+    out = []
+    for v in items:
+        try:
+            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+                raise ValueError
+            out.append((action.type or str)(str(v)))
+            if action.choices is not None and out[-1] not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise CliError(f"{where}: invalid value {v!r}") from None
+    return out if many else out[0]
+
+
+def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
+    """The command's config section, each value converted like its flag."""
     if path is None:
         return {}
     with open(path) as f:
         cfg = json.load(f)
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config root must be a JSON object")
-    sec = cfg.get(section, {})
+    sec = cfg.get(command, {})
     if not isinstance(sec, dict):
-        raise CliError(f"{path}: section {section!r} must be a JSON object")
-    return sec
+        raise CliError(f"{path}: section {command!r} must be a JSON object")
+    out = {}
+    for key, value in sec.items():
+        action = parser._option_string_actions.get(f"--{key}")
+        if action is None or key in ("config", "help"):
+            raise CliError(f"{path}: unknown key {key!r} in section {command!r}")
+        out[key] = _config_value(f"{path}: {command}.{key}", action, value)
+    return out
 
 
 def _resolve(args, section: dict, name: str, default=None, required: bool = False):
@@ -283,7 +317,7 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--threads", type=int, default=1,
@@ -389,11 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model")
     sp.add_argument("--theta", type=float)
 
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -405,7 +439,8 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", 1)
         if threads is not None and threads < 1:
             raise CliError(f"--threads must be >= 1, got {threads}")
-        section = _load_config(getattr(args, "config", None), args.command)
+        section = _load_config(getattr(args, "config", None), args.command,
+                               commands[args.command])
         return _COMMANDS[args.command](args, section)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

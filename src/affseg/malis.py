@@ -8,8 +8,9 @@ agree, to the negative channel when they differ.  Counts fall out of a single
 Kruskal-style sweep over edges in decreasing affinity, carrying per-component
 label histograms through a union-find.
 
-Ties are broken by processing edges in (affinity desc, channel asc, z asc,
-y asc, x asc) order, which pins down the maximin edge of every pair exactly.
+Ties are broken by processing edges in affinity descending, then slot
+ascending (= channel, z, y, x) order, which pins down the maximin edge of
+every pair exactly.
 All in-bounds lattice edges take part in the sweep, including ones with zero
 affinity, so every labeled pair lands on some edge.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import UnionFind
-from affseg.volume import AffinityVolume, LabelVolume, require_same_shape
+from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
 
 
 class OutOfBounds(Exception):
@@ -47,43 +48,6 @@ class PairCounts:
 class MalisResult:
     loss: float
     gradient: AffinityVolume  # d loss / d affinity, unrestricted range
-
-
-def edge_list(aff: AffinityVolume):
-    """All in-bounds edges as flat arrays (c, z, y, x, affinity, u, v).
-
-    u and v are flat voxel ids of the two endpoints (v is the +1 neighbour
-    along the channel axis).  Order is canonical: channel-major, then z, y, x.
-    """
-    shape = aff.shape3
-    Z, Y, X = shape.as_tuple()
-    cs, zs, ys, xs, vals = [], [], [], [], []
-    for c in range(3):
-        stops = [Z, Y, X]
-        stops[c] -= 1
-        gz, gy, gx = np.meshgrid(
-            np.arange(stops[0]), np.arange(stops[1]), np.arange(stops[2]),
-            indexing="ij",
-        )
-        cs.append(np.full(gz.size, c, dtype=np.int64))
-        zs.append(gz.ravel())
-        ys.append(gy.ravel())
-        xs.append(gx.ravel())
-        vals.append(aff.data[c, : stops[0], : stops[1], : stops[2]].ravel())
-    c = np.concatenate(cs)
-    z = np.concatenate(zs).astype(np.int64)
-    y = np.concatenate(ys).astype(np.int64)
-    x = np.concatenate(xs).astype(np.int64)
-    a = np.concatenate(vals)
-    u = (z * Y + y) * X + x
-    step = np.array([Y * X, X, 1], dtype=np.int64)
-    v = u + step[c]
-    return c, z, y, x, a, u, v
-
-
-def sweep_order(c, z, y, x, a) -> np.ndarray:
-    """Indices ordering edges by (affinity desc, channel asc, z, y, x asc)."""
-    return np.lexsort((x, y, z, c, -a.astype(np.float64)))
 
 
 def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
@@ -141,8 +105,8 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     label histograms.
     """
     shape = require_same_shape(aff, gt)
-    c, z, y, x, a, u, v = edge_list(aff)
-    order = sweep_order(c, z, y, x, a)
+    c, u, v = edge_table(shape)
+    order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")
 
     n = shape.voxels
     uf = UnionFind(n)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.volume import AffinityVolume, LabelVolume, Shape3
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, edge_ends
 
 
 class TooManySeeds(Exception):
@@ -110,13 +110,7 @@ def affinities_from_labels(labels: LabelVolume,
     become label 0 and never match.
     """
     lab = labels.data
-    Z, Y, X = lab.shape
-    aff = np.zeros((3, Z, Y, X), dtype=np.float32)
-    same_y = (lab[:, : Y - 1, :] == lab[:, 1:, :]) & (lab[:, : Y - 1, :] != 0)
-    aff[1, :, : Y - 1, :] = same_y.astype(np.float32)
-    same_x = (lab[:, :, : X - 1] == lab[:, :, 1:]) & (lab[:, :, : X - 1] != 0)
-    aff[2, :, :, : X - 1] = same_x.astype(np.float32)
-
+    Z = lab.shape[0]
     if section_shifts is None:
         shifted = lab
     else:
@@ -127,8 +121,10 @@ def affinities_from_labels(labels: LabelVolume,
             _shift_section(lab[s], int(shifts[s, 0]), int(shifts[s, 1]))
             for s in range(Z)
         ])
-    same_z = (shifted[: Z - 1, :, :] == shifted[1:, :, :]) & (shifted[: Z - 1, :, :] != 0)
-    aff[0, : Z - 1, :, :] = same_z.astype(np.float32)
+    aff = np.zeros((3,) + lab.shape, dtype=np.float32)
+    for c, src in enumerate((shifted, lab, lab)):
+        lower, upper = edge_ends(src, c)
+        edge_ends(aff[c], c)[0][...] = (lower == upper) & (lower != 0)
     return AffinityVolume(aff)
 
 

@@ -116,6 +116,31 @@ def inbounds_edge_region(channel: int, shape: Shape3) -> tuple[slice, slice, sli
     return (slice(0, stops[0]), slice(0, stops[1]), slice(0, stops[2]))
 
 
+def edge_ends(arr: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) endpoint views of one channel's in-bounds edges.
+
+    Slot (c, z, y, x) is the edge from its lower endpoint (z, y, x) to its
+    upper endpoint, the +1 neighbour along axis c; this helper and
+    `edge_table` are the only places that spell that out.  `arr` is any
+    array whose last three axes are (z, y, x).  Both views have the same
+    shape and line up edge by edge, so the lower view of an affinity
+    channel, ``edge_ends(aff.data[c], c)[0]``, holds its edge weights.
+    """
+    tail = (slice(None),) * (2 - channel)
+    return arr[(..., slice(None, -1)) + tail], arr[(..., slice(1, None)) + tail]
+
+
+def edge_table(shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (channel, u, v) int64 arrays of every in-bounds edge, in slot order.
+
+    u and v are the flat voxel ids of the lower and upper endpoints; u is
+    also the edge's slot within its channel.  Slot order is the flat index
+    order of the (3, z, y, x) affinity array, i.e. (channel, z, y, x).
+    """
+    c, u = np.divmod(np.flatnonzero(~oob_edge_mask(shape)), shape.voxels)
+    return c, u, u + np.array([shape.y * shape.x, shape.x, 1])[c]
+
+
 class LabelVolume:
     """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
 
@@ -176,10 +201,8 @@ class AffinityVolume:
             arr = arr.copy()
         mask = oob_edge_mask(Shape3(*arr.shape[1:]))
         arr[mask] = 0.0
-        if check_range:
-            inb = arr[~mask]
-            if inb.size and (inb.min() < 0.0 or inb.max() > 1.0):
-                raise ValueError("affinities must lie in [0, 1]")
+        if check_range and not ((arr >= 0.0) & (arr <= 1.0)).all():
+            raise ValueError("affinities must be finite and lie in [0, 1]")
         arr.flags.writeable = False
         self.data = arr
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import UnionFind
-from affseg.volume import AffinityVolume, LabelVolume, require_same_shape
+from affseg.volume import AffinityVolume, LabelVolume, edge_ends, require_same_shape
 
 
 @dataclass(frozen=True)
@@ -75,30 +75,13 @@ def _incident_best(aff: AffinityVolume):
     a = aff.data
     Z, Y, X = a.shape[1:]
     n = Z * Y * X
-    cand = np.empty((6, n), dtype=np.float32)
-    offs = np.empty(6, dtype=np.int64)
-    k = 0
-    for c, off in ((0, Y * X), (1, X), (2, 1)):
-        minus = np.full((Z, Y, X), -1.0, dtype=np.float32)
-        if c == 0:
-            minus[1:, :, :] = a[0, : Z - 1, :, :]
-        elif c == 1:
-            minus[:, 1:, :] = a[1, :, : Y - 1, :]
-        else:
-            minus[:, :, 1:] = a[2, :, :, : X - 1]
-        cand[k] = minus.ravel()
-        offs[k] = -off
-        k += 1
-        plus = a[c].copy()
-        if c == 0:
-            plus[Z - 1, :, :] = -1.0
-        elif c == 1:
-            plus[:, Y - 1, :] = -1.0
-        else:
-            plus[:, :, X - 1] = -1.0
-        cand[k] = plus.ravel()
-        offs[k] = off
-        k += 1
+    cand = np.full((6, Z, Y, X), -1.0, dtype=np.float32)
+    for c in range(3):
+        w = edge_ends(a[c], c)[0]
+        edge_ends(cand[2 * c], c)[1][...] = w
+        edge_ends(cand[2 * c + 1], c)[0][...] = w
+    cand = cand.reshape(6, n)
+    offs = np.array([-Y * X, Y * X, -X, X, -1, 1], dtype=np.int64)
     pick = np.argmax(cand, axis=0)
     best = cand[pick, np.arange(n)]
     return best.astype(np.float64), offs[pick]
@@ -124,30 +107,15 @@ def _boundary_pairs(flat_labels: np.ndarray, aff: AffinityVolume):
 
     Returns (lo_label, hi_label, affinity) flat arrays over every such edge.
     """
-    a = aff.data
-    Z, Y, X = a.shape[1:]
-    lab = flat_labels.reshape(Z, Y, X)
+    lab = flat_labels.reshape(aff.data.shape[1:])
     lows, highs, vals = [], [], []
-    for c, sl in ((0, np.s_[: Z - 1, :, :]), (1, np.s_[:, : Y - 1, :]), (2, np.s_[:, :, : X - 1])):
-        la = lab[sl].ravel()
-        if c == 0:
-            lb = lab[1:, :, :].ravel()
-        elif c == 1:
-            lb = lab[:, 1:, :].ravel()
-        else:
-            lb = lab[:, :, 1:].ravel()
-        av = a[c][sl].ravel()
+    for c in range(3):
+        la, lb = (e.ravel() for e in edge_ends(lab, c))
         m = (la != lb) & (la != 0) & (lb != 0)
-        if m.any():
-            la, lb, av = la[m], lb[m], av[m]
-            lo = np.minimum(la, lb)
-            hi = np.maximum(la, lb)
-            lows.append(lo)
-            highs.append(hi)
-            vals.append(av)
-    if not lows:
-        e = np.empty(0, dtype=np.uint64)
-        return e, e.copy(), np.empty(0, dtype=np.float32)
+        la, lb = la[m], lb[m]
+        lows.append(np.minimum(la, lb))
+        highs.append(np.maximum(la, lb))
+        vals.append(edge_ends(aff.data[c], c)[0].ravel()[m])
     return np.concatenate(lows), np.concatenate(highs), np.concatenate(vals)
 
 
@@ -247,28 +215,21 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
 def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolume, BasinStats]:
     """Run the full four-stage watershed on an affinity volume."""
     shape = aff.shape3
-    Z, Y, X = shape.as_tuple()
     n = shape.voxels
     uf = UnionFind(n)
 
     # (a) unconditional unions above t_high
-    a = aff.data
-    for c, off in ((0, Y * X), (1, X), (2, 1)):
-        stops = [Z, Y, X]
-        stops[c] -= 1
-        region = a[c, : stops[0], : stops[1], : stops[2]]
-        strong = region >= params.t_high
-        if strong.any():
-            zz, yy, xx = np.nonzero(strong)
-            us = ((zz * Y + yy) * X + xx).tolist()
-            union = uf.union
-            for uu in us:
-                union(uu, uu + off)
+    union = uf.union
+    ids = np.arange(n).reshape(shape.as_tuple())
+    for c in range(3):
+        lower, upper = edge_ends(ids, c)
+        strong = edge_ends(aff.data[c], c)[0] >= params.t_high
+        for uu, vv in zip(lower[strong].tolist(), upper[strong].tolist()):
+            union(uu, vv)
 
     # (b) steepest-ascent joins down to t_low
     best, step = _incident_best(aff)
     grow = best >= params.t_low
-    union = uf.union
     for v, s in zip(np.nonzero(grow)[0].tolist(), step[grow].tolist()):
         union(v, v + s)
 

@@ -272,6 +272,33 @@ def test_replay_equals_fresh_run_mean_scorer():
             assert np.array_equal(replayed.data, fresh.data)
 
 
+def test_replay_equals_fresh_run_logistic_scorer():
+    # Logistic scores are not monotone along the merge order, so a
+    # threshold between two inverted scores separates "the prefix before
+    # the dip" from "every merge scoring >= theta"; only the former is a
+    # partition the agglomeration actually visits.
+    from affseg.zwatershed import WatershedParams, zwatershed
+
+    params = WatershedParams(t_high=0.995, t_low=0.5, size_min=0, t_merge=0.5)
+    checked = 0
+    for seed in range(6):
+        gt = synth_labels(Shape3(8, 24, 24),
+                          SynthParams(n_seeds=11, anisotropy=3.0, rng_seed=seed))
+        aff = synth_affinities(gt, NoiseParams(flip_sigma=0.25, rng_seed=seed))
+        base, _ = zwatershed(aff, params)
+        scorer = train_scorer(build_rag(base, aff), gt)
+        _, tree = agglomerate(base, aff, scorer, 0.0)
+        scores = [sc for _, _, sc in tree.merges]
+        for lo, hi in zip(scores, scores[1:]):
+            if lo < hi:
+                theta = (lo + hi) / 2.0
+                replayed = apply_threshold(tree, base, theta)
+                fresh, _ = agglomerate(base, aff, scorer, theta)
+                assert np.array_equal(replayed.data, fresh.data)
+                checked += 1
+    assert checked > 0
+
+
 def test_merge_tree_file_roundtrip(tmp_path):
     labels, aff = chain_rag([0.9, 0.6])
     _, tree = agglomerate(labels, aff, MeanAffinity(), 0.0)

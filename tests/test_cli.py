@@ -1,12 +1,14 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from affseg.cli import main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import Shape3, read_volume, write_volume
+from affseg.volume import AffinityVolume, Shape3, read_volume, write_volume
 
 
 def run(argv):
@@ -117,6 +119,126 @@ def test_full_cli_workflow_and_determinism(workdir, tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"
+
+
+# SHA-256 of every output of `run_all_subcommands` that does not go through
+# a BLAS matmul (model.bin and agg_log.volb do, via the logistic fit), so
+# any change to what the CLI writes shows up here.  Recorded before the
+# edge helpers in affseg.volume and the single replay path in affseg.agglo
+# replaced their per-module copies.
+PINNED_DIGESTS = {
+    "agg.volb": "e8b63a6ecf3fa63efb3f703453495a2abc096b0e6e91d453661b781dcd146af0",
+    "agglomerated.volb": "c0806cf05497d2aab7f0122ff90d31dff399a7777a056be4a1a80fe957867a16",
+    "curve.csv": "edb1c30f0dde339d06118711342a3bbb6c6b6679ebb589dc50a28c0dce10b371",
+    "eval_stdout": "250cdb7099de5859abc43961d138742162d8735881a371a711854fec96db31bc",
+    "grad.volb": "164957320114eb27f210d36d5702fbe66c40618a1338bc996006edaa700f3b5d",
+    "malis_stdout": "989013a3b4819b51549d2181098ee2e967257fe551eb8e1d6cefe32d830a68a5",
+    "manifest.txt": "e7769e071d41ff13f1d8ce31d2622a220e6829f9318923b8bc2dc4d0e110e32c",
+    "merge_tree.txt": "69a3b5dca480bd5b86d048d952e70436024b04d493f38fd0d70376a7be58b8e0",
+    "pipeline_stdout": "282eb529362f7e62edf62b654eabbf6c008c8248a1b0f991b06864f0cc3756e2",
+    "rag.csv": "ffc9560cda63b8677fab21cf27b37e2caeb290301a3105f98897854d4fce67f7",
+    "sf.volb": "e70d6118bf67aaa173b1e1e731457a7865c02c40426ac61fa159f8070c12e4f8",
+    "stitched.volb": "83187a4f71dc7dbf0049e4c54afe07e4b34412d0f7d9911d2cbc143de0980715",
+    "thr.volb": "c0806cf05497d2aab7f0122ff90d31dff399a7777a056be4a1a80fe957867a16",
+    "tree.txt": "11424c5b345bbc1e261488316762867c0581b80117bff8cbc4d5ec448da52815",
+    "watershed.volb": "efe839f373febbc96d2910d88182dd48638f85fe0cc1990340d9f5f85b56a2ba",
+    "ws.volb": "efe839f373febbc96d2910d88182dd48638f85fe0cc1990340d9f5f85b56a2ba",
+}
+
+
+def test_outputs_match_pinned_digests(workdir, tmp_path):
+    from workflows import run_all_subcommands
+
+    files = run_all_subcommands(workdir, tmp_path / "run", threads=1)
+    assert set(files) - set(PINNED_DIGESTS) == {"model.bin", "agg_log.volb"}
+    for name, digest in PINNED_DIGESTS.items():
+        assert hashlib.sha256(files[name]).hexdigest() == digest, f"{name} changed"
+
+
+def _write_raw_affinities(path, data):
+    write_volume(AffinityVolume(np.asarray(data, dtype=np.float32), check_range=False), path)
+
+
+@pytest.mark.parametrize("where,bad", [((0, 0, 0, 0), np.nan), ((0, 0, 0, 0), -0.5),
+                                       (..., 7.0)])
+def test_out_of_range_affinities_are_usage_errors(workdir, where, bad):
+    data = read_volume(workdir / "aff.volb").data.copy()
+    data[where] = bad
+    _write_raw_affinities(workdir / "bad.volb", data)
+    code, _, err = run(["watershed", "--aff", str(workdir / "bad.volb"),
+                        "--out", str(workdir / "o.volb")])
+    assert code == 2
+    assert "affinities must be finite and lie in [0, 1]" in err
+    assert not (workdir / "o.volb").exists()
+
+
+def test_gradient_volume_as_affinities_rejected(workdir):
+    code, _, _ = run(["malis-grad", "--aff", str(workdir / "aff.volb"),
+                      "--gt", str(workdir / "gt.volb"),
+                      "--grad-out", str(workdir / "grad.volb")])
+    assert code == 0
+    for argv in (["watershed", "--out", str(workdir / "o.volb")],
+                 ["malis-grad", "--gt", str(workdir / "gt.volb"),
+                  "--grad-out", str(workdir / "g2.volb")]):
+        code, _, err = run(argv + ["--aff", str(workdir / "grad.volb")])
+        assert code == 2, argv
+        assert "grad.volb" in err
+
+
+def _run_with_config(workdir, command, section, *flags):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({command: section}))
+    return run([command, "--config", str(cfg), *flags])
+
+
+def test_config_unknown_key_is_usage_error(workdir):
+    code, _, err = _run_with_config(
+        workdir, "watershed",
+        {"aff": str(workdir / "aff.volb"), "out": str(workdir / "o.volb"), "t_high": 0.5})
+    assert code == 2
+    assert "t_high" in err
+    assert not (workdir / "o.volb").exists()
+
+
+def test_config_boolean_must_be_true_or_false(workdir):
+    section = {"aff": str(workdir / "aff.volb"), "gt": str(workdir / "gt.volb"),
+               "grad-out": str(workdir / "g.volb")}
+    code, _, err = _run_with_config(workdir, "malis-grad", {**section, "normalize": "false"})
+    assert code == 2
+    assert "normalize" in err
+    # JSON false really means off, true means on
+    code, plain, _ = _run_with_config(workdir, "malis-grad", {**section, "normalize": False})
+    assert code == 0
+    code, normed, _ = _run_with_config(workdir, "malis-grad", {**section, "normalize": True})
+    assert code == 0
+    assert float(normed) < float(plain)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("size-min", "many"), ("size-min", 2.5), ("t-high", True), ("t-low", [0.5]),
+])
+def test_config_values_converted_like_flags(workdir, key, value):
+    section = {"aff": str(workdir / "aff.volb"), "out": str(workdir / "o.volb"), key: value}
+    code, _, err = _run_with_config(workdir, "watershed", section)
+    assert code == 2
+    assert key in err
+
+
+def test_config_values_match_flags(workdir):
+    code, _, _ = _run_with_config(
+        workdir, "watershed",
+        {"aff": str(workdir / "aff.volb"), "out": str(workdir / "c.volb"),
+         "t-high": "0.995", "t-low": 0.5, "size-min": 0, "t-merge": 0.5})
+    assert code == 0
+    assert (workdir / "c.volb").read_bytes() == (workdir / "ws.volb").read_bytes()
+    code, _, _ = _run_with_config(
+        workdir, "partition", {"shape": [6, 12, 12], "block": [6, 6, 12], "halo": [0, 2, 0],
+                               "out": str(workdir / "m.txt")})
+    assert code == 0
+    code, _, _ = _run_with_config(
+        workdir, "partition", {"shape": [6, 12], "block": [6, 6, 12], "halo": [0, 2, 0],
+                               "out": str(workdir / "m.txt")})
+    assert code == 2
 
 
 def test_inputs_never_mutated(workdir):

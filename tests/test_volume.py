@@ -9,6 +9,9 @@ from affseg.volume import (
     TruncatedPayload,
     UnknownDtype,
     VolumeError,
+    edge_ends,
+    edge_table,
+    inbounds_edge_region,
     oob_edge_mask,
     read_volume,
     write_volume,
@@ -163,6 +166,33 @@ def test_affinity_range_check():
     with pytest.raises(ValueError):
         AffinityVolume(raw)
     AffinityVolume(raw, check_range=False)  # gradients allowed through
+
+
+def test_affinity_range_check_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        raw = np.full((3, 2, 2, 2), 0.5, dtype=np.float32)
+        raw[1, 0, 0, 0] = bad
+        with pytest.raises(ValueError):
+            AffinityVolume(raw)
+    raw = np.full((3, 2, 2, 2), 0.5, dtype=np.float32)
+    raw[0, 1, 0, 0] = np.nan  # out-of-bounds slot: zeroed, not checked
+    assert AffinityVolume(raw).data[0, 1, 0, 0] == 0.0
+
+
+def test_edge_helpers_match_inbounds_regions():
+    shape = Shape3(2, 3, 4)
+    ids = np.arange(shape.voxels).reshape(shape.as_tuple())
+    c, u, v = edge_table(shape)
+    assert np.array_equal(c * shape.voxels + u, np.flatnonzero(~oob_edge_mask(shape)))
+    for ch in range(3):
+        lower, upper = edge_ends(ids, ch)
+        region = inbounds_edge_region(ch, shape)
+        assert np.array_equal(lower, ids[region])
+        assert np.array_equal(u[c == ch], lower.ravel())
+        assert np.array_equal(v[c == ch], upper.ravel())
+        assert np.all(upper - lower == (shape.y * shape.x, shape.x, 1)[ch])
+    stacked = np.stack([ids, ids + 100])  # leading axes pass through
+    assert np.array_equal(edge_ends(stacked, 2)[1][1], ids[:, :, 1:] + 100)
 
 
 def test_volumes_are_readonly():
