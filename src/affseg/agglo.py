@@ -1,13 +1,14 @@
 """Region adjacency graph and hierarchical supervoxel agglomeration.
 
-A RAG node is a segment (voxel count plus an accumulator over its interior
-edges); a RAG edge is the shared boundary of two segments, summarized by a
-mergeable statistics accumulator per affinity channel.  Agglomeration is a
-greedy best-first loop over a lazily invalidated priority queue: pop the
-highest-scoring boundary, merge (the smaller label survives), recombine the
-accumulators, re-score the merged node's boundaries, repeat until the best
-score drops below the threshold.  Every applied merge is recorded in a
-MergeTree that can be replayed at any threshold later.
+A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
+boundary of two segments, one row of a single table of mergeable per-channel
+statistics, filled in one array pass.  A merge adds the absorbed segment's
+rows into the survivor's or relinks them.  Scorers score one boundary or a
+whole table of them.  Agglomeration is a greedy best-first loop over a
+lazily invalidated priority queue: pop the highest-scoring boundary, merge
+(the smaller label survives), re-score all of the merged node's boundaries
+in one call, repeat until the best score drops below the threshold.  Every
+applied merge is recorded in a MergeTree that can be replayed later.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -21,14 +22,14 @@ falls below 1e-12.
 from __future__ import annotations
 
 import heapq
-import math
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
 
-from affseg.volume import AffinityVolume, LabelVolume, edge_ends, require_same_shape
+from affseg.volume import AffinityVolume, LabelVolume, boundary_edges, require_same_shape
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -50,34 +51,56 @@ class TreeBaseMismatch(Exception):
 
 class FeatureAccumulator:
     """Mergeable boundary statistics: per channel count, power sums to the
-    4th order, min, max, and a 10-bin histogram over [0, 1]."""
+    4th order, min, max, and a 10-bin histogram over [0, 1].
+
+    `FeatureAccumulator()` is one boundary, with fields of shape (3,) and
+    (3, 10); `table(E)` is E boundaries, with a leading row axis.  Every
+    statistic below reduces over the last (channel) axis.
+    """
 
     __slots__ = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
 
     def __init__(self):
         self.count = np.zeros(3, dtype=np.int64)
-        self.s1 = np.zeros(3, dtype=np.float64)
-        self.s2 = np.zeros(3, dtype=np.float64)
-        self.s3 = np.zeros(3, dtype=np.float64)
-        self.s4 = np.zeros(3, dtype=np.float64)
+        self.s1, self.s2, self.s3, self.s4 = (np.zeros(3) for _ in range(4))
         self.vmin = np.full(3, np.inf)
         self.vmax = np.full(3, -np.inf)
         self.hist = np.zeros((3, HIST_BINS), dtype=np.int64)
 
+    @classmethod
+    def table(cls, rows: int) -> "FeatureAccumulator":
+        """An empty table of `rows` boundaries."""
+        return cls()._map(lambda a: np.repeat(a[None], rows, axis=0))
+
+    def _map(self, f) -> "FeatureAccumulator":
+        out = FeatureAccumulator.__new__(FeatureAccumulator)
+        for name in self.__slots__:
+            setattr(out, name, f(getattr(self, name)))
+        return out
+
+    def __getitem__(self, rows) -> "FeatureAccumulator":
+        """Rows of a table: views for one integer row, copies for a list."""
+        return self._map(lambda a: a[rows])
+
     def push(self, channel: int, values: np.ndarray) -> None:
         """Fold a batch of boundary affinities of one channel into the stats."""
-        if len(values) == 0:
-            return
+        if len(values):
+            self._push_runs((np.array([channel]),), values, np.array([0]))
+
+    def _push_runs(self, cells: tuple, values: np.ndarray, starts: np.ndarray) -> None:
+        """Fold run k, ``values[starts[k]:starts[k + 1]]``, into the distinct
+        (..., channel) cell ``tuple(i[k] for i in cells)``, all runs at once."""
         v = values.astype(np.float64)
-        self.count[channel] += len(v)
-        self.s1[channel] += v.sum()
-        self.s2[channel] += (v * v).sum()
-        self.s3[channel] += (v**3).sum()
-        self.s4[channel] += (v**4).sum()
-        self.vmin[channel] = min(self.vmin[channel], v.min())
-        self.vmax[channel] = max(self.vmax[channel], v.max())
+        n = np.diff(starts, append=len(v))
+        self.count[cells] += n
+        for s, p in ((self.s1, v), (self.s2, v * v), (self.s3, v**3), (self.s4, v**4)):
+            s[cells] += np.add.reduceat(p, starts)
+        self.vmin[cells] = np.minimum(self.vmin[cells], np.minimum.reduceat(v, starts))
+        self.vmax[cells] = np.maximum(self.vmax[cells], np.maximum.reduceat(v, starts))
         bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        self.hist[channel] += np.bincount(bins, minlength=HIST_BINS)
+        slot = np.ravel_multi_index(tuple(np.repeat(i, n) for i in cells) + (bins,),
+                                    self.hist.shape)
+        self.hist += np.bincount(slot, minlength=self.hist.size).reshape(self.hist.shape)
 
     def merge(self, other: "FeatureAccumulator") -> None:
         self.count += other.count
@@ -95,56 +118,46 @@ class FeatureAccumulator:
         return out
 
     def copy(self) -> "FeatureAccumulator":
-        out = FeatureAccumulator.__new__(FeatureAccumulator)
-        out.count = self.count.copy()
-        out.s1 = self.s1.copy()
-        out.s2 = self.s2.copy()
-        out.s3 = self.s3.copy()
-        out.s4 = self.s4.copy()
-        out.vmin = self.vmin.copy()
-        out.vmax = self.vmax.copy()
-        out.hist = self.hist.copy()
-        return out
+        return self._map(np.copy)
 
     @property
-    def total_count(self) -> int:
-        return int(self.count.sum())
+    def total_count(self) -> np.ndarray:
+        return self.count.sum(axis=-1)
 
-    def pooled_mean(self) -> float:
-        n = self.total_count
-        return float(self.s1.sum() / n) if n else 0.0
+    def pooled_mean(self) -> np.ndarray:
+        """Mean affinity over all channels; 0 for a boundary with no edges."""
+        return self.s1.sum(axis=-1) / np.maximum(self.total_count, 1)
 
     def channel_stats(self, c: int) -> np.ndarray:
-        """16 values: mean, var, skew, kurt, min, max, 10 histogram fractions."""
-        out = np.zeros(16)
-        n = int(self.count[c])
-        if n == 0:
-            return out
-        m1 = self.s1[c] / n
-        m2 = self.s2[c] / n - m1 * m1
-        out[0] = m1
-        out[1] = m2
-        if m2 >= 1e-12:
-            m3 = self.s3[c] / n - 3.0 * m1 * self.s2[c] / n + 2.0 * m1**3
-            m4 = (self.s4[c] / n - 4.0 * m1 * self.s3[c] / n
-                  + 6.0 * m1 * m1 * self.s2[c] / n - 3.0 * m1**4)
-            out[2] = m3 / m2**1.5
-            out[3] = m4 / (m2 * m2)
-        out[4] = self.vmin[c]
-        out[5] = self.vmax[c]
-        out[6:16] = self.hist[c] / n
-        return out
+        """16 values per boundary, shape (..., 16): mean, var, skew, kurt,
+        min, max, 10 histogram fractions; all 0 where channel c has no edges.
+        Only +, -, *, / and sqrt enter the moments, so one boundary alone and
+        the same boundary in a table give bit-identical values."""
+        n = self.count[..., c]
+        k = np.maximum(n, 1)
+        s1, s2, s3, s4 = self.s1[..., c], self.s2[..., c], self.s3[..., c], self.s4[..., c]
+        m1 = s1 / k
+        m2 = s2 / k - m1 * m1
+        m3 = s3 / k - 3.0 * m1 * s2 / k + 2.0 * (m1 * m1 * m1)
+        m4 = s4 / k - 4.0 * m1 * s3 / k + 6.0 * m1 * m1 * s2 / k - 3.0 * (m1 * m1) * (m1 * m1)
+        wide = m2 >= 1e-12
+        v = np.where(wide, m2, 1.0)
+        skew = np.where(wide, m3 / (v * np.sqrt(v)), 0.0)
+        kurt = np.where(wide, m4 / (v * v), 0.0)
+        out = np.concatenate([
+            np.stack([m1, m2, skew, kurt, self.vmin[..., c], self.vmax[..., c]], axis=-1),
+            self.hist[..., c, :] / k[..., None],
+        ], axis=-1)
+        return np.where((n > 0)[..., None], out, 0.0)
 
 
-def edge_feature_vector(acc: FeatureAccumulator, size_a: int, size_b: int) -> np.ndarray:
-    """The 51-value boundary descriptor for a segment pair."""
-    out = np.empty(N_FEATURES)
-    for c in range(3):
-        out[c * 16 : (c + 1) * 16] = acc.channel_stats(c)
-    out[48] = math.log(acc.total_count)
-    out[49] = math.log(min(size_a, size_b))
-    out[50] = math.log(max(size_a, size_b))
-    return out
+def edge_feature_vector(acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
+    """The 51-value boundary descriptor of a segment pair, or (E, 51) for
+    a table of E boundaries and their (E,) segment sizes."""
+    counts = np.stack([acc.total_count, np.minimum(size_a, size_b),
+                       np.maximum(size_a, size_b)], axis=-1)
+    return np.concatenate([acc.channel_stats(c) for c in range(3)] + [np.log(counts)],
+                          axis=-1)
 
 
 class MeanAffinity:
@@ -152,7 +165,7 @@ class MeanAffinity:
 
     name = "mean"
 
-    def score(self, acc: FeatureAccumulator, size_a: int, size_b: int) -> float:
+    def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
         return acc.pooled_mean()
 
 
@@ -174,10 +187,9 @@ class Logistic:
         self.weights = w
         self.bias = float(bias)
 
-    def score(self, acc: FeatureAccumulator, size_a: int, size_b: int) -> float:
-        z = float(self.weights @ edge_feature_vector(acc, size_a, size_b)) + self.bias
-        z = min(max(z, -30.0), 30.0)
-        return 1.0 / (1.0 + math.exp(-z))
+    def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
+        z = edge_feature_vector(acc, size_a, size_b) @ self.weights + self.bias
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
 
     def to_bytes(self) -> bytes:
         return bytes([MODEL_MAGIC_VERSION]) + struct.pack(
@@ -229,26 +241,22 @@ class MergeTree:
         return cls(merges=merges, base=base)
 
 
-@dataclass
-class _Node:
-    size: int
-    internal: FeatureAccumulator = field(default_factory=FeatureAccumulator)
-
-
+@dataclass(eq=False)
 class Rag:
     """Region adjacency graph over the nonzero labels of a segmentation.
 
-    Keeps references to the label and affinity volumes it was built from;
-    `merge_nodes` mutates the graph in place exactly the way the
-    agglomeration loop does, so recomputation tests can drive it directly.
+    `nodes` maps each label to its voxel count, `edges` each boundary
+    (lo, hi) to its row of `table`, and `adj` each label to its
+    neighbours.  `merge_nodes` mutates the graph in place exactly the way
+    the agglomeration loop does, so recomputation tests can drive it
+    directly.
     """
 
-    def __init__(self, labels: LabelVolume, aff: AffinityVolume):
-        self.labels = labels
-        self.aff = aff
-        self.nodes: dict[int, _Node] = {}
-        self.edges: dict[tuple[int, int], FeatureAccumulator] = {}
-        self.adj: dict[int, set[int]] = {}
+    labels: LabelVolume
+    nodes: dict[int, int]
+    edges: dict[tuple[int, int], int]
+    adj: dict[int, set[int]]
+    table: FeatureAccumulator
 
     @property
     def n_nodes(self) -> int:
@@ -258,103 +266,86 @@ class Rag:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    def copy(self) -> "Rag":
+        """An independent graph over the same labels, to merge in a simulation."""
+        return Rag(self.labels, dict(self.nodes), dict(self.edges),
+                   {l: set(s) for l, s in self.adj.items()}, self.table.copy())
+
     def edge_key(self, a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
     def edge_acc(self, a: int, b: int) -> FeatureAccumulator:
-        acc = self.edges.get(self.edge_key(a, b))
-        if acc is None:
+        """The statistics of one boundary: views into its table row."""
+        row = self.edges.get(self.edge_key(a, b))
+        if row is None:
             raise MissingEdge(f"no boundary between labels {a} and {b}")
-        return acc
+        return self.table[row]
+
+    def boundaries(self, keys: list[tuple[int, int]]):
+        """(table rows, sizes of a, sizes of b) of the boundaries (a, b) in
+        `keys`, to score or describe them all in one call."""
+        size_a = np.array([self.nodes[a] for a, _ in keys], dtype=np.int64)
+        size_b = np.array([self.nodes[b] for _, b in keys], dtype=np.int64)
+        return self.table[[self.edges[k] for k in keys]], size_a, size_b
 
     def merge_nodes(self, a: int, b: int) -> int:
         """Merge b's node into a's (callers pass a < b); returns the survivor.
 
-        The shared boundary accumulator becomes interior; b's remaining
-        boundaries fold into a's, combining accumulators where both exist.
+        The shared boundary's row is dropped.  Each other boundary row of b
+        is added into a's row to the same neighbour, or relinked to a where
+        a has none.
         """
-        key = self.edge_key(a, b)
-        shared = self.edges.pop(key)
-        na, nb = self.nodes[a], self.nodes[b]
-        na.size += nb.size
-        na.internal.merge(nb.internal)
-        na.internal.merge(shared)
+        del self.edges[self.edge_key(a, b)]
+        self.nodes[a] += self.nodes.pop(b)
         self.adj[a].discard(b)
-        self.adj[b].discard(a)
-        for x in sorted(self.adj[b]):
-            acc = self.edges.pop(self.edge_key(b, x))
+        for x in self.adj.pop(b) - {a}:
+            row = self.edges.pop(self.edge_key(b, x))
             self.adj[x].discard(b)
             kx = self.edge_key(a, x)
             if kx in self.edges:
-                self.edges[kx].merge(acc)
+                self.table[self.edges[kx]].merge(self.table[row])  # row views
             else:
-                self.edges[kx] = acc
+                self.edges[kx] = row
                 self.adj[a].add(x)
                 self.adj[x].add(a)
-        del self.adj[b]
-        del self.nodes[b]
         return a
 
 
 def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
-    """Accumulate node and boundary statistics for every adjacent label pair."""
+    """Node sizes and boundary statistics of every adjacent label pair: the
+    boundary edges are sorted into (boundary, channel) runs, each in slot
+    order, and all runs are folded into the rows of one table at once."""
     require_same_shape(labels, aff)
-    rag = Rag(labels, aff)
     lab = labels.data
+    ids, sizes = np.unique(lab, return_counts=True)
+    ids, sizes = ids[ids != 0], sizes[ids != 0]
 
-    uniq, counts = np.unique(lab, return_counts=True)
-    for l, cnt in zip(uniq.tolist(), counts.tolist()):
-        if l != 0:
-            rag.nodes[l] = _Node(size=int(cnt))
-            rag.adj[l] = set()
+    lo, hi, ch, val = boundary_edges(lab, aff.data)
+    order = np.lexsort((ch, hi, lo))
+    lo, hi, ch, val = lo[order], hi[order], ch[order], val[order]
 
-    # gather one (label_a, label_b, value) table per channel
-    for c in range(3):
-        la, lb = (e.ravel() for e in edge_ends(lab, c))
-        av = edge_ends(aff.data[c], c)[0].ravel()
-        valid = (la != 0) & (lb != 0)
-        la, lb, av = la[valid], lb[valid], av[valid]
+    new_pair = np.ones(len(lo), dtype=bool)
+    new_pair[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new_run = new_pair.copy()
+    new_run[1:] |= ch[1:] != ch[:-1]
+    starts = np.flatnonzero(new_run)
+    table = FeatureAccumulator.table(np.count_nonzero(new_pair))
+    table._push_runs(((np.cumsum(new_pair) - 1)[starts], ch[starts]), val, starts)
 
-        internal = la == lb
-        if internal.any():
-            ids = la[internal]
-            vals = av[internal]
-            order = np.argsort(ids, kind="stable")
-            ids, vals = ids[order], vals[order]
-            bounds = np.flatnonzero(np.diff(ids)) + 1
-            starts = np.concatenate(([0], bounds))
-            stops = np.concatenate((bounds, [len(ids)]))
-            for s, t in zip(starts.tolist(), stops.tolist()):
-                rag.nodes[int(ids[s])].internal.push(c, vals[s:t])
-
-        boundary = ~internal
-        if boundary.any():
-            lo = np.minimum(la[boundary], lb[boundary])
-            hi = np.maximum(la[boundary], lb[boundary])
-            vals = av[boundary]
-            order = np.lexsort((hi, lo))
-            lo, hi, vals = lo[order], hi[order], vals[order]
-            change = np.flatnonzero((np.diff(lo) != 0) | (np.diff(hi) != 0)) + 1
-            starts = np.concatenate(([0], change))
-            stops = np.concatenate((change, [len(lo)]))
-            for s, t in zip(starts.tolist(), stops.tolist()):
-                a_id, b_id = int(lo[s]), int(hi[s])
-                key = (a_id, b_id)
-                acc = rag.edges.get(key)
-                if acc is None:
-                    acc = FeatureAccumulator()
-                    rag.edges[key] = acc
-                    rag.adj[a_id].add(b_id)
-                    rag.adj[b_id].add(a_id)
-                acc.push(c, vals[s:t])
-    return rag
+    lo, hi = lo[new_pair], hi[new_pair]
+    edges = dict(zip(zip(lo.tolist(), hi.tolist()), range(len(lo))))
+    # each label's neighbours, cut out of both orientations sorted by label
+    end = np.concatenate([lo, hi])
+    order = np.argsort(end, kind="stable")
+    nbrs = np.split(np.concatenate([hi, lo])[order], np.searchsorted(end[order], ids[1:]))
+    adj = dict(zip(ids.tolist(), map(set, map(np.ndarray.tolist, nbrs))))
+    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), edges, adj, table)
 
 
 def edge_features(rag: Rag, edge: tuple[int, int]) -> np.ndarray:
     """Feature vector of an existing boundary; raises MissingEdge otherwise."""
     a, b = edge
-    acc = rag.edge_acc(a, b)
-    return edge_feature_vector(acc, rag.nodes[a].size, rag.nodes[b].size)
+    return edge_feature_vector(rag.edge_acc(a, b), rag.nodes[a], rag.nodes[b])
 
 
 def _chase(parent: dict[int, int], l: int) -> int:
@@ -373,6 +364,12 @@ def _replay(labels: LabelVolume, merges) -> LabelVolume:
     return LabelVolume(lut[inv].reshape(labels.data.shape))
 
 
+def check_theta(theta: float) -> None:
+    """Raise ValueError unless `theta` is a score threshold in [0, 1]; NaN is not."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must be in [0, 1], got {theta}")
+
+
 def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
                 theta: float) -> tuple[LabelVolume, MergeTree]:
     """Greedy best-first agglomeration down to score threshold `theta`.
@@ -381,16 +378,16 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     surviving input ids, so replaying the returned tree over the input
     reproduces the output exactly.
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must be in [0, 1], got {theta}")
+    check_theta(theta)
     rag = build_rag(labels, aff)
 
-    version: dict[tuple[int, int], int] = {k: 0 for k in rag.edges}
-    heap = []
-    for key in sorted(rag.edges):
-        a, b = key
-        sc = scorer.score(rag.edges[key], rag.nodes[a].size, rag.nodes[b].size)
-        heapq.heappush(heap, (-sc, a, b, 0))
+    def scored(keys):
+        return zip(keys, scorer.score(*rag.boundaries(keys)).tolist())
+
+    keys = sorted(rag.edges)
+    version: dict[tuple[int, int], int] = dict.fromkeys(keys, 0)
+    heap = [(-sc, a, b, 0) for (a, b), sc in scored(keys)]
+    heapq.heapify(heap)
 
     merges: list[tuple[int, int, float]] = []
 
@@ -409,10 +406,8 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         for x in b_nbrs:
             if x != a:
                 version.pop(rag.edge_key(b, x), None)
-        for x in sorted(rag.adj[a]):
-            kx = rag.edge_key(a, x)
+        for kx, sc in scored([rag.edge_key(a, x) for x in sorted(rag.adj[a])]):
             version[kx] = version.get(kx, -1) + 1
-            sc = scorer.score(rag.edges[kx], rag.nodes[a].size, rag.nodes[x].size)
             heapq.heappush(heap, (-sc, kx[0], kx[1], version[kx]))
     return _replay(labels, merges), MergeTree(merges=merges, base=labels)
 
@@ -423,6 +418,7 @@ def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVo
     That prefix is exactly where `agglomerate` run at `theta` stops, so the
     replay equals a fresh run for every scorer, monotone or not.
     """
+    check_theta(theta)
     if tree.base.data.shape != base.data.shape or not np.array_equal(tree.base.data, base.data):
         raise TreeBaseMismatch("merge tree was built from a different base labeling")
     return _replay(base, takewhile(lambda m: m[2] >= theta, tree.merges))
@@ -454,16 +450,14 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 500,
     return Logistic(w_raw, b_raw)
 
 
-def _node_gt_histograms(rag: Rag, gt: LabelVolume) -> dict[int, dict[int, int]]:
+def _node_gt_histograms(rag: Rag, gt: LabelVolume) -> dict[int, Counter]:
     lab = rag.labels.data.ravel()
     g = gt.data.ravel()
     m = (lab != 0) & (g != 0)
-    hists: dict[int, dict[int, int]] = {l: {} for l in rag.nodes}
-    if m.any():
-        pairs = np.stack([lab[m], g[m]], axis=1)
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        for (l, gl), cnt in zip(uniq.tolist(), counts.tolist()):
-            hists[int(l)][int(gl)] = int(cnt)
+    hists: dict[int, Counter] = {l: Counter() for l in rag.nodes}
+    uniq, counts = np.unique(np.stack([lab[m], g[m]], axis=1), axis=0, return_counts=True)
+    for (l, gl), cnt in zip(uniq.tolist(), counts.tolist()):
+        hists[l][gl] = cnt
     return hists
 
 
@@ -484,28 +478,25 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
 
     A boundary is a merge (positive) example iff both segments' dominant GT
     labels agree and both segments are at least 50% pure.  Positive pairs
-    are merged between rounds, features recomputed through the accumulators,
-    and fresh decisions collected, until a round yields no positives.
+    are merged between rounds in a copy of the caller's RAG, each round's
+    features computed from its table in one call, and fresh decisions
+    collected, until a round yields no positives.
     Raises DegenerateTraining when the collected decisions are all one class.
     """
     require_same_shape(rag.labels, gt)
-    sim = build_rag(rag.labels, rag.aff)
+    sim = rag.copy()
     hists = _node_gt_histograms(sim, gt)
 
     X_rows: list[np.ndarray] = []
-    y_rows: list[int] = []
+    y_rows: list[bool] = []
     while True:
-        positives = []
-        for key in sorted(sim.edges):
-            a, b = key
-            da, pa = _dominant(hists[a])
-            db, pb = _dominant(hists[b])
-            pos = da is not None and da == db and pa >= 0.5 and pb >= 0.5
-            X_rows.append(edge_feature_vector(sim.edges[key],
-                                              sim.nodes[a].size, sim.nodes[b].size))
-            y_rows.append(1 if pos else 0)
-            if pos:
-                positives.append(key)
+        dominant = {l: _dominant(h) for l, h in hists.items()}
+        keys = sorted(sim.edges)
+        decisions = [da is not None and da == db and pa >= 0.5 and pb >= 0.5
+                     for (da, pa), (db, pb) in ((dominant[a], dominant[b]) for a, b in keys)]
+        X_rows.append(edge_feature_vector(*sim.boundaries(keys)))
+        y_rows.extend(decisions)
+        positives = [key for key, pos in zip(keys, decisions) if pos]
         if not positives:
             break
         # merge this round's positives; pairs may have been absorbed by an
@@ -516,18 +507,15 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
             if ra == rb:
                 continue
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            if hi not in sim.adj.get(lo, set()):
+            if (lo, hi) not in sim.edges:
                 continue  # boundary vanished through earlier merges
             sim.merge_nodes(lo, hi)
             alias[hi] = lo
-            h = hists.pop(hi)
-            dst = hists[lo]
-            for gl, cnt in h.items():
-                dst[gl] = dst.get(gl, 0) + cnt
+            hists[lo].update(hists.pop(hi))
 
     if not y_rows or len(set(y_rows)) < 2:
         raise DegenerateTraining("boundary decisions contain a single class only")
-    X = np.array(X_rows)
+    X = np.concatenate(X_rows)
     y = np.array(y_rows, dtype=np.float64)
     scorer = _fit_logistic(X, y)
     # fit artifacts, kept for inspection of the decision set

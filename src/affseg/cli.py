@@ -54,6 +54,14 @@ def _read_affinities(path) -> AffinityVolume:
         raise CliError(f"{path}: {e}") from e
 
 
+def _checked(fn, *args, **kwargs):
+    """Call a library function whose ValueError means a bad parameter (exit 2)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise CliError(str(e)) from e
+
+
 def _config_value(where: str, action: argparse.Action, value):
     """Convert a config value with the type, arity and choices of its flag."""
     if action.nargs == 0:  # a switch such as --normalize
@@ -118,15 +126,13 @@ def _scorer_from(args, section) -> object:
 
 
 def _watershed_params(args, section) -> WatershedParams:
-    try:
-        return WatershedParams(
-            t_high=float(_resolve(args, section, "t-high", 0.98)),
-            t_low=float(_resolve(args, section, "t-low", 0.2)),
-            size_min=int(_resolve(args, section, "size-min", 25)),
-            t_merge=float(_resolve(args, section, "t-merge", 0.3)),
-        )
-    except ValueError as e:
-        raise CliError(str(e)) from e
+    return _checked(
+        WatershedParams,
+        t_high=float(_resolve(args, section, "t-high", 0.98)),
+        t_low=float(_resolve(args, section, "t-low", 0.2)),
+        size_min=int(_resolve(args, section, "size-min", 25)),
+        t_merge=float(_resolve(args, section, "t-merge", 0.3)),
+    )
 
 
 def _cmd_synth(args, section) -> int:
@@ -177,7 +183,7 @@ def _cmd_size_filter(args, section) -> int:
     out = _resolve(args, section, "out", required=True)
     size_min = int(_resolve(args, section, "size-min", 25))
     t_merge = float(_resolve(args, section, "t-merge", 0.3))
-    write_volume(size_filter(labels, aff, size_min, t_merge), out)
+    write_volume(_checked(size_filter, labels, aff, size_min, t_merge), out)
     return 0
 
 
@@ -189,7 +195,7 @@ def _cmd_build_rag(args, section) -> int:
     with open(out, "w") as f:
         f.write("label_a,label_b,boundary_count,mean_affinity\n")
         for a, b in sorted(rag.edges):
-            acc = rag.edges[(a, b)]
+            acc = rag.edge_acc(a, b)
             f.write(f"{a},{b},{acc.total_count},{acc.pooled_mean():.6f}\n")
     print(f"nodes={rag.n_nodes} edges={rag.n_edges}", file=sys.stderr)
     return 0
@@ -213,7 +219,7 @@ def _cmd_agglomerate(args, section) -> int:
     tree_out = _resolve(args, section, "tree-out")
     theta = float(_resolve(args, section, "theta", 0.5))
     scorer = _scorer_from(args, section)
-    seg, tree = agglo.agglomerate(labels, aff, scorer, theta)
+    seg, tree = _checked(agglo.agglomerate, labels, aff, scorer, theta)
     write_volume(seg, out)
     if tree_out:
         tree.write(tree_out)
@@ -226,7 +232,7 @@ def _cmd_apply_threshold(args, section) -> int:
     out = _resolve(args, section, "out", required=True)
     theta = float(_resolve(args, section, "theta", required=True))
     tree = agglo.MergeTree.read(tree_path, base)
-    write_volume(agglo.apply_threshold(tree, base, theta), out)
+    write_volume(_checked(agglo.apply_threshold, tree, base, theta), out)
     return 0
 
 
@@ -246,7 +252,7 @@ def _cmd_curve(args, section) -> int:
     thetas = _resolve(args, section, "thetas", required=True)
     thetas = [float(t) for t in thetas]
     tree = agglo.MergeTree.read(tree_path, base)
-    curve = metrics.vi_curve(tree, base, gt, thetas)
+    curve = _checked(metrics.vi_curve, tree, base, gt, thetas)
     with open(out, "w") as f:
         f.write("theta,vi_under,vi_over\n")
         for theta, score in curve:
@@ -276,7 +282,7 @@ def _cmd_stitch(args, section) -> int:
     min_voxels = int(_resolve(args, section, "min-voxels", 2))
     specs, paths = read_manifest(manifest)
     labelings = [_read_labels(p) for p in paths]
-    merged = stitch(specs, labelings, min_ratio=min_ratio, min_voxels=min_voxels)
+    merged = _checked(stitch, specs, labelings, min_ratio=min_ratio, min_voxels=min_voxels)
     write_volume(merged, out)
     return 0
 
@@ -285,10 +291,11 @@ def _cmd_pipeline(args, section) -> int:
     aff = _read_affinities(_resolve(args, section, "aff", required=True))
     gt = _read_labels(_resolve(args, section, "gt", required=True))
     workdir = _resolve(args, section, "workdir", required=True)
-    os.makedirs(workdir, exist_ok=True)
     params = _watershed_params(args, section)
     theta = float(_resolve(args, section, "theta", 0.5))
+    _checked(agglo.check_theta, theta)
     scorer = _scorer_from(args, section)
+    os.makedirs(workdir, exist_ok=True)
 
     seg, stats = zwatershed(aff, params)
     write_volume(seg, os.path.join(workdir, "watershed.volb"))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.agglo import MergeTree, apply_threshold
+from affseg.agglo import MergeTree, apply_threshold, check_theta
 from affseg.volume import LabelVolume, require_same_shape
 
 
@@ -69,9 +69,11 @@ def vi_curve(tree: MergeTree, base: LabelVolume, gt: LabelVolume,
              thetas: list[float]) -> ViCurve:
     """Replay the merge tree at each threshold and score against GT.
 
-    Thresholds must be strictly decreasing, mirroring how the sweep walks
-    from no merges applied toward the fully merged end.
+    Thresholds must lie in [0, 1] and be strictly decreasing, mirroring how
+    the sweep walks from no merges applied toward the fully merged end.
     """
+    for theta in thetas:
+        check_theta(theta)
     for a, b in zip(thetas, thetas[1:]):
         if not a > b:
             raise ValueError("thetas must be strictly decreasing")

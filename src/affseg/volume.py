@@ -141,6 +141,19 @@ def edge_table(shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, u, u + np.array([shape.y * shape.x, shape.x, 1])[c]
 
 
+def boundary_edges(labels: np.ndarray, aff: np.ndarray):
+    """Flat (lo label, hi label, channel, affinity) arrays of every lattice
+    edge between two different nonzero labels of a (z, y, x) label array,
+    `aff` being the matching (3, z, y, x) array; in slot order."""
+    cols = []
+    for c in range(3):
+        la, lb = (e.ravel() for e in edge_ends(labels, c))
+        m = (la != lb) & (la != 0) & (lb != 0)
+        cols.append((np.minimum(la[m], lb[m]), np.maximum(la[m], lb[m]),
+                     np.full(np.count_nonzero(m), c), edge_ends(aff[c], c)[0].ravel()[m]))
+    return tuple(np.concatenate(col) for col in zip(*cols))
+
+
 class LabelVolume:
     """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import UnionFind
-from affseg.volume import AffinityVolume, LabelVolume, edge_ends, require_same_shape
+from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, edge_ends,
+                           require_same_shape)
 
 
 @dataclass(frozen=True)
@@ -102,23 +103,6 @@ def _dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
     return new_ids[inv]
 
 
-def _boundary_pairs(flat_labels: np.ndarray, aff: AffinityVolume):
-    """All affinity edges whose endpoints carry two different nonzero labels.
-
-    Returns (lo_label, hi_label, affinity) flat arrays over every such edge.
-    """
-    lab = flat_labels.reshape(aff.data.shape[1:])
-    lows, highs, vals = [], [], []
-    for c in range(3):
-        la, lb = (e.ravel() for e in edge_ends(lab, c))
-        m = (la != lb) & (la != 0) & (lb != 0)
-        la, lb = la[m], lb[m]
-        lows.append(np.minimum(la, lb))
-        highs.append(np.maximum(la, lb))
-        vals.append(edge_ends(aff.data[c], c)[0].ravel()[m])
-    return np.concatenate(lows), np.concatenate(highs), np.concatenate(vals)
-
-
 def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
                       size_min: int, t_merge: float) -> np.ndarray:
     """Rule (d): absorb under-sized segments, then drop unsalvageable ones."""
@@ -131,7 +115,7 @@ def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
     idx_of = {int(l): i for i, l in enumerate(uniq)}
     sizes = cnt_all[nz].astype(np.int64).tolist()
 
-    lo, hi, av = _boundary_pairs(flat_labels, aff)
+    lo, hi, _, av = boundary_edges(flat_labels.reshape(aff.data.shape[1:]), aff.data)
     adj: list[dict[int, float]] = [dict() for _ in range(len(uniq))]
     for l, h, v in zip(lo.tolist(), hi.tolist(), av.tolist()):
         i, j = idx_of[l], idx_of[h]
@@ -203,6 +187,10 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
 
     size_min == 0 is a no-op and returns the input labels unchanged.
     """
+    if size_min < 0:
+        raise ValueError(f"size_min must be >= 0, got {size_min}")
+    if not 0.0 <= t_merge <= 1.0:
+        raise ValueError(f"t_merge must be in [0, 1], got {t_merge}")
     shape = require_same_shape(labels, aff)
     if size_min == 0:
         return LabelVolume(labels.data.copy())

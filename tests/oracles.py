@@ -168,3 +168,55 @@ def partitions_equal(a, b) -> bool:
     pa = np.stack([a.ravel(), b.ravel()], axis=1)
     u = np.unique(pa, axis=0)
     return len(np.unique(u[:, 0])) == len(u) and len(np.unique(u[:, 1])) == len(u)
+
+
+def boundary_values(labels, aff):
+    """Every boundary affinity, collected pair by pair.
+
+    Walks every in-bounds lattice edge and appends its affinity to the list
+    of (lo, hi, channel) when its endpoints carry two different nonzero
+    labels.  Returns ({(lo, hi, channel): [affinity, ...]}, {label: voxels}).
+    """
+    lab = labels.data.ravel().tolist()
+    values = defaultdict(list)
+    for c, _z, _y, _x, a, u, v in all_edges(aff):
+        la, lb = lab[u], lab[v]
+        if la and lb and la != lb:
+            values[(min(la, lb), max(la, lb), c)].append(a)
+    sizes = defaultdict(int)
+    for l in lab:
+        if l:
+            sizes[l] += 1
+    return dict(values), dict(sizes)
+
+
+def boundary_stats(values):
+    """Statistics of one boundary channel from its affinity list.
+
+    Returns its count, 10-bin histogram, min, max, correctly rounded power
+    sums s1..s4 and the 16 channel features: mean, population variance,
+    skewness, kurtosis (moments from the power sums, as the agglo module
+    documents them), min, max, bin fractions.  `feature_scale` holds, per
+    feature, the magnitude of the terms it is computed from: a relative
+    rounding error in the power sums moves a feature by that much times the
+    error, because the central moments cancel those terms.
+    """
+    n = len(values)
+    hist = [0] * 10
+    for v in values:
+        hist[min(int(v * 10), 9)] += 1
+    sums = [math.fsum(v**k for v in values) for k in (1, 2, 3, 4)]
+    e1, e2, e3, e4 = (s / n for s in sums)
+    m2, t2 = e2 - e1**2, e2 + e1**2
+    m3, t3 = e3 - 3 * e1 * e2 + 2 * e1**3, e3 + 3 * e1 * e2 + 2 * e1**3
+    m4 = e4 - 4 * e1 * e3 + 6 * e1**2 * e2 - 3 * e1**4
+    t4 = e4 + 4 * e1 * e3 + 6 * e1**2 * e2 + 3 * e1**4
+    skew = kurt = skew_scale = kurt_scale = 0.0
+    if m2 >= 1e-12:
+        skew, kurt = m3 / m2**1.5, m4 / m2**2
+        skew_scale = t3 / m2**1.5 + 1.5 * abs(skew) * t2 / m2
+        kurt_scale = t4 / m2**2 + 2 * abs(kurt) * t2 / m2
+    fractions = [h / n for h in hist]
+    return {"count": n, "hist": hist, "vmin": min(values), "vmax": max(values), "s": sums,
+            "features": [e1, m2, skew, kurt, min(values), max(values)] + fractions,
+            "feature_scale": [abs(e1), t2, skew_scale, kurt_scale, 0.0, 0.0] + fractions}

@@ -19,6 +19,8 @@ from affseg.agglo import (
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3
 
+from oracles import boundary_stats, boundary_values
+
 
 def chain3():
     a = np.zeros((3, 1, 1, 3), dtype=np.float32)
@@ -54,7 +56,7 @@ def noisy_instance(seed, shape=Shape3(6, 12, 12), n_seeds=4):
 def test_build_rag_chain_example():
     labels = LabelVolume(np.array([[[1, 1, 2]]], dtype=np.uint64))
     rag = build_rag(labels, chain3())
-    assert {l: n.size for l, n in rag.nodes.items()} == {1: 2, 2: 1}
+    assert rag.nodes == {1: 2, 2: 1}
     acc = rag.edge_acc(1, 2)
     assert acc.total_count == 1
     assert acc.pooled_mean() == pytest.approx(0.4)
@@ -65,7 +67,7 @@ def test_build_rag_single_label():
     rag = build_rag(labels, AffinityVolume(np.ones((3, 2, 2, 2), dtype=np.float32)))
     assert rag.n_nodes == 1
     assert rag.n_edges == 0
-    assert rag.nodes[1].internal.total_count == 12  # all in-bounds edges interior
+    assert rag.nodes == {1: 8}
 
 
 def test_build_rag_background_blocks_adjacency():
@@ -80,6 +82,40 @@ def test_missing_edge():
     rag = build_rag(labels, chain3())
     with pytest.raises(MissingEdge):
         edge_features(rag, (1, 2))
+
+
+def oracle_case(name):
+    if name.startswith("noisy"):
+        _, aff, seg = noisy_instance(int(name[-1]))
+        return seg, aff
+    _, aff, seg = noisy_instance(3)
+    if name == "background":  # every third fragment erased to background
+        return LabelVolume(np.where(seg.data % 3 == 0, 0, seg.data)), aff
+    return LabelVolume(np.ones(seg.data.shape, dtype=np.uint64)), aff  # single label
+
+
+@pytest.mark.parametrize("case", ["noisy0", "noisy1", "noisy2", "background", "single"])
+def test_build_rag_matches_per_pair_oracle(case):
+    labels, aff = oracle_case(case)
+    rag = build_rag(labels, aff)
+    values, sizes = boundary_values(labels, aff)
+    assert rag.nodes == sizes
+    assert set(rag.edges) == {(lo, hi) for lo, hi, _ in values}
+    for (a, b) in rag.edges:
+        acc = rag.edge_acc(a, b)
+        for c in range(3):
+            if (a, b, c) not in values:
+                assert acc.count[c] == 0 and np.all(acc.channel_stats(c) == 0.0)
+                continue
+            want = boundary_stats(values[(a, b, c)])
+            assert acc.count[c] == want["count"]
+            assert acc.hist[c].tolist() == want["hist"]
+            assert acc.vmin[c] == want["vmin"] and acc.vmax[c] == want["vmax"]
+            assert acc.s1[c] == want["s"][0]
+            np.testing.assert_allclose([acc.s2[c], acc.s3[c], acc.s4[c]], want["s"][1:],
+                                       rtol=1e-12, atol=0)
+            err = np.abs(acc.channel_stats(c) - want["features"])
+            assert np.all(err <= 1e-12 * np.array(want["feature_scale"]))
 
 
 # ------------------------------------------------------------ edge features
@@ -118,7 +154,7 @@ def test_histogram_fractions_sum_to_one():
         for key in rag.edges:
             fv = edge_features(rag, key)
             assert np.all(np.isfinite(fv))
-            acc = rag.edges[key]
+            acc = rag.edge_acc(*key)
             for c in range(3):
                 if acc.count[c] > 0:
                     assert fv[c * 16 + 6 : c * 16 + 16].sum() == pytest.approx(1.0)
@@ -261,6 +297,14 @@ def test_apply_threshold_base_mismatch():
         apply_threshold(tree, other, 0.5)
 
 
+@pytest.mark.parametrize("theta", [7.0, -0.5, float("nan")])
+def test_apply_threshold_rejects_theta_outside_unit_interval(theta):
+    labels, aff = chain_rag([0.9, 0.6])
+    _, tree = agglomerate(labels, aff, MeanAffinity(), 0.0)
+    with pytest.raises(ValueError, match="theta must be in"):
+        apply_threshold(tree, labels, theta)
+
+
 def test_replay_equals_fresh_run_mean_scorer():
     rng = np.random.default_rng(6)
     for seed in (0, 1, 2):
@@ -338,11 +382,7 @@ def test_features_equal_fresh_rebuild_after_merges():
                 got = edge_features(rag, key)
                 want = edge_features(fresh, key)
                 np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-            for l, node in fresh.nodes.items():
-                assert rag.nodes[l].size == node.size
-                np.testing.assert_allclose(rag.nodes[l].internal.s1, node.internal.s1,
-                                           rtol=1e-9, atol=1e-12)
-                assert rag.nodes[l].internal.total_count == node.internal.total_count
+            assert rag.nodes == fresh.nodes
 
 
 # ----------------------------------------------------------------- training
@@ -375,10 +415,14 @@ def test_train_scorer_no_edges_degenerate():
 def test_trained_scorer_in_unit_interval():
     gt, aff, seg = noisy_instance(2)
     rag = build_rag(seg, aff)
+    nodes, edges, table = dict(rag.nodes), dict(rag.edges), rag.table.copy()
     scorer = train_scorer(rag, gt)
+    # training merges a copy: the caller's graph and table are untouched
+    assert rag.nodes == nodes and rag.edges == edges
+    assert all(np.array_equal(getattr(rag.table, f), getattr(table, f)) for f in table.__slots__)
     for key in rag.edges:
         a, b = key
-        s = scorer.score(rag.edges[key], rag.nodes[a].size, rag.nodes[b].size)
+        s = scorer.score(rag.edge_acc(a, b), rag.nodes[a], rag.nodes[b])
         assert 0.0 <= s <= 1.0
 
 

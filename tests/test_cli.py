@@ -241,6 +241,60 @@ def test_config_values_match_flags(workdir):
     assert code == 2
 
 
+@pytest.fixture
+def replay_inputs(workdir):
+    """The workdir plus a full merge tree of ws.volb and a one-block manifest."""
+    code, _, _ = run(["agglomerate", "--labels", str(workdir / "ws.volb"),
+                      "--aff", str(workdir / "aff.volb"), "--theta", "0.0",
+                      "--out", str(workdir / "agg.volb"), "--tree-out", str(workdir / "tree.txt")])
+    assert code == 0
+    code, _, _ = run(["partition", "--shape", "6", "12", "12", "--block", "6", "12", "12",
+                      "--halo", "0", "0", "0", "--out", str(workdir / "manifest.txt"),
+                      "--prefix", str(workdir / "blk")])
+    assert code == 0
+    (workdir / "blk_0000.volb").write_bytes((workdir / "ws.volb").read_bytes())
+    return workdir
+
+
+def _replay_argv(command, *flags):
+    return [command, "--tree", "tree.txt", "--base", "ws.volb", *flags]
+
+
+BAD_PARAMETERS = {
+    "apply-threshold-theta-7": _replay_argv("apply-threshold", "--theta", "7", "--out", "o.volb"),
+    "apply-threshold-theta-nan": _replay_argv("apply-threshold", "--theta", "nan",
+                                              "--out", "o.volb"),
+    "curve-theta-5": _replay_argv("curve", "--gt", "gt.volb", "--thetas", "5", "0.5",
+                                  "--out", "o.csv"),
+    "curve-non-decreasing": _replay_argv("curve", "--gt", "gt.volb", "--thetas", "0.2", "0.5",
+                                         "--out", "o.csv"),
+    "size-filter-size-min-negative": ["size-filter", "--labels", "ws.volb", "--aff", "aff.volb",
+                                      "--size-min", "-5", "--out", "o.volb"],
+    "size-filter-t-merge-3": ["size-filter", "--labels", "ws.volb", "--aff", "aff.volb",
+                              "--t-merge", "3", "--out", "o.volb"],
+    "agglomerate-theta-1.5": ["agglomerate", "--labels", "ws.volb", "--aff", "aff.volb",
+                              "--theta", "1.5", "--out", "o.volb"],
+    "pipeline-theta-2": ["pipeline", "--aff", "aff.volb", "--gt", "gt.volb",
+                         "--workdir", "pipe", "--theta", "2"],
+    "stitch-min-ratio-0": ["stitch", "--manifest", "manifest.txt", "--min-ratio", "0",
+                           "--out", "o.volb"],
+    "stitch-min-voxels-0": ["stitch", "--manifest", "manifest.txt", "--min-voxels", "0",
+                            "--out", "o.volb"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMETERS))
+def test_bad_parameters_are_usage_errors(replay_inputs, case):
+    paths = {"ws.volb", "aff.volb", "gt.volb", "tree.txt", "manifest.txt", "o.volb", "o.csv",
+             "pipe"}
+    argv = [str(replay_inputs / a) if a in paths else a for a in BAD_PARAMETERS[case]]
+    code, _, err = run(argv)
+    assert code == 2, err
+    assert err.startswith("error: ")
+    for out in ("o.volb", "o.csv", "pipe"):
+        assert not (replay_inputs / out).exists()
+
+
 def test_inputs_never_mutated(workdir):
     aff_bytes = (workdir / "aff.volb").read_bytes()
     gt_bytes = (workdir / "gt.volb").read_bytes()

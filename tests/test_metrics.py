@@ -154,3 +154,10 @@ def test_curve_requires_decreasing_thetas():
     tree, base, gt = curve_fixture()
     with pytest.raises(ValueError):
         vi_curve(tree, base, gt, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("thetas", [[5.0, 0.5], [1.0, -0.1], [float("nan")]])
+def test_curve_rejects_thetas_outside_unit_interval(thetas):
+    tree, base, gt = curve_fixture()
+    with pytest.raises(ValueError, match="theta must be in"):
+        vi_curve(tree, base, gt, thetas)

@@ -91,6 +91,14 @@ def test_size_filter_shape_mismatch():
         size_filter(labels, aff, 2, 0.3)
 
 
+@pytest.mark.parametrize("size_min,t_merge", [(-5, 0.3), (3, 3.0), (3, float("nan"))])
+def test_size_filter_rejects_bad_parameters(size_min, t_merge):
+    aff = chain4()
+    seg, _ = zwatershed(aff, WatershedParams(0.9, 0.2, 0, 0.3))
+    with pytest.raises(ValueError, match="size_min|t_merge"):
+        size_filter(seg, aff, size_min, t_merge)
+
+
 def test_basin_stats_sum():
     rng = np.random.default_rng(5)
     aff = AffinityVolume(rng.random((3, 4, 5, 6), dtype=np.float32))
