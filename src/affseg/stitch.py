@@ -7,9 +7,9 @@ see the same voxels near their shared faces.  After per-block segmentation
 blocks are matched wherever their halo regions overlap: two local segments
 merge when their voxel overlap inside the shared region is at least
 `min_voxels` AND at least `min_ratio` times the smaller of the two segments'
-voxel counts within that region.  Each union-find class becomes one global
-label, written out from core regions only, so every output voxel has exactly
-one writer.
+voxel counts within that region.  Each connected component of the merged
+pairs becomes one global label, written out from core regions only, so every
+output voxel has exactly one writer.
 
 Manifest files (one line per block) tie specs to labeling files on disk:
 
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import UnionFind
-from affseg.volume import LabelVolume, Shape3
+from affseg.unionfind import components
+from affseg.volume import LabelVolume, Shape3, dense_relabel
 
 
 class InvalidPartition(Exception):
@@ -173,41 +173,27 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     graph = build_stitch_graph(specs, block_labelings)
 
     node_id = {node: k for k, node in enumerate(graph.nodes)}
-    node_of = [dict() for _ in specs]
-    for bi, lab in graph.nodes:
-        node_of[bi][lab] = node_id[(bi, lab)]
-    uf = UnionFind(len(graph.nodes))
-    for (na, nb), (ov, ca, cb) in graph.edges.items():
-        if ov >= min_voxels and ov >= min_ratio * min(ca, cb):
-            uf.union(node_id[na], node_id[nb])
+    accepted = [(node_id[na], node_id[nb])
+                for (na, nb), (ov, ca, cb) in graph.edges.items()
+                if ov >= min_voxels and ov >= min_ratio * min(ca, cb)]
+    # class of each node, as 1 + its class's smallest node id; 0 is background
+    cls = components(len(graph.nodes),
+                     *np.array(accepted, dtype=np.int64).reshape(-1, 2).T).astype(np.uint64) + 1
 
-    shape = _global_shape(specs)
-    out = np.zeros(shape, dtype=np.uint64)
-    global_of_root: dict[int, int] = {}
-    next_label = 1
+    out = np.zeros(_global_shape(specs), dtype=np.uint64)
+    walk = []
     for bi, (spec, lv) in enumerate(zip(specs, block_labelings)):
         local = lv.data[spec.core_slices_local()]
-        uniq, inv = np.unique(local, return_inverse=True)
-        lut = np.zeros(len(uniq), dtype=np.uint64)
-        # assign dense global ids in order of first appearance in the output
-        first = np.full(len(uniq), -1, dtype=np.int64)
-        flat_inv = inv.ravel()
-        seen_first = np.unique(flat_inv, return_index=True)
-        first[seen_first[0]] = seen_first[1]
-        for k in np.argsort(first, kind="stable").tolist():
-            l = int(uniq[k])
-            if l == 0:
-                continue
-            root = uf.find(node_of[bi][l])
-            g = global_of_root.get(root)
-            if g is None:
-                g = next_label
-                next_label += 1
-                global_of_root[root] = g
-            lut[k] = g
-        core = tuple(slice(a, b) for a, b in spec.core)
-        out[core] = lut[inv].reshape(local.shape)
-    return LabelVolume(out)
+        uniq, first, inv = np.unique(local, return_index=True, return_inverse=True)
+        lut = np.array([cls[node_id[(bi, l)]] if l else 0 for l in uniq.tolist()],
+                       dtype=np.uint64)
+        walk.append(lut[np.argsort(first)])
+        out[tuple(slice(a, b) for a, b in spec.core)] = lut[inv].reshape(local.shape)
+    # global labels 1..K in order of first appearance, block by block
+    walk = np.concatenate(walk)
+    glob = np.zeros(len(graph.nodes) + 1, dtype=np.uint64)
+    glob[walk] = dense_relabel(walk)
+    return LabelVolume(glob[out])
 
 
 def _halo_view(lv: LabelVolume, spec: BlockSpec, boxes):

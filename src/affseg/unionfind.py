@@ -1,22 +1,57 @@
-"""Disjoint-set forest shared by the sweep, watershed, and stitching code."""
+"""Connected components of integer-id graphs.
+
+`components` groups ids offline, when every edge is known before any
+lookup (watershed basins, size-filter absorptions, stitch classes);
+`UnionFind` serves the MALIS sweep, which must query components between
+unions.
+"""
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def index_dtype(n: int):
+    """Smallest integer dtype that holds the ids 0..n-1 (int32 or int64)."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def components(n: int, u, v) -> np.ndarray:
+    """Per id in 0..n-1, the smallest id of its component under edges (u, v).
+
+    Array hooking plus pointer jumping (Shiloach & Vishkin 1982): each round
+    hooks every root onto the smallest root it shares an edge with, then
+    jumps pointers until every id points at its root, so that the next
+    round again re-points roots only.  parent[i] <= i throughout, so the
+    surviving root is the component's smallest id.
+    """
+    dtype = index_dtype(n)
+    parent = np.arange(n, dtype=dtype)
+    u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
+    while True:
+        pu, pv = parent[u], parent[v]
+        live = pu != pv
+        if not live.any():
+            return parent
+        u, v, pu, pv = u[live], v[live], pu[live], pv[live]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+
 
 class UnionFind:
-    """Union-find over dense integer ids 0..n-1 with path halving.
+    """Online union-find over dense integer ids 0..n-1 with path halving.
 
-    Two union flavours: `union` picks the root by component size (fastest,
-    use when the surviving root does not matter), `union_into` forces a
-    chosen root to survive (replay and stitching semantics).
+    `union` picks the root by component size, so the surviving root is
+    arbitrary; use `components` when all edges are known up front.
     """
 
-    __slots__ = ("parent", "size", "n_sets")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.size = [1] * n
-        self.n_sets = n
 
     def find(self, a: int) -> int:
         parent = self.parent
@@ -33,18 +68,4 @@ class UnionFind:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
-        self.n_sets -= 1
         return ra
-
-    def union_into(self, winner: int, loser: int) -> int:
-        """Union that keeps `winner`'s root as the root of the merged set."""
-        rw, rl = self.find(winner), self.find(loser)
-        if rw == rl:
-            return rw
-        self.parent[rl] = rw
-        self.size[rw] += self.size[rl]
-        self.n_sets -= 1
-        return rw
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)

@@ -154,6 +154,16 @@ def boundary_edges(labels: np.ndarray, aff: np.ndarray):
     return tuple(np.concatenate(col) for col in zip(*cols))
 
 
+def dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
+    """Map nonzero labels to 1..K by order of first occurrence; 0 stays 0."""
+    uniq, first, inv = np.unique(flat_labels, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    order = order[uniq[order] != 0]
+    new_ids = np.zeros(len(uniq), dtype=np.uint64)
+    new_ids[order] = np.arange(1, len(order) + 1, dtype=np.uint64)
+    return new_ids[inv]
+
+
 class LabelVolume:
     """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import UnionFind
-from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, edge_ends,
-                           require_same_shape)
+from affseg.unionfind import components, index_dtype
+from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, dense_relabel,
+                           edge_ends, require_same_shape)
 
 
 @dataclass(frozen=True)
@@ -88,21 +88,6 @@ def _incident_best(aff: AffinityVolume):
     return best.astype(np.float64), offs[pick]
 
 
-def _dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
-    """Map nonzero labels to 1..K by order of first occurrence; 0 stays 0."""
-    uniq, first, inv = np.unique(flat_labels, return_index=True, return_inverse=True)
-    new_ids = np.empty(len(uniq), dtype=np.uint64)
-    order = np.argsort(first, kind="stable")
-    nxt = 1
-    for pos in order:
-        if uniq[pos] == 0:
-            new_ids[pos] = 0
-        else:
-            new_ids[pos] = nxt
-            nxt += 1
-    return new_ids[inv]
-
-
 def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
                       size_min: int, t_merge: float) -> np.ndarray:
     """Rule (d): absorb under-sized segments, then drop unsalvageable ones."""
@@ -112,20 +97,23 @@ def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
     uniq = u_all[nz]
     if len(uniq) == 0:
         return flat_labels.copy()
-    idx_of = {int(l): i for i, l in enumerate(uniq)}
+    m = len(uniq)
     sizes = cnt_all[nz].astype(np.int64).tolist()
 
+    # strongest boundary lattice edge per pair of adjacent segments
     lo, hi, _, av = boundary_edges(flat_labels.reshape(aff.data.shape[1:]), aff.data)
-    adj: list[dict[int, float]] = [dict() for _ in range(len(uniq))]
-    for l, h, v in zip(lo.tolist(), hi.tolist(), av.tolist()):
-        i, j = idx_of[l], idx_of[h]
-        if v > adj[i].get(j, -1.0):
-            adj[i][j] = v
-            adj[j][i] = v
+    pairs, inv = np.unique(np.searchsorted(uniq, lo) * m + np.searchsorted(uniq, hi),
+                           return_inverse=True)
+    vmax = np.full(len(pairs), -1.0)
+    np.maximum.at(vmax, inv, av)
+    adj: list[dict[int, float]] = [dict() for _ in range(m)]
+    for i, j, v in zip((pairs // m).tolist(), (pairs % m).tolist(), vmax.tolist()):
+        adj[i][j] = v
+        adj[j][i] = v
 
-    uf = UnionFind(len(uniq))
-    alive = [True] * len(uniq)
-    version = [0] * len(uniq)
+    absorbed: list[tuple[int, int]] = []
+    alive = [True] * m
+    version = [0] * m
 
     def best_neighbour(i):
         """Strongest live boundary of i; ties go to the smaller neighbour id."""
@@ -136,7 +124,7 @@ def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
         return bv, bj
 
     heap = []
-    for i in range(len(uniq)):
+    for i in range(m):
         if sizes[i] < size_min:
             bv, bj = best_neighbour(i)
             if bj >= 0 and bv >= t_merge:
@@ -153,7 +141,7 @@ def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
             heapq.heappush(heap, (-bv, i, ver))
             continue
         # absorb i into bj
-        uf.union_into(bj, i)
+        absorbed.append((bj, i))
         alive[i] = False
         sizes[bj] += sizes[i]
         nbrs = adj[i]
@@ -171,13 +159,12 @@ def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
             if bj2 >= 0 and bv2 >= t_merge:
                 heapq.heappush(heap, (-bv2, bj, version[bj]))
 
-    # resolve every original label through the union-find; survivors below
-    # size_min had no qualifying neighbour and drop to background
+    # resolve every original label to its component's smallest id; components
+    # below size_min had no qualifying neighbour and drop to background
+    root = components(m, *np.array(absorbed, dtype=np.int64).reshape(-1, 2).T)
+    total = np.bincount(root, weights=cnt_all[nz], minlength=m)[root]
     mapping = np.zeros(len(u_all), dtype=np.uint64)
-    dense_pos = np.nonzero(nz)[0]
-    for i in range(len(uniq)):
-        r = uf.find(i)
-        mapping[dense_pos[i]] = 0 if sizes[r] < size_min else uniq[r]
+    mapping[nz] = np.where(total < size_min, 0, uniq[root])
     return mapping[inv_all]
 
 
@@ -196,7 +183,7 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
         return LabelVolume(labels.data.copy())
     flat = labels.data.ravel()
     filtered = _size_filter_flat(flat, aff, size_min, t_merge)
-    dense = _dense_relabel(filtered)
+    dense = dense_relabel(filtered)
     return LabelVolume(dense.reshape(shape.as_tuple()))
 
 
@@ -204,33 +191,27 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     """Run the full four-stage watershed on an affinity volume."""
     shape = aff.shape3
     n = shape.voxels
-    uf = UnionFind(n)
 
-    # (a) unconditional unions above t_high
-    union = uf.union
-    ids = np.arange(n).reshape(shape.as_tuple())
-    for c in range(3):
-        lower, upper = edge_ends(ids, c)
-        strong = edge_ends(aff.data[c], c)[0] >= params.t_high
-        for uu, vv in zip(lower[strong].tolist(), upper[strong].tolist()):
-            union(uu, vv)
-
-    # (b) steepest-ascent joins down to t_low
+    # (a) edges >= t_high (compared in float64, like stages (b) and (d)) and
+    # (b) each voxel's steepest-ascent link >= t_low, joined in one pass
+    ids = np.arange(n, dtype=index_dtype(n)).reshape(shape.as_tuple())
+    strong = [edge_ends(aff.data[c], c)[0] >= np.float64(params.t_high) for c in range(3)]
     best, step = _incident_best(aff)
     grow = best >= params.t_low
-    for v, s in zip(np.nonzero(grow)[0].tolist(), step[grow].tolist()):
-        union(v, v + s)
+    linked = np.flatnonzero(grow).astype(ids.dtype)
+    u = np.concatenate([edge_ends(ids, c)[0][strong[c]] for c in range(3)] + [linked])
+    v = np.concatenate([edge_ends(ids, c)[1][strong[c]] for c in range(3)]
+                       + [linked + step[grow].astype(ids.dtype)])
 
     # (c) voxels with nothing >= t_low stay background
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    root_labels = roots.astype(np.uint64) + 1
+    root_labels = components(n, u, v).astype(np.uint64) + 1
     root_labels[~grow] = 0
-    dense = _dense_relabel(root_labels)
+    dense = dense_relabel(root_labels)
 
     # (d)/(e) size filtering and final densification
     if params.size_min > 0:
         filtered = _size_filter_flat(dense, aff, params.size_min, params.t_merge)
-        dense = _dense_relabel(filtered)
+        dense = dense_relabel(filtered)
 
     vol = LabelVolume(dense.reshape(shape.as_tuple()))
     u, cnts = np.unique(dense, return_counts=True)

@@ -163,6 +163,46 @@ def connected_components(labels):
     return out
 
 
+def watershed_basins(aff, t_high, t_low):
+    """Watershed stages (a)-(c) by BFS, labeled 1..K in first-voxel order.
+
+    Links every edge with affinity >= t_high, and every voxel to the far end
+    of its strongest incident edge when that is >= t_low (ties: lower
+    channel first, then the neighbour at the lower coordinate).  Voxels
+    whose strongest incident edge is below t_low stay 0.  Affinities are
+    compared to the thresholds as float64.
+    """
+    Z, Y, X = aff.data.shape[1:]
+    n = Z * Y * X
+    best = [None] * n  # (affinity, -rank, far end); rank 2c below, 2c+1 above
+    adj = defaultdict(list)
+    for c, _z, _y, _x, a, u, v in all_edges(aff):
+        for here, there, rank in ((u, v, 2 * c + 1), (v, u, 2 * c)):
+            if best[here] is None or (a, -rank) > best[here][:2]:
+                best[here] = (a, -rank, there)
+        if a >= t_high:
+            adj[u].append(v)
+            adj[v].append(u)
+    for u in range(n):
+        if best[u] is not None and best[u][0] >= t_low:
+            adj[u].append(best[u][2])
+            adj[best[u][2]].append(u)
+    out = np.zeros(n, dtype=np.uint64)
+    nxt = 1
+    for s in range(n):
+        if out[s] or best[s] is None or best[s][0] < t_low:
+            continue
+        out[s] = nxt
+        q = deque([s])
+        while q:
+            for w in adj[q.popleft()]:
+                if not out[w]:
+                    out[w] = nxt
+                    q.append(w)
+        nxt += 1
+    return out.reshape(Z, Y, X)
+
+
 def partitions_equal(a, b) -> bool:
     """True when two labelings induce the same partition (labels permuted)."""
     pa = np.stack([a.ravel(), b.ravel()], axis=1)

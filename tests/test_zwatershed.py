@@ -5,7 +5,7 @@ from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_l
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
 from affseg.zwatershed import BasinStats, WatershedParams, size_filter, zwatershed
 
-from oracles import connected_components, partitions_equal
+from oracles import connected_components, partitions_equal, watershed_basins
 
 
 def chain4():
@@ -162,3 +162,26 @@ def test_labels_dense_in_first_voxel_order():
         if v != 0 and v not in seen:
             seen.append(v)
     assert seen == list(range(1, len(stats.sizes) + 1))
+
+
+def test_float32_threshold_compared_in_float64():
+    # float32(0.7) is 0.69999999 < 0.7: the middle edge is not strong, and
+    # each end voxel's steepest ascent (0.9) pulls its neighbour outward
+    a = np.zeros((3, 1, 1, 4), dtype=np.float32)
+    a[2, 0, 0, :3] = [0.9, 0.7, 0.9]
+    seg, _ = zwatershed(AffinityVolume(a), WatershedParams(0.7, 0.3, 0, 0.5))
+    assert seg.data.ravel().tolist() == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_basins_match_bfs_oracle(seed, jitter):
+    gt = synth_labels(Shape3(6, 12, 12), SynthParams(n_seeds=4, anisotropy=2.0, rng_seed=seed))
+    aff = synth_affinities(gt, NoiseParams(flip_sigma=0.25, jitter_prob=jitter, rng_seed=seed))
+    # affinities on a 0.05 grid make many edges sit exactly at a threshold;
+    # float32 rounds 0.7, 0.9 and 0.95 down and 0.3, 0.6, 0.99 up
+    grid = AffinityVolume((np.round(aff.data * 20) / 20).astype(np.float32))
+    for vol in (aff, grid):
+        for t_high, t_low in ((0.99, 0.3), (0.95, 0.6), (0.9, 0.7), (0.7, 0.3), (0.7, 0.7)):
+            seg, _ = zwatershed(vol, WatershedParams(t_high, t_low, 0, t_low))
+            assert np.array_equal(seg.data, watershed_basins(vol, t_high, t_low))
