@@ -4,14 +4,16 @@ For a pair of voxels the maximin affinity is the best achievable bottleneck:
 the maximum over all connecting paths of the minimum edge affinity along the
 path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
-agree, to the negative channel when they differ.  Counts fall out of a single
-Kruskal-style sweep over edges in decreasing affinity, carrying per-component
-label histograms through a union-find.
+agree, to the negative channel when they differ.  Maximin edges are exactly
+the edges of the maximum spanning forest (Turaga et al. 2009), so the forest
+is found first, by array Borůvka rounds, and counts fall out of a sweep of
+the forest edges alone in decreasing affinity, carrying per-component label
+histograms through a union-find.
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
-every pair exactly.
-All in-bounds lattice edges take part in the sweep, including ones with zero
+every pair exactly and makes the forest unique.
+All in-bounds lattice edges are candidates, including ones with zero
 affinity, so every labeled pair lands on some edge.
 
 Voxels labeled 0 are glue: paths may run through them but they never pair.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import UnionFind
+from affseg.unionfind import UnionFind, spanning_forest
 from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
 
 
@@ -96,58 +98,58 @@ def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
     return float(best[goal])  # unreachable in practice: the lattice is connected
 
 
+def _forest_in_sweep_order(aff: AffinityVolume):
+    """Slots and endpoints of the maximum spanning forest's edges, in sweep order.
+
+    A function of its own so that the whole-lattice arrays are freed
+    before the sweep builds its per-voxel histograms.
+    """
+    c, u, v = edge_table(aff.shape3)
+    order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")
+    u, v = u[order], v[order]
+    forest = spanning_forest(aff.shape3.voxels, u, v)
+    # edge slot == channel * voxels + flat index of the lower endpoint
+    slots = (c[order] * aff.shape3.voxels + u)[forest]
+    return slots, u[forest], v[forest]
+
+
 def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     """Attribute every labeled voxel pair to its maximin edge.
 
-    Single Kruskal sweep in decreasing affinity.  When an edge joins two
-    components it is, by construction, the maximin edge of exactly the pairs
-    that straddle it, so the pair counts are products of the components'
-    label histograms.
+    The maximum spanning forest comes from Borůvka rounds
+    (`spanning_forest`); a sweep of its edges in decreasing affinity then
+    joins two components per edge, which is by construction the maximin
+    edge of exactly the pairs that straddle it, so the pair counts are
+    products of the components' label histograms.
     """
     shape = require_same_shape(aff, gt)
-    c, u, v = edge_table(shape)
-    order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")
+    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
 
-    n = shape.voxels
-    uf = UnionFind(n)
-    labels = gt.data.ravel()
+    uf = UnionFind(shape.voxels)
     # per-root histogram of nonzero gt labels: dict label -> count
-    hist: list[dict[int, int] | None] = [None] * n
-    labeled_n = [0] * n
-    for i in range(n):
-        lab = int(labels[i])
-        if lab != 0:
-            hist[i] = {lab: 1}
-            labeled_n[i] = 1
-
-    pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
-    neg = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
-    pos_flat = pos.reshape(3, -1)
-    neg_flat = neg.reshape(3, -1)
+    labels = gt.data.ravel().tolist()
+    hist: list[dict[int, int] | None] = [{lab: 1} if lab else None for lab in labels]
+    labeled_n = [1 if lab else 0 for lab in labels]
+    pos_at: list[int] = []
+    neg_at: list[int] = []
 
     find = uf.find
-    for idx in order:
-        ei = int(idx)
-        ru = find(int(u[ei]))
-        rv = find(int(v[ei]))
-        if ru == rv:
-            continue
+    # memoryviews yield Python ints one at a time, where tolist() would
+    # hold all of them at once
+    for a, b in zip(memoryview(forest_u), memoryview(forest_v)):
+        ru, rv = find(a), find(b)
         nu, nv = labeled_n[ru], labeled_n[rv]
+        p = 0
         if nu and nv:
             hu, hv = hist[ru], hist[rv]
             if len(hu) > len(hv):
                 hu, hv = hv, hu
-            p = 0
             for lab, cnt in hu.items():
                 o = hv.get(lab)
                 if o:
                     p += cnt * o
-            slot = int(u[ei])  # edge slot == flat index of lower endpoint
-            ch = int(c[ei])
-            if p:
-                pos_flat[ch, slot] += p
-            if nu * nv - p:
-                neg_flat[ch, slot] += nu * nv - p
+        pos_at.append(p)
+        neg_at.append(nu * nv - p)
         root = uf.union(ru, rv)
         absorbed = rv if root == ru else ru
         ho, hr = hist[absorbed], hist[root]
@@ -162,6 +164,12 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
                     hr[lab] = hr.get(lab, 0) + cnt
             hist[absorbed] = None
         labeled_n[root] = nu + nv
+
+    # each forest slot is written once
+    pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
+    neg = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
+    pos.reshape(-1)[slots] = np.array(pos_at, dtype=np.uint64)
+    neg.reshape(-1)[slots] = np.array(neg_at, dtype=np.uint64)
     return PairCounts(pos=pos, neg=neg)
 
 

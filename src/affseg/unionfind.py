@@ -1,9 +1,9 @@
-"""Connected components of integer-id graphs.
+"""Connected components and spanning forests of integer-id graphs.
 
-`components` groups ids offline, when every edge is known before any
-lookup (watershed basins, size-filter absorptions, stitch classes);
-`UnionFind` serves the MALIS sweep, which must query components between
-unions.
+`components` and `spanning_forest` group ids offline, when every edge is
+known before any lookup (watershed basins, size-filter absorptions, stitch
+classes, the MALIS forest); `UnionFind` serves the MALIS sweep of that
+forest, which must query components between unions.
 """
 
 from __future__ import annotations
@@ -38,6 +38,38 @@ def components(n: int, u, v) -> np.ndarray:
         jumped = parent[parent]
         while not np.array_equal(jumped, parent):
             parent, jumped = jumped, jumped[jumped]
+
+
+def spanning_forest(n: int, u, v) -> np.ndarray:
+    """Mask of the edges (u, v) that Kruskal accepts taking them in the given order.
+
+    Borůvka rounds: every component takes its earliest live incident edge
+    (`np.minimum.at` of edge positions onto both endpoint roots), those
+    edges join the forest, `components` merges along them, and edges inside
+    one component drop out.  Position is a strict total order, so the
+    minimum spanning forest under it is unique and equals Kruskal's, with
+    self-loops and later duplicates rejected alike.
+    """
+    m = len(u)
+    keep = np.zeros(m, dtype=bool)
+    pos = np.arange(m, dtype=index_dtype(m + 1))  # m marks "no edge"
+    dtype = index_dtype(n)
+    u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
+    root = np.arange(n, dtype=dtype)
+    while True:
+        ru, rv = root[u], root[v]
+        live = ru != rv
+        if not live.any():
+            return keep
+        u, v, ru, rv, pos = u[live], v[live], ru[live], rv[live], pos[live]
+        best = np.full(n, m, dtype=pos.dtype)
+        np.minimum.at(best, ru, pos)
+        np.minimum.at(best, rv, pos)
+        keep[best[best < m]] = True
+        joined = keep[pos]
+        # roots are each component's smallest id, so relabelling roots by
+        # `components` keeps every id mapped to its (new) component's root
+        root = components(n, ru[joined], rv[joined])[root]
 
 
 class UnionFind:

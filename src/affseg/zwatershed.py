@@ -203,10 +203,12 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     v = np.concatenate([edge_ends(ids, c)[1][strong[c]] for c in range(3)]
                        + [linked + step[grow].astype(ids.dtype)])
 
-    # (c) voxels with nothing >= t_low stay background
-    root_labels = components(n, u, v).astype(np.uint64) + 1
-    root_labels[~grow] = 0
-    dense = dense_relabel(root_labels)
+    # (c) voxels with nothing >= t_low stay background; they have no
+    # incident edge >= t_low, so they are singletons.  Each voxel's root is
+    # its segment's first voxel, so numbering roots in flat order densifies.
+    root = components(n, u, v)
+    dense = np.cumsum(grow & (root == ids.ravel()), dtype=np.uint64)[root]
+    dense[~grow] = 0
 
     # (d)/(e) size filtering and final densification
     if params.size_min > 0:
@@ -214,7 +216,5 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
         dense = dense_relabel(filtered)
 
     vol = LabelVolume(dense.reshape(shape.as_tuple()))
-    u, cnts = np.unique(dense, return_counts=True)
-    sizes = {int(lab): int(cnt) for lab, cnt in zip(u, cnts) if lab != 0}
-    background = int(cnts[u == 0][0]) if (u == 0).any() else 0
-    return vol, BasinStats(sizes=sizes, background=background)
+    cnts = np.bincount(dense.astype(np.intp), minlength=1).tolist()
+    return vol, BasinStats(sizes=dict(enumerate(cnts[1:], 1)), background=cnts[0])

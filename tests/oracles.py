@@ -96,6 +96,42 @@ def pair_counts(aff, gt):
     return pos, neg
 
 
+def malis_counts_full_sweep(aff, gt):
+    """Pos / neg count volumes from a Kruskal sweep over every lattice edge.
+
+    Takes all edges in sweep order, rejects those whose ends already share a
+    component, and charges each joining edge the product of the two
+    components' label histograms.  Scales to volumes `pair_counts` cannot.
+    """
+    Z, Y, X = aff.data.shape[1:]
+    n = Z * Y * X
+    labels = gt.data.ravel().tolist()
+    parent = list(range(n))
+    hist = [{lab: 1} if lab else {} for lab in labels]
+    pos = np.zeros((3, Z, Y, X), dtype=np.uint64)
+    neg = np.zeros((3, Z, Y, X), dtype=np.uint64)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for c, z, y, x, _a, u, v in sweep_sorted(all_edges(aff)):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        hu, hv = hist[ru], hist[rv]
+        same = sum(cnt * hv.get(lab, 0) for lab, cnt in hu.items())
+        pos[c, z, y, x] = same
+        neg[c, z, y, x] = sum(hu.values()) * sum(hv.values()) - same
+        parent[rv] = ru
+        for lab, cnt in hv.items():
+            hu[lab] = hu.get(lab, 0) + cnt
+        hist[rv] = {}
+    return pos, neg
+
+
 def maximin_by_threshold(aff, v1, v2):
     """Maximin affinity via descending threshold + BFS connectivity."""
     Z, Y, X = aff.data.shape[1:]

@@ -7,9 +7,10 @@ from affseg.malis import (
     malis_gradient,
     maximin_affinity,
 )
-from affseg.volume import AffinityVolume, LabelVolume, ShapeMismatch
+from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
 
-from oracles import maximin_by_threshold, pair_counts
+from oracles import malis_counts_full_sweep, maximin_by_threshold, pair_counts
 
 
 def chain_volume(x_affs):
@@ -129,6 +130,39 @@ def test_counts_match_oracle_with_ties():
         exp_pos, exp_neg = pair_counts(aff, gt)
         assert np.array_equal(counts.pos, exp_pos)
         assert np.array_equal(counts.neg, exp_neg)
+
+
+def jittered_patch(seed, shape=(8, 24, 24)):
+    gt = synth_labels(Shape3(*shape), SynthParams(12, 3.0, seed))
+    return synth_affinities(gt, NoiseParams(0.2, 0.3, seed + 500)), gt
+
+
+def medium_case(name):
+    """8x24x24 volumes, where the forest takes several Borůvka rounds."""
+    kind, seed = name.rsplit("_", 1)
+    aff, gt = jittered_patch(int(seed))
+    rng = np.random.default_rng(int(seed))
+    if kind == "ties":  # a 0.25 grid: many equal affinities, slot order decides
+        aff = AffinityVolume(np.round(aff.data * 4) / 4)
+    elif kind == "background":  # about 30 % of the voxels unlabeled
+        gt = LabelVolume(np.where(rng.random(gt.data.shape) < 0.3, 0, gt.data))
+    elif kind == "zero":  # every edge ties: pure slot order
+        aff = AffinityVolume(np.zeros_like(aff.data))
+    return aff, gt
+
+
+@pytest.mark.parametrize("name", ["jitter_1", "jitter_2", "jitter_3", "ties_4", "ties_5",
+                                  "background_6", "background_7", "zero_8"])
+def test_counts_match_full_sweep_on_medium_volumes(name):
+    aff, gt = medium_case(name)
+    counts = malis_edge_counts(aff, gt)
+    exp_pos, exp_neg = malis_counts_full_sweep(aff, gt)
+    assert np.array_equal(counts.pos, exp_pos)
+    assert np.array_equal(counts.neg, exp_neg)
+    sizes = np.unique(gt.data[gt.data != 0], return_counts=True)[1].tolist()
+    labeled = sum(sizes)
+    assert int(counts.pos.sum()) == sum(s * (s - 1) // 2 for s in sizes)
+    assert counts.total_pairs == labeled * (labeled - 1) // 2
 
 
 def test_count_conservation():

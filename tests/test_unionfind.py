@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from affseg.unionfind import UnionFind, components, index_dtype
+from affseg.unionfind import UnionFind, components, index_dtype, spanning_forest
+from affseg.volume import Shape3, edge_table
 
 
 def test_basic_union_find():
@@ -66,6 +67,52 @@ def test_components_maps_each_id_to_its_components_smallest_id(name):
     got = components(n, u, v)
     assert got.shape == (n,) and got.dtype == np.int32
     assert np.array_equal(got, smallest_of_component(n, u, v))
+
+
+def kruskal_forest(n, u, v):
+    """Oracle: accept an edge when its ends are still apart, in the given order."""
+    uf = UnionFind(n)
+    keep = []
+    for a, b in zip(u, v):
+        ra, rb = uf.find(int(a)), uf.find(int(b))
+        keep.append(ra != rb)
+        uf.union(ra, rb)
+    return np.array(keep, dtype=bool)
+
+
+def random_edges_with_repeats(seed):
+    """Random edges, then every tenth edge again, reversed, and self-loops."""
+    n, u, v = random_edges(seed)
+    rng = np.random.default_rng(seed + 100)
+    loops = rng.integers(0, n, 5)
+    u, v = np.concatenate([u, v[::10], loops]), np.concatenate([v, u[::10], loops])
+    p = rng.permutation(len(u))
+    return n, u[p], v[p]
+
+
+def lattice_in_sweep_order(aff):
+    """Edges of a (3, z, y, x) affinity array, affinity descending then slot."""
+    c, u, v = edge_table(Shape3(*aff.shape[1:]))
+    order = np.argsort(-aff.reshape(3, -1)[c, u], kind="stable")
+    return aff[0].size, u[order], v[order]
+
+
+LATTICE = (3, 6, 12, 12)
+FOREST_CASES = {
+    **CASES,
+    **{f"repeats{s}": random_edges_with_repeats(s) for s in range(4)},
+    "lattice_quarter_grid": lattice_in_sweep_order(
+        np.random.default_rng(3).integers(0, 5, LATTICE) / 4.0),
+    "lattice_all_equal": lattice_in_sweep_order(np.full(LATTICE, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_CASES))
+def test_spanning_forest_accepts_kruskals_edges(name):
+    n, u, v = FOREST_CASES[name]
+    got = spanning_forest(n, u, v)
+    assert got.shape == (len(u),) and got.dtype == bool
+    assert np.array_equal(got, kruskal_forest(n, u, v))
 
 
 def test_index_dtype_widens_past_int32():
