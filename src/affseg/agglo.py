@@ -230,14 +230,26 @@ class MergeTree:
 
     @classmethod
     def read(cls, path, base: LabelVolume) -> "MergeTree":
-        merges = []
+        """Parse a tree file, rejecting a line that merges a label with itself
+        or with one an earlier line absorbed: `agglomerate` writes no such
+        line, and replaying a cycle of them would never end."""
+        merges, absorbed = [], set()
         with open(path) as f:
-            for line in f:
+            for n, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                s, t, sc = line.split()
-                merges.append((int(s), int(t), float(sc)))
+                try:
+                    s, t, sc = line.split()
+                    merges.append((int(s), int(t), float(sc)))
+                except ValueError:
+                    raise ValueError(f"{path}: line {n}: expected 'survivor absorbed score', "
+                                     f"got {line!r}") from None
+                s, t, _ = merges[-1]
+                if s == t or s in absorbed or t in absorbed:
+                    raise ValueError(f"{path}: line {n}: merges {s} and {t}, which must be "
+                                     f"two labels no earlier line absorbed")
+                absorbed.add(t)
         return cls(merges=merges, base=base)
 
 

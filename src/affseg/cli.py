@@ -1,16 +1,20 @@
 """Command-line entry point.
 
 One subcommand per pipeline stage plus `pipeline`, which chains
-watershed -> agglomerate -> eval and writes every intermediate.  Any flag
-can instead come from a JSON config file (``--config``): the file holds one
-object per subcommand, keyed and converted like the flags; flags given on
-the command line win over config values, and config values win over
-built-in defaults.
+watershed -> agglomerate -> eval and writes every intermediate.  Each flag
+is declared once, in `_build_parser`, with its type and either its default
+(read from the library where it has one, e.g. `WatershedParams`) or the
+mark `REQUIRED`.  Any flag can instead come from a JSON config file
+(``--config``): one object per subcommand, keyed by flag name and converted
+like the flags, which becomes the subcommand's defaults, so flags beat
+config values and config values beat defaults.  Required options and
+``--threads`` (from either source) are checked before any input is read.
 
-Exit codes: 0 success, 2 usage or validation error, 1 runtime error.
-All subcommands are deterministic: identical inputs give byte-identical
-outputs, regardless of ``--threads`` (which caps internal parallelism;
-the current implementation runs single-threaded and accepts any cap).
+Exit codes: 0 success, 2 usage or validation error (a malformed config
+file, merge tree or manifest included), 1 runtime error such as a missing
+input file.  All subcommands are deterministic: identical inputs give
+byte-identical outputs, regardless of ``--threads`` (a cap on internal
+parallelism; the current implementation is single-threaded).
 """
 
 from __future__ import annotations
@@ -22,19 +26,20 @@ import sys
 
 from affseg import agglo, metrics, synthdata
 from affseg.malis import malis_gradient
-from affseg.stitch import (
-    InvalidPartition,
-    partition_blocks,
-    read_manifest,
-    stitch,
-    write_manifest,
-)
+from affseg.stitch import partition_blocks, read_manifest, stitch, write_manifest
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, read_volume, write_volume
 from affseg.zwatershed import WatershedParams, size_filter, zwatershed
+
+REQUIRED = object()
+"""Default of a flag that must be given, on the command line or in the config."""
 
 
 class CliError(Exception):
     """Validation problem: reported on stderr, exit code 2."""
+
+
+def _missing(flag: str) -> CliError:
+    return CliError(f"missing required option --{flag} (or config key {flag!r})")
 
 
 def _read_labels(path) -> LabelVolume:
@@ -86,11 +91,14 @@ def _config_value(where: str, action: argparse.Action, value):
 
 
 def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
-    """The command's config section, each value converted like its flag."""
+    """The command's config section by flag dest, each value converted like its flag."""
     if path is None:
         return {}
     with open(path) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except ValueError as e:
+            raise CliError(f"{path}: malformed config: {e}") from e
     if not isinstance(cfg, dict):
         raise CliError(f"{path}: config root must be a JSON object")
     sec = cfg.get(command, {})
@@ -101,98 +109,62 @@ def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
         action = parser._option_string_actions.get(f"--{key}")
         if action is None or key in ("config", "help"):
             raise CliError(f"{path}: unknown key {key!r} in section {command!r}")
-        out[key] = _config_value(f"{path}: {command}.{key}", action, value)
+        out[action.dest] = _config_value(f"{path}: {command}.{key}", action, value)
     return out
 
 
-def _resolve(args, section: dict, name: str, default=None, required: bool = False):
-    """Flag value if given, else config value, else default."""
-    v = getattr(args, name.replace("-", "_"), None)
-    if v is None:
-        v = section.get(name, default)
-    if required and v is None:
-        raise CliError(f"missing required option --{name} (or config key {name!r})")
-    return v
-
-
-def _scorer_from(args, section) -> object:
-    kind = _resolve(args, section, "scorer", default="mean")
-    if kind == "mean":
+def _scorer_from(args) -> object:
+    if args.scorer == "mean":
         return agglo.MeanAffinity()
-    if kind == "logistic":
-        model = _resolve(args, section, "model", required=True)
-        return agglo.Logistic.load(model)
-    raise CliError(f"unknown scorer {kind!r} (choose mean or logistic)")
+    if args.model is None:
+        raise _missing("model")
+    return agglo.Logistic.load(args.model)
 
 
-def _watershed_params(args, section) -> WatershedParams:
-    return _checked(
-        WatershedParams,
-        t_high=float(_resolve(args, section, "t-high", 0.98)),
-        t_low=float(_resolve(args, section, "t-low", 0.2)),
-        size_min=int(_resolve(args, section, "size-min", 25)),
-        t_merge=float(_resolve(args, section, "t-merge", 0.3)),
-    )
+def _watershed_params(args) -> WatershedParams:
+    return _checked(WatershedParams, t_high=args.t_high, t_low=args.t_low,
+                    size_min=args.size_min, t_merge=args.t_merge)
 
 
-def _cmd_synth(args, section) -> int:
-    shape = _resolve(args, section, "shape", required=True)
-    sp = synthdata.SynthParams(
-        n_seeds=int(_resolve(args, section, "seeds", required=True)),
-        anisotropy=float(_resolve(args, section, "anisotropy", 1.0)),
-        rng_seed=int(_resolve(args, section, "rng-seed", 0)),
-    )
-    npar = synthdata.NoiseParams(
-        flip_sigma=float(_resolve(args, section, "sigma", 0.0)),
-        jitter_prob=float(_resolve(args, section, "jitter", 0.0)),
-        rng_seed=int(_resolve(args, section, "rng-seed", 0)),
-    )
-    gt_out = _resolve(args, section, "gt-out", required=True)
-    aff_out = _resolve(args, section, "aff-out", required=True)
-    gt = synthdata.synth_labels(Shape3(*[int(s) for s in shape]), sp)
+def _cmd_synth(args) -> int:
+    sp = synthdata.SynthParams(n_seeds=args.seeds, anisotropy=args.anisotropy,
+                               rng_seed=args.rng_seed)
+    npar = synthdata.NoiseParams(flip_sigma=args.sigma, jitter_prob=args.jitter,
+                                 rng_seed=args.rng_seed)
+    gt = synthdata.synth_labels(Shape3(*args.shape), sp)
     aff = synthdata.synth_affinities(gt, npar)
-    write_volume(gt, gt_out)
-    write_volume(aff, aff_out)
+    write_volume(gt, args.gt_out)
+    write_volume(aff, args.aff_out)
     return 0
 
 
-def _cmd_malis_grad(args, section) -> int:
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    gt = _read_labels(_resolve(args, section, "gt", required=True))
-    out = _resolve(args, section, "grad-out", required=True)
-    normalize = bool(_resolve(args, section, "normalize", False))
-    result = malis_gradient(aff, gt, normalize=normalize)
-    write_volume(result.gradient, out)
+def _cmd_malis_grad(args) -> int:
+    aff = _read_affinities(args.aff)
+    gt = _read_labels(args.gt)
+    result = malis_gradient(aff, gt, normalize=args.normalize)
+    write_volume(result.gradient, args.grad_out)
     print(repr(result.loss))
     return 0
 
 
-def _cmd_watershed(args, section) -> int:
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    out = _resolve(args, section, "out", required=True)
-    params = _watershed_params(args, section)
-    seg, stats = zwatershed(aff, params)
-    write_volume(seg, out)
+def _cmd_watershed(args) -> int:
+    aff = _read_affinities(args.aff)
+    seg, stats = zwatershed(aff, _watershed_params(args))
+    write_volume(seg, args.out)
     print(f"segments={stats.n_segments} background={stats.background}", file=sys.stderr)
     return 0
 
 
-def _cmd_size_filter(args, section) -> int:
-    labels = _read_labels(_resolve(args, section, "labels", required=True))
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    out = _resolve(args, section, "out", required=True)
-    size_min = int(_resolve(args, section, "size-min", 25))
-    t_merge = float(_resolve(args, section, "t-merge", 0.3))
-    write_volume(_checked(size_filter, labels, aff, size_min, t_merge), out)
+def _cmd_size_filter(args) -> int:
+    labels = _read_labels(args.labels)
+    aff = _read_affinities(args.aff)
+    write_volume(_checked(size_filter, labels, aff, args.size_min, args.t_merge), args.out)
     return 0
 
 
-def _cmd_build_rag(args, section) -> int:
-    labels = _read_labels(_resolve(args, section, "labels", required=True))
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    out = _resolve(args, section, "out", required=True)
-    rag = agglo.build_rag(labels, aff)
-    with open(out, "w") as f:
+def _cmd_build_rag(args) -> int:
+    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff))
+    with open(args.out, "w") as f:
         f.write("label_a,label_b,boundary_count,mean_affinity\n")
         for a, b in sorted(rag.edges):
             acc = rag.edge_acc(a, b)
@@ -201,234 +173,169 @@ def _cmd_build_rag(args, section) -> int:
     return 0
 
 
-def _cmd_train(args, section) -> int:
-    labels = _read_labels(_resolve(args, section, "labels", required=True))
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    gt = _read_labels(_resolve(args, section, "gt", required=True))
-    out = _resolve(args, section, "model-out", required=True)
-    rag = agglo.build_rag(labels, aff)
-    scorer = agglo.train_scorer(rag, gt)
-    scorer.save(out)
+def _cmd_train(args) -> int:
+    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff))
+    agglo.train_scorer(rag, _read_labels(args.gt)).save(args.model_out)
     return 0
 
 
-def _cmd_agglomerate(args, section) -> int:
-    labels = _read_labels(_resolve(args, section, "labels", required=True))
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    out = _resolve(args, section, "out", required=True)
-    tree_out = _resolve(args, section, "tree-out")
-    theta = float(_resolve(args, section, "theta", 0.5))
-    scorer = _scorer_from(args, section)
-    seg, tree = _checked(agglo.agglomerate, labels, aff, scorer, theta)
-    write_volume(seg, out)
-    if tree_out:
-        tree.write(tree_out)
+def _cmd_agglomerate(args) -> int:
+    scorer = _scorer_from(args)
+    labels = _read_labels(args.labels)
+    aff = _read_affinities(args.aff)
+    seg, tree = _checked(agglo.agglomerate, labels, aff, scorer, args.theta)
+    write_volume(seg, args.out)
+    if args.tree_out:
+        tree.write(args.tree_out)
     return 0
 
 
-def _cmd_apply_threshold(args, section) -> int:
-    base = _read_labels(_resolve(args, section, "base", required=True))
-    tree_path = _resolve(args, section, "tree", required=True)
-    out = _resolve(args, section, "out", required=True)
-    theta = float(_resolve(args, section, "theta", required=True))
-    tree = agglo.MergeTree.read(tree_path, base)
-    write_volume(_checked(agglo.apply_threshold, tree, base, theta), out)
+def _cmd_apply_threshold(args) -> int:
+    base = _read_labels(args.base)
+    tree = _checked(agglo.MergeTree.read, args.tree, base)
+    write_volume(_checked(agglo.apply_threshold, tree, base, args.theta), args.out)
     return 0
 
 
-def _cmd_eval(args, section) -> int:
-    seg = _read_labels(_resolve(args, section, "seg", required=True))
-    gt = _read_labels(_resolve(args, section, "gt", required=True))
-    score = metrics.split_vi(seg, gt)
+def _cmd_eval(args) -> int:
+    score = metrics.split_vi(_read_labels(args.seg), _read_labels(args.gt))
     print(f"{score.vi_under:.6f},{score.vi_over:.6f}")
     return 0
 
 
-def _cmd_curve(args, section) -> int:
-    base = _read_labels(_resolve(args, section, "base", required=True))
-    gt = _read_labels(_resolve(args, section, "gt", required=True))
-    tree_path = _resolve(args, section, "tree", required=True)
-    out = _resolve(args, section, "out", required=True)
-    thetas = _resolve(args, section, "thetas", required=True)
-    thetas = [float(t) for t in thetas]
-    tree = agglo.MergeTree.read(tree_path, base)
-    curve = _checked(metrics.vi_curve, tree, base, gt, thetas)
-    with open(out, "w") as f:
+def _cmd_curve(args) -> int:
+    base = _read_labels(args.base)
+    gt = _read_labels(args.gt)
+    tree = _checked(agglo.MergeTree.read, args.tree, base)
+    curve = _checked(metrics.vi_curve, tree, base, gt, args.thetas)
+    with open(args.out, "w") as f:
         f.write("theta,vi_under,vi_over\n")
         for theta, score in curve:
             f.write(f"{theta:.6f},{score.vi_under:.6f},{score.vi_over:.6f}\n")
     return 0
 
 
-def _cmd_partition(args, section) -> int:
-    shape = [int(v) for v in _resolve(args, section, "shape", required=True)]
-    block = [int(v) for v in _resolve(args, section, "block", required=True)]
-    halo = [int(v) for v in _resolve(args, section, "halo", required=True)]
-    out = _resolve(args, section, "out", required=True)
-    prefix = _resolve(args, section, "prefix", "block")
-    try:
-        specs = partition_blocks(Shape3(*shape), tuple(block), tuple(halo))
-    except (InvalidPartition, ValueError) as e:
-        raise CliError(str(e)) from e
-    paths = [f"{prefix}_{i:04d}.volb" for i in range(len(specs))]
-    write_manifest(specs, paths, out)
+def _cmd_partition(args) -> int:
+    specs = _checked(partition_blocks, Shape3(*args.shape), tuple(args.block), tuple(args.halo))
+    paths = [f"{args.prefix}_{i:04d}.volb" for i in range(len(specs))]
+    write_manifest(specs, paths, args.out)
     return 0
 
 
-def _cmd_stitch(args, section) -> int:
-    manifest = _resolve(args, section, "manifest", required=True)
-    out = _resolve(args, section, "out", required=True)
-    min_ratio = float(_resolve(args, section, "min-ratio", 0.5))
-    min_voxels = int(_resolve(args, section, "min-voxels", 2))
-    specs, paths = read_manifest(manifest)
+def _cmd_stitch(args) -> int:
+    specs, paths = _checked(read_manifest, args.manifest)
     labelings = [_read_labels(p) for p in paths]
-    merged = _checked(stitch, specs, labelings, min_ratio=min_ratio, min_voxels=min_voxels)
-    write_volume(merged, out)
+    merged = _checked(stitch, specs, labelings,
+                      min_ratio=args.min_ratio, min_voxels=args.min_voxels)
+    write_volume(merged, args.out)
     return 0
 
 
-def _cmd_pipeline(args, section) -> int:
-    aff = _read_affinities(_resolve(args, section, "aff", required=True))
-    gt = _read_labels(_resolve(args, section, "gt", required=True))
-    workdir = _resolve(args, section, "workdir", required=True)
-    params = _watershed_params(args, section)
-    theta = float(_resolve(args, section, "theta", 0.5))
-    _checked(agglo.check_theta, theta)
-    scorer = _scorer_from(args, section)
-    os.makedirs(workdir, exist_ok=True)
+def _cmd_pipeline(args) -> int:
+    params = _watershed_params(args)
+    _checked(agglo.check_theta, args.theta)
+    scorer = _scorer_from(args)
+    aff = _read_affinities(args.aff)
+    gt = _read_labels(args.gt)
+    os.makedirs(args.workdir, exist_ok=True)
 
     seg, stats = zwatershed(aff, params)
-    write_volume(seg, os.path.join(workdir, "watershed.volb"))
-    merged, tree = agglo.agglomerate(seg, aff, scorer, theta)
-    write_volume(merged, os.path.join(workdir, "agglomerated.volb"))
-    tree.write(os.path.join(workdir, "merge_tree.txt"))
+    write_volume(seg, os.path.join(args.workdir, "watershed.volb"))
+    merged, tree = agglo.agglomerate(seg, aff, scorer, args.theta)
+    write_volume(merged, os.path.join(args.workdir, "agglomerated.volb"))
+    tree.write(os.path.join(args.workdir, "merge_tree.txt"))
     score = metrics.split_vi(merged, gt)
     print(f"{score.vi_under:.6f},{score.vi_over:.6f}")
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "malis-grad": _cmd_malis_grad,
-    "watershed": _cmd_watershed,
-    "size-filter": _cmd_size_filter,
-    "build-rag": _cmd_build_rag,
-    "train": _cmd_train,
-    "agglomerate": _cmd_agglomerate,
-    "apply-threshold": _cmd_apply_threshold,
-    "eval": _cmd_eval,
-    "curve": _cmd_curve,
-    "partition": _cmd_partition,
-    "stitch": _cmd_stitch,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism (output-invariant)")
-
     p = argparse.ArgumentParser(prog="affseg",
                                 description="affinity-graph segmentation toolkit")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", parents=[common], help="generate synthetic GT + affinities")
-    sp.add_argument("--shape", nargs=3, type=int, metavar=("Z", "Y", "X"))
-    sp.add_argument("--seeds", type=int)
-    sp.add_argument("--anisotropy", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--jitter", type=float)
-    sp.add_argument("--rng-seed", type=int)
-    sp.add_argument("--gt-out")
-    sp.add_argument("--aff-out")
+    def command(name, handler, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--config", help="JSON config file; flags override its values")
+        sp.add_argument("--threads", type=int, default=1,
+                        help="cap on internal parallelism (output-invariant)")
+        return sp
 
-    sp = sub.add_parser("malis-grad", parents=[common],
-                        help="pair-count loss gradient; prints the loss")
-    sp.add_argument("--aff")
-    sp.add_argument("--gt")
-    sp.add_argument("--grad-out")
-    sp.add_argument("--normalize", action="store_const", const=True, default=None)
+    def required(sp, *flags, **kwargs):
+        for flag in flags:
+            sp.add_argument(flag, default=REQUIRED, **kwargs)
 
-    sp = sub.add_parser("watershed", parents=[common], help="affinity watershed")
-    sp.add_argument("--aff")
-    sp.add_argument("--out")
-    sp.add_argument("--t-high", type=float)
-    sp.add_argument("--t-low", type=float)
-    sp.add_argument("--size-min", type=int)
-    sp.add_argument("--t-merge", type=float)
+    def watershed_flags(sp, names=("t-high", "t-low", "size-min", "t-merge")):
+        for name in names:
+            default = getattr(WatershedParams, name.replace("-", "_"))
+            sp.add_argument(f"--{name}", type=type(default), default=default)
 
-    sp = sub.add_parser("size-filter", parents=[common], help="re-filter small segments")
-    sp.add_argument("--labels")
-    sp.add_argument("--aff")
-    sp.add_argument("--out")
-    sp.add_argument("--size-min", type=int)
-    sp.add_argument("--t-merge", type=float)
+    def scorer_flags(sp):
+        sp.add_argument("--scorer", choices=["mean", "logistic"], default="mean")
+        sp.add_argument("--model", help="model file; required with --scorer logistic")
+        sp.add_argument("--theta", type=float, default=0.5)
 
-    sp = sub.add_parser("build-rag", parents=[common],
-                        help="boundary summary CSV of a segmentation")
-    sp.add_argument("--labels")
-    sp.add_argument("--aff")
-    sp.add_argument("--out")
+    zyx = dict(nargs=3, type=int, metavar=("Z", "Y", "X"))
 
-    sp = sub.add_parser("train", parents=[common], help="fit the logistic boundary scorer")
-    sp.add_argument("--labels")
-    sp.add_argument("--aff")
-    sp.add_argument("--gt")
-    sp.add_argument("--model-out")
+    sp = command("synth", _cmd_synth, "generate synthetic GT + affinities")
+    required(sp, "--shape", **zyx)
+    required(sp, "--seeds", type=int)
+    sp.add_argument("--anisotropy", type=float, default=synthdata.SynthParams.anisotropy)
+    sp.add_argument("--sigma", type=float, default=synthdata.NoiseParams.flip_sigma)
+    sp.add_argument("--jitter", type=float, default=synthdata.NoiseParams.jitter_prob)
+    sp.add_argument("--rng-seed", type=int, default=synthdata.SynthParams.rng_seed)
+    required(sp, "--gt-out", "--aff-out")
 
-    sp = sub.add_parser("agglomerate", parents=[common], help="hierarchical merging")
-    sp.add_argument("--labels")
-    sp.add_argument("--aff")
-    sp.add_argument("--scorer", choices=["mean", "logistic"])
-    sp.add_argument("--model")
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--out")
+    sp = command("malis-grad", _cmd_malis_grad, "pair-count loss gradient; prints the loss")
+    required(sp, "--aff", "--gt", "--grad-out")
+    sp.add_argument("--normalize", action="store_true")
+
+    sp = command("watershed", _cmd_watershed, "affinity watershed")
+    required(sp, "--aff", "--out")
+    watershed_flags(sp)
+
+    sp = command("size-filter", _cmd_size_filter, "re-filter small segments")
+    required(sp, "--labels", "--aff", "--out")
+    watershed_flags(sp, ("size-min", "t-merge"))
+
+    sp = command("build-rag", _cmd_build_rag, "boundary summary CSV of a segmentation")
+    required(sp, "--labels", "--aff", "--out")
+
+    sp = command("train", _cmd_train, "fit the logistic boundary scorer")
+    required(sp, "--labels", "--aff", "--gt", "--model-out")
+
+    sp = command("agglomerate", _cmd_agglomerate, "hierarchical merging")
+    required(sp, "--labels", "--aff", "--out")
+    scorer_flags(sp)
     sp.add_argument("--tree-out")
 
-    sp = sub.add_parser("apply-threshold", parents=[common], help="replay a merge tree")
-    sp.add_argument("--tree")
-    sp.add_argument("--base")
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--out")
+    sp = command("apply-threshold", _cmd_apply_threshold, "replay a merge tree")
+    required(sp, "--tree", "--base", "--out")
+    required(sp, "--theta", type=float)
 
-    sp = sub.add_parser("eval", parents=[common], help="split-VI against ground truth")
-    sp.add_argument("--seg")
-    sp.add_argument("--gt")
+    sp = command("eval", _cmd_eval, "split-VI against ground truth")
+    required(sp, "--seg", "--gt")
 
-    sp = sub.add_parser("curve", parents=[common], help="split-VI threshold sweep CSV")
-    sp.add_argument("--tree")
-    sp.add_argument("--base")
-    sp.add_argument("--gt")
-    sp.add_argument("--thetas", nargs="+", type=float)
-    sp.add_argument("--out")
+    sp = command("curve", _cmd_curve, "split-VI threshold sweep CSV")
+    required(sp, "--tree", "--base", "--gt", "--out")
+    required(sp, "--thetas", nargs="+", type=float)
 
-    sp = sub.add_parser("partition", parents=[common], help="emit a block manifest skeleton")
-    sp.add_argument("--shape", nargs=3, type=int, metavar=("Z", "Y", "X"))
-    sp.add_argument("--block", nargs=3, type=int, metavar=("Z", "Y", "X"))
-    sp.add_argument("--halo", nargs=3, type=int, metavar=("Z", "Y", "X"))
-    sp.add_argument("--out")
-    sp.add_argument("--prefix")
+    sp = command("partition", _cmd_partition, "emit a block manifest skeleton")
+    required(sp, "--shape", "--block", "--halo", **zyx)
+    required(sp, "--out")
+    sp.add_argument("--prefix", default="block")
 
-    sp = sub.add_parser("stitch", parents=[common], help="merge per-block labelings")
-    sp.add_argument("--manifest")
-    sp.add_argument("--out")
-    sp.add_argument("--min-ratio", type=float)
-    sp.add_argument("--min-voxels", type=int)
+    sp = command("stitch", _cmd_stitch, "merge per-block labelings")
+    required(sp, "--manifest", "--out")
+    sp.add_argument("--min-ratio", type=float, default=0.5)
+    sp.add_argument("--min-voxels", type=int, default=2)
 
-    sp = sub.add_parser("pipeline", parents=[common],
-                        help="watershed -> agglomerate -> eval with intermediates")
-    sp.add_argument("--aff")
-    sp.add_argument("--gt")
-    sp.add_argument("--workdir")
-    sp.add_argument("--t-high", type=float)
-    sp.add_argument("--t-low", type=float)
-    sp.add_argument("--size-min", type=int)
-    sp.add_argument("--t-merge", type=float)
-    sp.add_argument("--scorer", choices=["mean", "logistic"])
-    sp.add_argument("--model")
-    sp.add_argument("--theta", type=float)
+    sp = command("pipeline", _cmd_pipeline,
+                 "watershed -> agglomerate -> eval with intermediates")
+    required(sp, "--aff", "--gt", "--workdir")
+    watershed_flags(sp)
+    scorer_flags(sp)
 
     return p, sub.choices
 
@@ -437,18 +344,19 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as e:
+        # the config section becomes the subcommand's defaults, so parsing
+        # again lets flags beat config values and config values beat defaults
+        sp = commands[args.command]
+        sp.set_defaults(**_load_config(args.config, args.command, sp))
+        args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise CliError(f"--threads must be >= 1, got {args.threads}")
+        for action in sp._actions:
+            if getattr(args, action.dest, None) is REQUIRED:
+                raise _missing(action.option_strings[0][2:])
+        return args.handler(args)
+    except SystemExit as e:  # argparse: usage error or --help
         return int(e.code) if e.code else 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        threads = getattr(args, "threads", 1)
-        if threads is not None and threads < 1:
-            raise CliError(f"--threads must be >= 1, got {threads}")
-        section = _load_config(getattr(args, "config", None), args.command,
-                               commands[args.command])
-        return _COMMANDS[args.command](args, section)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

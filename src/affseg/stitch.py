@@ -28,7 +28,7 @@ from affseg.unionfind import components
 from affseg.volume import LabelVolume, Shape3, dense_relabel
 
 
-class InvalidPartition(Exception):
+class InvalidPartition(ValueError):
     """Partition parameters cannot produce overlapping halos."""
 
 
@@ -218,14 +218,18 @@ def write_manifest(specs: list[BlockSpec], paths: list[str], out_path) -> None:
 def read_manifest(path) -> tuple[list[BlockSpec], list[str]]:
     specs, paths = [], []
     with open(path) as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(maxsplit=12)
-            if len(parts) != 13:
-                raise ValueError(f"manifest line needs 12 ints and a path: {line!r}")
-            nums = [int(p) for p in parts[:12]]
+            try:
+                if len(parts) != 13:
+                    raise ValueError
+                nums = [int(p) for p in parts[:12]]
+            except ValueError:
+                raise ValueError(f"{path}: line {n}: manifest line needs 12 ints and a path, "
+                                 f"got {line!r}") from None
             core = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(3))
             halo = tuple((nums[6 + 2 * a], nums[6 + 2 * a + 1]) for a in range(3))
             specs.append(BlockSpec(core=core, halo=halo))

@@ -8,10 +8,12 @@ The segmentation is built in four fixed stages:
       first, then the neighbour at the lower coordinate);
   (c) voxels with no incident edge >= t_low stay background (label 0);
   (d) basins smaller than size_min merge into the neighbour behind their
-      strongest boundary edge, provided that edge is >= t_merge, processed
-      to a fixpoint in decreasing order of that boundary affinity (ties:
-      smaller label first); leftovers below size_min with no qualifying
-      neighbour drop to background.
+      strongest boundary edge (ties: the smaller neighbour label), provided
+      that edge is >= t_merge, processed to a fixpoint in decreasing order
+      of that boundary affinity (ties: smaller label first); the merged
+      basin keeps the neighbour's label and the stronger of the two
+      boundaries to each third basin; leftovers below size_min with no
+      qualifying neighbour drop to background.
 
 Output labels are densified to 1..K in order of each segment's first voxel
 (flat index, x fastest), so identical inputs give identical volumes.

@@ -296,3 +296,58 @@ def boundary_stats(values):
     return {"count": n, "hist": hist, "vmin": min(values), "vmax": max(values), "s": sums,
             "features": [e1, m2, skew, kurt, min(values), max(values)] + fractions,
             "feature_scale": [abs(e1), t2, skew_scale, kurt_scale, 0.0, 0.0] + fractions}
+
+
+def size_filter_reference(labels, aff, size_min, t_merge):
+    """Watershed rule (d), then first-voxel densification, by exhaustive scans.
+
+    Boundaries are kept as a dict per segment of its strongest boundary
+    affinity to each neighbour.  Each step scans every segment smaller
+    than size_min whose strongest boundary is >= t_merge, takes the one
+    with the strongest boundary (ties: smaller label) and merges it into
+    the neighbour behind that boundary (ties: smaller label); the merged
+    segment keeps the neighbour's label and, towards each third segment,
+    the stronger of the two boundaries.  When no segment qualifies, those
+    still smaller than size_min become background.  The nonzero labels are
+    then renumbered 1..K in order of each segment's first voxel.
+    """
+    lab = labels.data.ravel().tolist()
+    size = defaultdict(int)
+    for a in lab:
+        if a:
+            size[a] += 1
+    border = {a: {} for a in size}
+    for *_, w, u, v in all_edges(aff):
+        a, b = lab[u], lab[v]
+        if a and b and a != b:
+            border[a][b] = border[b][a] = max(w, border[a].get(b, -1.0))
+    owner = {a: a for a in size}
+
+    def strongest(a):
+        return max(((w, -b) for b, w in border[a].items()), default=(-1.0, 0))
+
+    while True:
+        small = []
+        for a in size:
+            w, neg_b = strongest(a)
+            if size[a] < size_min and w >= t_merge:
+                small.append((w, -a, -neg_b))
+        if not small:
+            break
+        _, neg_src, into = max(small)
+        src = -neg_src
+        for b, w in border.pop(src).items():
+            del border[b][src]
+            if b != into:
+                border[into][b] = border[b][into] = max(w, border[into].get(b, -1.0))
+        size[into] += size.pop(src)
+        for a, o in owner.items():
+            if o == src:
+                owner[a] = into
+    final = [owner[a] if a and size[owner[a]] >= size_min else 0 for a in lab]
+    dense = {}
+    for a in final:
+        if a and a not in dense:
+            dense[a] = len(dense) + 1
+    out = np.array([dense.get(a, 0) for a in final], dtype=np.uint64)
+    return out.reshape(labels.data.shape)

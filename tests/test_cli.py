@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from affseg.cli import main
+from affseg.cli import REQUIRED, _build_parser, main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, Shape3, read_volume, write_volume
 
@@ -343,3 +343,125 @@ def test_threads_validation(workdir):
     code, _, _ = run(["eval", "--seg", str(workdir / "gt.volb"),
                       "--gt", str(workdir / "gt.volb"), "--threads", "0"])
     assert code == 2
+
+
+def test_threads_from_config_validated_like_flag(workdir):
+    section = {"seg": str(workdir / "gt.volb"), "gt": str(workdir / "gt.volb")}
+    for flags, cfg in (([], {**section, "threads": 0}), (["--threads", "0"], section)):
+        code, out, err = _run_with_config(workdir, "eval", cfg, *flags)
+        assert code == 2, err
+        assert "threads" in err
+        assert out == ""
+
+
+def test_malformed_config_is_usage_error_naming_file(workdir):
+    cfg = workdir / "cfg.json"
+    cfg.write_text('{"eval": {"seg": "gt.volb",\n')
+    code, _, err = run(["eval", "--config", str(cfg)])
+    assert code == 2
+    assert str(cfg) in err
+    # a config file that is not there is a missing input like any other
+    code, _, err = run(["eval", "--config", str(workdir / "nope.json")])
+    assert code == 1
+    assert "nope.json" in err
+
+
+BAD_INPUT_FILES = {
+    "tree-two-fields": ("tree.txt", "3 1 0.9\n1 2\n", 2),
+    "tree-score-not-a-float": ("tree.txt", "3 1 0.9\n\n1 2 notafloat\n", 3),
+    "tree-self-merge": ("tree.txt", "3 1 0.9\n2 2 0.8\n", 2),
+    "tree-absorbed-survivor": ("tree.txt", "3 1 0.9\n1 3 0.8\n", 2),
+    "tree-absorbed-twice": ("tree.txt", "3 1 0.9\n2 1 0.8\n", 2),
+    "manifest-12-fields": ("manifest.txt", "0 6 0 12 0 12 0 6 0 12 0 12\n", 1),
+    "manifest-not-an-int": ("manifest.txt", "0 6 0 12 0 12 0 6 0 1.5 0 12 blk.volb\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_FILES))
+def test_malformed_tree_and_manifest_lines_are_usage_errors(replay_inputs, case):
+    name, text, lineno = BAD_INPUT_FILES[case]
+    bad = replay_inputs / f"bad_{name}"
+    bad.write_text(text)
+    base = ["--base", str(replay_inputs / "ws.volb")]
+    if name == "tree.txt":
+        commands = [["apply-threshold", "--tree", str(bad), *base, "--theta", "0.5",
+                     "--out", str(replay_inputs / "o.volb")],
+                    ["curve", "--tree", str(bad), *base, "--gt", str(replay_inputs / "gt.volb"),
+                     "--thetas", "0.5", "--out", str(replay_inputs / "o.csv")]]
+    else:
+        commands = [["stitch", "--manifest", str(bad), "--out", str(replay_inputs / "o.volb")]]
+    for argv in commands:
+        code, _, err = run(argv)
+        assert code == 2, err
+        assert f"{bad}: line {lineno}:" in err
+        assert not (replay_inputs / "o.volb").exists()
+        assert not (replay_inputs / "o.csv").exists()
+
+
+def _required_flags():
+    """(subcommand, flag) for every flag the parser declares REQUIRED."""
+    _, commands = _build_parser()
+    return [(name, action.option_strings[0]) for name, sp in commands.items()
+            for action in sp._actions if action.default is REQUIRED]
+
+
+# one complete, valid set of required options per subcommand, over the
+# replay_inputs files; every other token names a new file in that directory
+REQUIRED_ARGV = {
+    "synth": {"--shape": "4 6 6", "--seeds": "3", "--gt-out": "n_gt.volb",
+              "--aff-out": "n_aff.volb"},
+    "malis-grad": {"--aff": "aff.volb", "--gt": "gt.volb", "--grad-out": "n.volb"},
+    "watershed": {"--aff": "aff.volb", "--out": "n.volb"},
+    "size-filter": {"--labels": "ws.volb", "--aff": "aff.volb", "--out": "n.volb"},
+    "build-rag": {"--labels": "ws.volb", "--aff": "aff.volb", "--out": "n.csv"},
+    "train": {"--labels": "ws.volb", "--aff": "aff.volb", "--gt": "gt.volb",
+              "--model-out": "n.bin"},
+    "agglomerate": {"--labels": "ws.volb", "--aff": "aff.volb", "--out": "n.volb"},
+    "apply-threshold": {"--tree": "tree.txt", "--base": "ws.volb", "--theta": "0.5",
+                        "--out": "n.volb"},
+    "eval": {"--seg": "ws.volb", "--gt": "gt.volb"},
+    "curve": {"--tree": "tree.txt", "--base": "ws.volb", "--gt": "gt.volb",
+              "--thetas": "0.9 0.5", "--out": "n.csv"},
+    "partition": {"--shape": "6 12 12", "--block": "6 6 12", "--halo": "0 2 0",
+                  "--out": "n.txt"},
+    "stitch": {"--manifest": "manifest.txt", "--out": "n.volb"},
+    "pipeline": {"--aff": "aff.volb", "--gt": "gt.volb", "--workdir": "n_dir"},
+}
+
+
+def _required_argv(dirpath, command, omit=None):
+    argv = [command]
+    for flag, value in REQUIRED_ARGV[command].items():
+        if flag != omit:
+            argv += [flag] + [v if v[0].isdigit() else str(dirpath / v) for v in value.split()]
+    return argv
+
+
+def test_required_argv_covers_every_required_flag():
+    assert sorted(_required_flags()) == sorted(
+        (command, flag) for command, flags in REQUIRED_ARGV.items() for flag in flags)
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGV))
+def test_required_argv_runs(replay_inputs, command):
+    code, _, err = run(_required_argv(replay_inputs, command))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command,flag", _required_flags())
+def test_missing_required_option_is_usage_error(replay_inputs, command, flag):
+    before = sorted(replay_inputs.iterdir())
+    code, out, err = run(_required_argv(replay_inputs, command, omit=flag))
+    assert code == 2
+    assert f"missing required option {flag} " in err
+    assert out == ""
+    assert sorted(replay_inputs.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["agglomerate", "pipeline"])
+def test_logistic_scorer_requires_model(replay_inputs, command):
+    before = sorted(replay_inputs.iterdir())
+    code, _, err = run(_required_argv(replay_inputs, command) + ["--scorer", "logistic"])
+    assert code == 2
+    assert "missing required option --model " in err
+    assert sorted(replay_inputs.iterdir()) == before

@@ -5,7 +5,7 @@ from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_l
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
 from affseg.zwatershed import BasinStats, WatershedParams, size_filter, zwatershed
 
-from oracles import connected_components, partitions_equal, watershed_basins
+from oracles import connected_components, partitions_equal, size_filter_reference, watershed_basins
 
 
 def chain4():
@@ -185,3 +185,50 @@ def test_basins_match_bfs_oracle(seed, jitter):
         for t_high, t_low in ((0.99, 0.3), (0.95, 0.6), (0.9, 0.7), (0.7, 0.3), (0.7, 0.7)):
             seg, _ = zwatershed(vol, WatershedParams(t_high, t_low, 0, t_low))
             assert np.array_equal(seg.data, watershed_basins(vol, t_high, t_low))
+
+
+def rule_d_volume(kind, seed):
+    """6x12x12 affinities: jittered, rounded to a 0.25 grid, or all equal."""
+    gt = synth_labels(Shape3(6, 12, 12), SynthParams(n_seeds=6, anisotropy=2.0, rng_seed=seed))
+    aff = synth_affinities(gt, NoiseParams(flip_sigma=0.25, jitter_prob=0.3, rng_seed=seed))
+    if kind == "grid":
+        return AffinityVolume((np.round(aff.data * 4) / 4).astype(np.float32))
+    if kind == "equal":
+        return AffinityVolume(np.full_like(aff.data, 0.5))
+    return aff
+
+
+RULE_D_CASES = [f"{kind}_{seed}" for kind in ("jitter", "grid", "equal") for seed in (1, 2)]
+RULE_D_PARAMS = [(0.99, 0.3, 25, 0.3), (0.95, 0.5, 10, 0.5), (0.9, 0.25, 60, 0.75),
+                 (0.75, 0.5, 8, 0.5)]
+
+
+@pytest.mark.parametrize("case", RULE_D_CASES)
+def test_size_filter_matches_rule_d_oracle(case):
+    kind, seed = case.rsplit("_", 1)
+    aff = rule_d_volume(kind, int(seed))
+    rng = np.random.default_rng(int(seed))
+    merged = 0
+    for t_high, t_low, size_min, t_merge in RULE_D_PARAMS:
+        basins, stats = zwatershed(aff, WatershedParams(t_high, t_low, 0, t_low))
+        # permuted, non-dense labels: the tie rules follow label values
+        ids = np.concatenate([[0], rng.permutation(stats.n_segments) * 3 + 7]).astype(np.uint64)
+        labels = LabelVolume(ids[basins.data])
+        for m in (size_min, 1, 2 * size_min):
+            got = size_filter(labels, aff, m, t_merge)
+            expected = size_filter_reference(labels, aff, m, t_merge)
+            assert np.array_equal(got.data, expected), (t_high, t_low, m, t_merge)
+            merged += stats.n_segments - int(expected.max())
+    assert merged > 0  # rule (d) really ran
+
+
+@pytest.mark.parametrize("case", RULE_D_CASES)
+def test_zwatershed_size_min_matches_rule_d_oracle(case):
+    kind, seed = case.rsplit("_", 1)
+    aff = rule_d_volume(kind, int(seed))
+    for t_high, t_low, size_min, t_merge in RULE_D_PARAMS:
+        basins, _ = zwatershed(aff, WatershedParams(t_high, t_low, 0, t_merge))
+        seg, stats = zwatershed(aff, WatershedParams(t_high, t_low, size_min, t_merge))
+        expected = size_filter_reference(basins, aff, size_min, t_merge)
+        assert np.array_equal(seg.data, expected), (t_high, t_low, size_min, t_merge)
+        assert stats.background == int(np.count_nonzero(expected == 0))
