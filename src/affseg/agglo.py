@@ -3,12 +3,16 @@
 A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
 boundary of two segments, one row of a single table of mergeable per-channel
 statistics, filled in one array pass.  A merge adds the absorbed segment's
-rows into the survivor's or relinks them.  Scorers score one boundary or a
-whole table of them.  Agglomeration is a greedy best-first loop over a
-lazily invalidated priority queue: pop the highest-scoring boundary, merge
-(the smaller label survives), re-score all of the merged node's boundaries
-in one call, repeat until the best score drops below the threshold.  Every
-applied merge is recorded in a MergeTree that can be replayed later.
+rows into the survivor's, one array operation per statistic, or relinks
+them.  Scorers score one boundary or a whole table of them.  Agglomeration
+is a greedy best-first loop over a lazily invalidated priority queue: pop
+the highest-scoring boundary, merge (the smaller label survives), re-score
+in one call the boundaries whose score the merge can have changed, repeat
+until the best score drops below the threshold.  Those are the absorbed
+segment's former boundaries, plus all of the survivor's when the scorer
+reads segment sizes.  Every applied merge is recorded in a MergeTree that
+can be replayed later, at one threshold or, walking the merges once, at a
+whole decreasing series of them.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -25,14 +29,17 @@ import heapq
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from itertools import takewhile
 
 import numpy as np
 
-from affseg.volume import AffinityVolume, LabelVolume, boundary_edges, require_same_shape
+from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, overlap_counts,
+                           require_same_shape)
 
 N_FEATURES = 51
 HIST_BINS = 10
+# how each field of two boundaries' statistics combines into their union's
+MERGE_RULES = {"count": np.add, "s1": np.add, "s2": np.add, "s3": np.add, "s4": np.add,
+               "vmin": np.minimum, "vmax": np.maximum, "hist": np.add}
 
 MODEL_MAGIC_VERSION = 1
 
@@ -103,14 +110,14 @@ class FeatureAccumulator:
         self.hist += np.bincount(slot, minlength=self.hist.size).reshape(self.hist.shape)
 
     def merge(self, other: "FeatureAccumulator") -> None:
-        self.count += other.count
-        self.s1 += other.s1
-        self.s2 += other.s2
-        self.s3 += other.s3
-        self.s4 += other.s4
-        np.minimum(self.vmin, other.vmin, out=self.vmin)
-        np.maximum(self.vmax, other.vmax, out=self.vmax)
-        self.hist += other.hist
+        for name, rule in MERGE_RULES.items():
+            rule(getattr(self, name), getattr(other, name), out=getattr(self, name))
+
+    def merge_rows(self, into: np.ndarray, rows: np.ndarray) -> None:
+        """Merge table row rows[k] into row into[k] for every k, all at once."""
+        for name, rule in MERGE_RULES.items():
+            field = getattr(self, name)
+            rule.at(field, into, field[rows])
 
     def combine(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
         out = self.copy()
@@ -164,6 +171,7 @@ class MeanAffinity:
     """Scores a boundary by its mean affinity pooled over all channels."""
 
     name = "mean"
+    reads_sizes = False  # a merge leaves the scores of untouched boundaries as they were
 
     def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
         return acc.pooled_mean()
@@ -179,6 +187,7 @@ class Logistic:
     """
 
     name = "logistic"
+    reads_sizes = True  # log segment sizes are features
 
     def __init__(self, weights: np.ndarray, bias: float):
         w = np.asarray(weights, dtype=np.float64)
@@ -230,10 +239,13 @@ class MergeTree:
 
     @classmethod
     def read(cls, path, base: LabelVolume) -> "MergeTree":
-        """Parse a tree file, rejecting a line that merges a label with itself
-        or with one an earlier line absorbed: `agglomerate` writes no such
-        line, and replaying a cycle of them would never end."""
+        """Parse a tree file, rejecting a line that merges a label with itself,
+        with one an earlier line absorbed, or with one that is not a nonzero
+        label of `base`: `agglomerate` writes no such line, replaying a cycle
+        of them would never end, and a label the base lacks would replay as
+        a silent no-op."""
         merges, absorbed = [], set()
+        present = set(np.unique(base.data).tolist()) - {0}
         with open(path) as f:
             for n, line in enumerate(f, 1):
                 line = line.strip()
@@ -249,6 +261,10 @@ class MergeTree:
                 if s == t or s in absorbed or t in absorbed:
                     raise ValueError(f"{path}: line {n}: merges {s} and {t}, which must be "
                                      f"two labels no earlier line absorbed")
+                missing = [l for l in (s, t) if l not in present]
+                if missing:
+                    raise ValueError(f"{path}: line {n}: label {missing[0]} is not a nonzero "
+                                     f"label of the base")
                 absorbed.add(t)
         return cls(merges=merges, base=base)
 
@@ -296,9 +312,10 @@ class Rag:
     def boundaries(self, keys: list[tuple[int, int]]):
         """(table rows, sizes of a, sizes of b) of the boundaries (a, b) in
         `keys`, to score or describe them all in one call."""
-        size_a = np.array([self.nodes[a] for a, _ in keys], dtype=np.int64)
-        size_b = np.array([self.nodes[b] for _, b in keys], dtype=np.int64)
-        return self.table[[self.edges[k] for k in keys]], size_a, size_b
+        size_a = np.fromiter((self.nodes[a] for a, _ in keys), np.int64, len(keys))
+        size_b = np.fromiter((self.nodes[b] for _, b in keys), np.int64, len(keys))
+        rows = np.fromiter(map(self.edges.__getitem__, keys), np.intp, len(keys))
+        return self.table[rows], size_a, size_b
 
     def merge_nodes(self, a: int, b: int) -> int:
         """Merge b's node into a's (callers pass a < b); returns the survivor.
@@ -310,16 +327,20 @@ class Rag:
         del self.edges[self.edge_key(a, b)]
         self.nodes[a] += self.nodes.pop(b)
         self.adj[a].discard(b)
+        into, rows = [], []
         for x in self.adj.pop(b) - {a}:
             row = self.edges.pop(self.edge_key(b, x))
             self.adj[x].discard(b)
             kx = self.edge_key(a, x)
             if kx in self.edges:
-                self.table[self.edges[kx]].merge(self.table[row])  # row views
+                into.append(self.edges[kx])
+                rows.append(row)
             else:
                 self.edges[kx] = row
                 self.adj[a].add(x)
                 self.adj[x].add(a)
+        if into:
+            self.table.merge_rows(np.array(into), np.array(rows))
         return a
 
 
@@ -367,12 +388,31 @@ def _chase(parent: dict[int, int], l: int) -> int:
     return l
 
 
-def _replay(labels: LabelVolume, merges) -> LabelVolume:
-    """Apply (survivor, absorbed, score) merges in order to a labeling."""
-    parent = {t: s for s, t, _ in merges}
-    flat = labels.data.ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    lut = np.array([_chase(parent, l) for l in uniq.tolist()], dtype=np.uint64)
+def threshold_lookups(merges, ids: np.ndarray, thetas):
+    """For each of the strictly decreasing `thetas`, the label that each
+    base label of `ids` takes when the longest prefix of the (survivor,
+    absorbed, score) `merges` whose scores are all >= theta is replayed:
+    absorbed -> survivor links followed to their end.  Each prefix extends
+    the previous one, so the merges are walked once."""
+    ends = np.array([m[:2] for m in merges], dtype=np.uint64).reshape(-1, 2)
+    names, idx = np.unique(np.concatenate([ids, ends[:, 0], ends[:, 1]]), return_inverse=True)
+    start, survivor, absorbed = np.split(idx, [len(ids), len(ids) + len(ends)])
+    parent = np.arange(len(names))
+    k = 0
+    for theta in thetas:
+        while k < len(merges) and merges[k][2] >= theta:
+            parent[absorbed[k]] = survivor[k]
+            k += 1
+        at = start
+        while not np.array_equal(parent[at], at):
+            at = parent[at]
+        yield names[at]
+
+
+def _replay(labels: LabelVolume, merges, theta: float) -> LabelVolume:
+    """Replay the longest prefix of `merges` scoring >= theta over a labeling."""
+    uniq, inv = np.unique(labels.data, return_inverse=True)
+    lut = next(threshold_lookups(merges, uniq, [theta]))
     return LabelVolume(lut[inv].reshape(labels.data.shape))
 
 
@@ -389,9 +429,16 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     Run with theta=0 to record the full dendrogram.  Output labels keep the
     surviving input ids, so replaying the returned tree over the input
     reproduces the output exactly.
+
+    A merge re-scores the absorbed node's former boundaries, and the
+    survivor's others only for a scorer whose score `reads_sizes`; the
+    boundaries left alone keep their heap entries.  Live heap entries
+    (-score, a, b) are unique and a kept score is the score a re-scoring
+    would give, so the pop order is the same as re-scoring every boundary.
     """
     check_theta(theta)
     rag = build_rag(labels, aff)
+    sizes_matter = getattr(scorer, "reads_sizes", True)
 
     def scored(keys):
         return zip(keys, scorer.score(*rag.boundaries(keys)).tolist())
@@ -412,16 +459,18 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         if score < theta:
             break
         merges.append((a, b, score))
-        b_nbrs = set(rag.adj[b])
+        b_nbrs = rag.adj[b] - {a}
         rag.merge_nodes(a, b)
         del version[key]
         for x in b_nbrs:
-            if x != a:
-                version.pop(rag.edge_key(b, x), None)
-        for kx, sc in scored([rag.edge_key(a, x) for x in sorted(rag.adj[a])]):
+            del version[rag.edge_key(b, x)]
+        # b's former rows were added into a's or relinked to a; a's other
+        # rows changed only if the score reads node sizes
+        for kx, sc in scored([rag.edge_key(a, x)
+                              for x in sorted(rag.adj[a] if sizes_matter else b_nbrs)]):
             version[kx] = version.get(kx, -1) + 1
             heapq.heappush(heap, (-sc, kx[0], kx[1], version[kx]))
-    return _replay(labels, merges), MergeTree(merges=merges, base=labels)
+    return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 
 def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVolume:
@@ -431,9 +480,14 @@ def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVo
     replay equals a fresh run for every scorer, monotone or not.
     """
     check_theta(theta)
+    check_base(tree, base)
+    return _replay(base, tree.merges, theta)
+
+
+def check_base(tree: MergeTree, base: LabelVolume) -> None:
+    """Raise TreeBaseMismatch unless `tree` was built from the labeling `base`."""
     if tree.base.data.shape != base.data.shape or not np.array_equal(tree.base.data, base.data):
         raise TreeBaseMismatch("merge tree was built from a different base labeling")
-    return _replay(base, takewhile(lambda m: m[2] >= theta, tree.merges))
 
 
 def _standardize(X: np.ndarray):
@@ -463,13 +517,11 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 500,
 
 
 def _node_gt_histograms(rag: Rag, gt: LabelVolume) -> dict[int, Counter]:
-    lab = rag.labels.data.ravel()
-    g = gt.data.ravel()
-    m = (lab != 0) & (g != 0)
     hists: dict[int, Counter] = {l: Counter() for l in rag.nodes}
-    uniq, counts = np.unique(np.stack([lab[m], g[m]], axis=1), axis=0, return_counts=True)
-    for (l, gl), cnt in zip(uniq.tolist(), counts.tolist()):
-        hists[l][gl] = cnt
+    seg_ids, gt_ids, counts = overlap_counts(rag.labels.data, gt.data)
+    for l, gl, cnt in zip(seg_ids.tolist(), gt_ids.tolist(), counts.tolist()):
+        if l:
+            hists[l][gl] = cnt
     return hists
 
 

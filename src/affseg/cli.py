@@ -127,11 +127,11 @@ def _watershed_params(args) -> WatershedParams:
 
 
 def _cmd_synth(args) -> int:
-    sp = synthdata.SynthParams(n_seeds=args.seeds, anisotropy=args.anisotropy,
-                               rng_seed=args.rng_seed)
-    npar = synthdata.NoiseParams(flip_sigma=args.sigma, jitter_prob=args.jitter,
-                                 rng_seed=args.rng_seed)
-    gt = synthdata.synth_labels(Shape3(*args.shape), sp)
+    sp = _checked(synthdata.SynthParams, n_seeds=args.seeds, anisotropy=args.anisotropy,
+                  rng_seed=args.rng_seed)
+    npar = _checked(synthdata.NoiseParams, flip_sigma=args.sigma, jitter_prob=args.jitter,
+                    rng_seed=args.rng_seed)
+    gt = synthdata.synth_labels(_checked(Shape3, *args.shape), sp)
     aff = synthdata.synth_affinities(gt, npar)
     write_volume(gt, args.gt_out)
     write_volume(aff, args.aff_out)

@@ -7,6 +7,11 @@ entropies in bits over the contingency table of label co-occurrence.
 
 Voxels with ground-truth label 0 are excluded from all counts.  Segmentation
 label 0 on an included voxel is kept as one extra segment id.
+
+Both are computed from a table of (segment, GT label, voxel count).  A
+threshold sweep counts the base fragments' table once and, at each
+threshold, relabels its fragments by that threshold's merge prefix and
+scores the small relabelled table; it never replays the volume.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.agglo import MergeTree, apply_threshold, check_theta
-from affseg.volume import LabelVolume, require_same_shape
+from affseg.agglo import MergeTree, check_base, check_theta, threshold_lookups
+from affseg.volume import LabelVolume, cooccurrence, overlap_counts, require_same_shape
 
 
 class EmptyOverlap(Exception):
@@ -36,49 +41,48 @@ class ViScore:
 ViCurve = list[tuple[float, ViScore]]
 
 
-def _contingency(seg_ids: np.ndarray, gt_ids: np.ndarray):
-    """Joint counts plus marginals over two flat id arrays."""
-    su, si = np.unique(seg_ids, return_inverse=True)
-    gu, gi = np.unique(gt_ids, return_inverse=True)
-    joint = np.bincount(si * len(gu) + gi, minlength=len(su) * len(gu))
-    joint = joint.reshape(len(su), len(gu)).astype(np.float64)
-    return joint, joint.sum(axis=1), joint.sum(axis=0)
+def _vi(seg_ids: np.ndarray, gt_ids: np.ndarray, counts: np.ndarray) -> ViScore:
+    """Split VI of a contingency table of (seg id, gt id, voxel count)
+    entries, in which a pair may be spread over several entries.  Counts
+    and marginals are sums of integers, exact in any order, and the
+    entropy terms are summed in (seg, gt) order, so every table of the same
+    voxels scores the same floats."""
+    if not len(counts):
+        raise EmptyOverlap("ground truth has no labeled voxels")
+    seg_ids, gt_ids, joint = cooccurrence(seg_ids, gt_ids, counts)
+    n = joint.sum()
+    _, si = np.unique(seg_ids, return_inverse=True)
+    _, gi = np.unique(gt_ids, return_inverse=True)
+    seg_n = np.bincount(si, joint)[si]
+    gt_n = np.bincount(gi, joint)[gi]
+    vi_under = float(np.sum(joint / n * np.log2(seg_n / joint)))
+    vi_over = float(np.sum(joint / n * np.log2(gt_n / joint)))
+    return ViScore(vi_under=vi_under, vi_over=vi_over)
 
 
 def split_vi(seg: LabelVolume, gt: LabelVolume) -> ViScore:
     """Conditional entropies H(GT|Seg), H(Seg|GT) in bits over gt != 0 voxels."""
     require_same_shape(seg, gt)
-    g = gt.data.ravel()
-    m = g != 0
-    if not m.any():
-        raise EmptyOverlap("ground truth has no labeled voxels")
-    s = seg.data.ravel()[m]
-    g = g[m]
-    joint, seg_marg, gt_marg = _contingency(s, g)
-    n = joint.sum()
-    nz = joint > 0
-    jn = joint[nz]
-    seg_n = np.broadcast_to(seg_marg[:, None], joint.shape)[nz]
-    gt_n = np.broadcast_to(gt_marg[None, :], joint.shape)[nz]
-    vi_under = float(np.sum(jn / n * np.log2(seg_n / jn)))
-    vi_over = float(np.sum(jn / n * np.log2(gt_n / jn)))
-    return ViScore(vi_under=vi_under, vi_over=vi_over)
+    return _vi(*overlap_counts(seg.data, gt.data))
 
 
 def vi_curve(tree: MergeTree, base: LabelVolume, gt: LabelVolume,
              thetas: list[float]) -> ViCurve:
-    """Replay the merge tree at each threshold and score against GT.
+    """Score `apply_threshold(tree, base, theta)` against GT at each threshold.
 
     Thresholds must lie in [0, 1] and be strictly decreasing, mirroring how
     the sweep walks from no merges applied toward the fully merged end.
+    The base's fragment x GT voxel counts are taken once; each threshold
+    maps the fragments to the labels its merge prefix gives them and scores
+    that small table exactly as `split_vi` scores the replayed volume.
     """
     for theta in thetas:
         check_theta(theta)
     for a, b in zip(thetas, thetas[1:]):
         if not a > b:
             raise ValueError("thetas must be strictly decreasing")
-    out: ViCurve = []
-    for theta in thetas:
-        seg = apply_threshold(tree, base, theta)
-        out.append((theta, split_vi(seg, gt)))
-    return out
+    check_base(tree, base)
+    require_same_shape(base, gt)
+    seg_ids, gt_ids, counts = overlap_counts(base.data, gt.data)
+    return [(theta, _vi(lut, gt_ids, counts))
+            for theta, lut in zip(thetas, threshold_lookups(tree.merges, seg_ids, thetas))]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import components
-from affseg.volume import LabelVolume, Shape3, dense_relabel
+from affseg.volume import LabelVolume, Shape3, cooccurrence, dense_relabel
 
 
 class InvalidPartition(ValueError):
@@ -154,12 +154,11 @@ def build_stitch_graph(specs: list[BlockSpec],
             # per-label voxel counts inside the shared region, each side
             ui, ci = np.unique(vi[vi != 0], return_counts=True)
             uj, cj = np.unique(vj[vj != 0], return_counts=True)
-            count_i = dict(zip(ui.tolist(), ci.tolist()))
-            count_j = dict(zip(uj.tolist(), cj.tolist()))
-            pairs = np.stack([vi[both], vj[both]], axis=1)
-            upairs, overlaps = np.unique(pairs, axis=0, return_counts=True)
-            for (la, lb), ov in zip(upairs.tolist(), overlaps.tolist()):
-                edges[((i, la), (j, lb))] = (int(ov), count_i[la], count_j[lb])
+            la, lb, overlaps = cooccurrence(vi[both], vj[both])  # in (la, lb) order
+            count_a, count_b = ci[np.searchsorted(ui, la)], cj[np.searchsorted(uj, lb)]
+            for a, b, ov, na, nb in zip(la.tolist(), lb.tolist(), overlaps.tolist(),
+                                        count_a.tolist(), count_b.tolist()):
+                edges[((i, a), (j, b))] = (ov, na, nb)
     return StitchGraph(nodes=nodes, edges=edges)
 
 

@@ -164,6 +164,30 @@ def dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
     return new_ids[inv]
 
 
+def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
+    """The distinct pairs (a[i], b[i]) of two parallel id arrays, sorted by
+    (a, b), as (a ids, b ids, how often each occurs or the sum of its
+    `weights`).  Pairs are packed as dense indices, so ids of any uint64
+    value cannot overflow the key."""
+    au, ai = np.unique(a, return_inverse=True)
+    bu, bi = np.unique(b, return_inverse=True)
+    if weights is None:
+        keys, counts = np.unique(ai * len(bu) + bi, return_counts=True)
+    else:
+        keys, at = np.unique(ai * len(bu) + bi, return_inverse=True)
+        counts = np.bincount(at, weights)
+    ka, kb = np.divmod(keys, len(bu))
+    return au[ka], bu[kb], counts
+
+
+def overlap_counts(seg: np.ndarray, gt: np.ndarray):
+    """(seg ids, gt ids, voxel counts) of every label pair of two arrays of
+    one shape that shares a voxel where gt is nonzero, sorted by (seg, gt)."""
+    g = gt.ravel()
+    m = g != 0
+    return cooccurrence(seg.ravel()[m], g[m])
+
+
 class LabelVolume:
     """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
 

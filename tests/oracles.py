@@ -351,3 +351,50 @@ def size_filter_reference(labels, aff, size_min, t_merge):
             dense[a] = len(dense) + 1
     out = np.array([dense.get(a, 0) for a in final], dtype=np.uint64)
     return out.reshape(labels.data.shape)
+
+
+def agglomerate_reference(labels, aff, theta):
+    """Greedy mean-affinity agglomeration by an exhaustive scan per step.
+
+    Boundaries are kept as a dict from (lo, hi) to the list of every
+    affinity on them, all channels pooled.  Each step scans every boundary
+    for the highest mean (ties: smallest (lo, hi)); if it is below theta
+    the run ends, otherwise hi is merged into lo: each of hi's other
+    boundary lists is appended to lo's list towards the same neighbour.
+    Returns the applied merges as (lo, hi, mean) in order.
+    """
+    values, _ = boundary_values(labels, aff)
+    border = defaultdict(list)
+    for (lo, hi, _c), vals in sorted(values.items()):
+        border[(lo, hi)].extend(vals)
+    merges = []
+    while border:
+        mean, (a, b) = min((-sum(v) / len(v), key) for key, v in border.items())
+        mean = -mean
+        if mean < theta:
+            break
+        merges.append((a, b, mean))
+        del border[(a, b)]
+        for key in [k for k in border if b in k]:
+            x = key[0] if key[1] == b else key[1]
+            border[(min(a, x), max(a, x))].extend(border.pop(key))
+    return merges
+
+
+def replay_reference(labels, merges, theta):
+    """The labels after the merges before the first one scoring below theta:
+    each label follows absorbed -> survivor links, kept in a dict, to their
+    end."""
+    owner = {}
+    for s, t, score in merges:
+        if not score >= theta:
+            break
+        owner[t] = s
+
+    def final(label):
+        while label in owner:
+            label = owner[label]
+        return label
+
+    out = [final(label) for label in labels.data.ravel().tolist()]
+    return np.array(out, dtype=np.uint64).reshape(labels.data.shape)

@@ -19,7 +19,7 @@ from affseg.agglo import (
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3
 
-from oracles import boundary_stats, boundary_values
+from oracles import agglomerate_reference, boundary_stats, boundary_values
 
 
 def chain3():
@@ -197,6 +197,21 @@ def test_accumulator_mergeability_exact_and_relative():
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
+def test_table_row_merge_equals_row_by_row_merges():
+    rng = np.random.default_rng(5)
+    table = FeatureAccumulator.table(8)
+    for r in range(8):
+        for c in range(3):
+            table[r].push(c, grid_values(rng, int(rng.integers(0, 6))))  # row views
+    into, rows = [6, 0, 3], [1, 7, 2]
+    want = table.copy()
+    for i, r in zip(into, rows):
+        want[i].merge(want[r])
+    table.merge_rows(np.array(into), np.array(rows))
+    for name in FeatureAccumulator.__slots__:
+        assert np.array_equal(getattr(table, name), getattr(want, name))
+
+
 def test_accumulator_minmax():
     acc = FeatureAccumulator()
     acc.push(1, np.array([0.25, 0.5], dtype=np.float32))
@@ -270,6 +285,53 @@ def test_agglomerate_deterministic():
     assert np.array_equal(out1.data, out2.data)
 
 
+def grid_instance(seed, levels):
+    """Fragments of a synthetic volume under random affinities drawn from
+    `levels`; on 0.25-grid or all-equal values every float sum is exact, so
+    no summation order can change a mean."""
+    labels = synth_labels(Shape3(4, 10, 10),
+                          SynthParams(n_seeds=24, anisotropy=1.0, rng_seed=seed))
+    values = np.random.default_rng(seed).choice(levels, (3, 4, 10, 10))
+    return labels, AffinityVolume(values.astype(np.float32))
+
+
+@pytest.mark.parametrize("levels", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.5]])
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_agglomerate_matches_exhaustive_reference(levels, theta):
+    for seed in range(4):
+        labels, aff = grid_instance(seed, levels)
+        _, tree = agglomerate(labels, aff, MeanAffinity(), theta)
+        assert tree.merges == agglomerate_reference(labels, aff, theta)
+        assert tree.merges
+
+
+def greedy_rescoring_everything(labels, aff, scorer):
+    """Full-dendrogram merge pairs and scores, re-scoring every boundary of
+    the RAG before each merge, with no heap."""
+    rag = build_rag(labels, aff)
+    merges = []
+    while rag.edges:
+        keys = sorted(rag.edges)
+        neg, (a, b) = min(zip((-scorer.score(*rag.boundaries(keys))).tolist(), keys))
+        merges.append((a, b, -neg))
+        rag.merge_nodes(a, b)
+    return merges
+
+
+def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():
+    # the logistic features include log segment sizes, which a merge
+    # changes on every boundary of the survivor
+    for seed in (0, 1):
+        gt, aff, seg = noisy_instance(seed, n_seeds=6)
+        scorer = train_scorer(build_rag(seg, aff), gt)
+        assert Logistic.reads_sizes and not MeanAffinity.reads_sizes
+        _, tree = agglomerate(seg, aff, scorer, 0.0)
+        want = greedy_rescoring_everything(seg, aff, scorer)
+        assert [m[:2] for m in tree.merges] == [m[:2] for m in want]
+        np.testing.assert_allclose([m[2] for m in tree.merges], [m[2] for m in want],
+                                   rtol=0, atol=1e-12)
+
+
 # ----------------------------------------------------------- apply_threshold
 
 
@@ -341,6 +403,17 @@ def test_replay_equals_fresh_run_logistic_scorer():
                 assert np.array_equal(replayed.data, fresh.data)
                 checked += 1
     assert checked > 0
+
+
+def test_merge_tree_read_rejects_labels_missing_from_base(tmp_path):
+    labels, aff = chain_rag([0.9, 0.6])
+    p = tmp_path / "tree.txt"
+    p.write_text("1 2 0.9\n999 1000 0.9\n")
+    with pytest.raises(ValueError, match=r"line 2: label 999 is not a nonzero label"):
+        MergeTree.read(p, labels)
+    p.write_text("0 2 0.9\n")
+    with pytest.raises(ValueError, match=r"line 1: label 0 is not a nonzero label"):
+        MergeTree.read(p, labels)
 
 
 def test_merge_tree_file_roundtrip(tmp_path):

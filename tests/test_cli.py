@@ -280,6 +280,10 @@ BAD_PARAMETERS = {
                            "--out", "o.volb"],
     "stitch-min-voxels-0": ["stitch", "--manifest", "manifest.txt", "--min-voxels", "0",
                             "--out", "o.volb"],
+    "synth-seeds-0": ["synth", "--shape", "4", "6", "6", "--seeds", "0",
+                      "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-shape-0": ["synth", "--shape", "0", "8", "8", "--seeds", "3",
+                      "--gt-out", "o.volb", "--aff-out", "o.csv"],
 }
 
 
@@ -372,6 +376,7 @@ BAD_INPUT_FILES = {
     "tree-self-merge": ("tree.txt", "3 1 0.9\n2 2 0.8\n", 2),
     "tree-absorbed-survivor": ("tree.txt", "3 1 0.9\n1 3 0.8\n", 2),
     "tree-absorbed-twice": ("tree.txt", "3 1 0.9\n2 1 0.8\n", 2),
+    "tree-label-not-in-base": ("tree.txt", "3 1 0.9\n999 1000 0.9\n", 2),
     "manifest-12-fields": ("manifest.txt", "0 6 0 12 0 12 0 6 0 12 0 12\n", 1),
     "manifest-not-an-int": ("manifest.txt", "0 6 0 12 0 12 0 6 0 1.5 0 12 blk.volb\n", 1),
 }

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from affseg.agglo import MeanAffinity, agglomerate
+from affseg.agglo import MeanAffinity, agglomerate, apply_threshold, build_rag, train_scorer
 from affseg.metrics import EmptyOverlap, ViScore, split_vi, vi_curve
-from affseg.volume import LabelVolume, ShapeMismatch
+from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
+from affseg.zwatershed import WatershedParams, zwatershed
 
-from oracles import split_vi_bruteforce
+from oracles import replay_reference, split_vi_bruteforce
 
 
 def lv(arr):
@@ -125,8 +127,6 @@ def curve_fixture():
     labels = LabelVolume(np.array([[[1, 1, 2, 2, 3, 3]]], dtype=np.uint64))
     a = np.zeros((3, 1, 1, 6), dtype=np.float32)
     a[2, 0, 0, :5] = [1, 0.9, 1, 0.6, 1]
-    from affseg.volume import AffinityVolume
-
     aff = AffinityVolume(a)
     _, tree = agglomerate(labels, aff, MeanAffinity(), 0.0)
     gt = LabelVolume(np.ones((1, 1, 6), dtype=np.uint64))
@@ -161,3 +161,66 @@ def test_curve_rejects_thetas_outside_unit_interval(thetas):
     tree, base, gt = curve_fixture()
     with pytest.raises(ValueError, match="theta must be in"):
         vi_curve(tree, base, gt, thetas)
+
+
+GRID = [round(1.0 - 0.05 * i, 2) for i in range(21)]
+
+
+def sweep_instance(seed, offset):
+    """Watershed fragments of a synthetic volume, with a slab cut to
+    background where GT is labeled, and every nonzero fragment and GT label
+    shifted by `offset`."""
+    gt = synth_labels(Shape3(6, 16, 16), SynthParams(n_seeds=7, anisotropy=2.0, rng_seed=seed))
+    aff = synth_affinities(gt, NoiseParams(flip_sigma=0.25, rng_seed=seed))
+    base, _ = zwatershed(aff, WatershedParams(t_high=0.995, t_low=0.5, size_min=0, t_merge=0.5))
+    lab, g = base.data.copy(), gt.data.copy()
+    lab[:, :, :2] = 0
+    lab[lab != 0] += np.uint64(offset)
+    g[g != 0] += np.uint64(offset)
+    return LabelVolume(lab), aff, LabelVolume(g)
+
+
+def assert_curve_is_replayed_split_vi(tree, base, gt, thetas):
+    curve = vi_curve(tree, base, gt, thetas)
+    assert [theta for theta, _ in curve] == thetas
+    for theta, score in curve:
+        seg = apply_threshold(tree, base, theta)
+        assert np.array_equal(seg.data, replay_reference(base, tree.merges, theta))
+        assert score == split_vi(seg, gt)
+        under, over = split_vi_bruteforce(seg, gt)
+        assert score.vi_under == pytest.approx(under, abs=1e-12)
+        assert score.vi_over == pytest.approx(over, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0, 2**63 - 1, 2**64 - 2**12])
+def test_curve_points_equal_split_vi_of_replay_mean(offset):
+    for seed in (0, 1):
+        base, aff, gt = sweep_instance(seed, offset)
+        assert ((base.data == 0) & (gt.data != 0)).any()
+        _, tree = agglomerate(base, aff, MeanAffinity(), 0.0)
+        assert tree.merges and max(sc for *_, sc in tree.merges) < 1.0
+        for thetas in (GRID, [1.0], [0.0]):
+            assert_curve_is_replayed_split_vi(tree, base, gt, thetas)
+
+
+def test_curve_points_equal_split_vi_of_replay_on_score_ties():
+    # 0.25-grid affinities give merge scores equal to grid thresholds
+    labels = synth_labels(Shape3(4, 10, 10), SynthParams(n_seeds=24, anisotropy=1.0, rng_seed=3))
+    values = np.random.default_rng(3).choice([0.0, 0.25, 0.5, 0.75, 1.0], (3, 4, 10, 10))
+    _, tree = agglomerate(labels, AffinityVolume(values.astype(np.float32)), MeanAffinity(), 0.0)
+    thetas = [1.0, 0.75, 0.5, 0.25, 0.0]
+    assert {sc for *_, sc in tree.merges} & set(thetas)
+    gt = synth_labels(Shape3(4, 10, 10), SynthParams(n_seeds=5, anisotropy=1.0, rng_seed=4))
+    assert_curve_is_replayed_split_vi(tree, labels, gt, thetas)
+
+
+@pytest.mark.parametrize("offset", [0, 2**63 - 1])
+def test_curve_points_equal_split_vi_of_replay_non_monotone_logistic(offset):
+    base, aff, gt = sweep_instance(2, offset)
+    scorer = train_scorer(build_rag(base, aff), gt)
+    _, tree = agglomerate(base, aff, scorer, 0.0)
+    scores = [sc for *_, sc in tree.merges]
+    dips = [(lo + hi) / 2.0 for lo, hi in zip(scores, scores[1:]) if lo < hi]
+    assert dips
+    thetas = sorted(set(GRID + dips), reverse=True)
+    assert_curve_is_replayed_split_vi(tree, base, gt, thetas)
