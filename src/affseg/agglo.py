@@ -565,14 +565,13 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
             break
         # merge this round's positives; pairs may have been absorbed by an
         # earlier merge in the same round, so chase the surviving labels
+        # (distinct survivors of two neighbours are still neighbours)
         alias: dict[int, int] = {}
         for a, b in positives:
             ra, rb = _chase(alias, a), _chase(alias, b)
             if ra == rb:
                 continue
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            if (lo, hi) not in sim.edges:
-                continue  # boundary vanished through earlier merges
             sim.merge_nodes(lo, hi)
             alias[hi] = lo
             hists[lo].update(hists.pop(hi))

@@ -131,7 +131,7 @@ def _cmd_synth(args) -> int:
                   rng_seed=args.rng_seed)
     npar = _checked(synthdata.NoiseParams, flip_sigma=args.sigma, jitter_prob=args.jitter,
                     rng_seed=args.rng_seed)
-    gt = synthdata.synth_labels(_checked(Shape3, *args.shape), sp)
+    gt = _checked(synthdata.synth_labels, _checked(Shape3, *args.shape), sp)
     aff = synthdata.synth_affinities(gt, npar)
     write_volume(gt, args.gt_out)
     write_volume(aff, args.aff_out)

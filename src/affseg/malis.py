@@ -6,9 +6,11 @@ path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
 agree, to the negative channel when they differ.  Maximin edges are exactly
 the edges of the maximum spanning forest (Turaga et al. 2009), so the forest
-is found first, by array Borůvka rounds, and counts fall out of a sweep of
-the forest edges alone in decreasing affinity, carrying per-component label
-histograms through a union-find.
+is found once, by array Borůvka rounds, and both questions read it: a
+maximin query binary-searches the forest's sweep-order prefixes, and pair
+counts fall out of one sweep of the forest edges in decreasing affinity,
+carrying per-component label histograms through the sweep's own
+union-find.
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -21,12 +23,11 @@ Voxels labeled 0 are glue: paths may run through them but they never pair.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import UnionFind, spanning_forest
+from affseg.unionfind import components, spanning_forest
 from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
 
 
@@ -55,8 +56,12 @@ class MalisResult:
 def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
     """Best bottleneck affinity between two voxels.
 
-    Widest-path search over the 6-neighbour lattice; every in-bounds edge
-    exists (zero-affinity edges included), so the result is always defined.
+    Read off the same maximum spanning forest the pair counts sweep: the
+    pair's maximin edge is the forest edge whose sweep joins the two
+    voxels, found by binary search for the shortest forest prefix that
+    `components` puts them together in.  Every in-bounds edge is a
+    candidate (zero-affinity edges included), so the result is always
+    defined.
     """
     shape = aff.shape3
     for v in (v1, v2):
@@ -64,45 +69,24 @@ def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
             raise OutOfBounds(f"voxel {tuple(v)} outside {shape}")
     if tuple(v1) == tuple(v2):
         raise OutOfBounds("maximin affinity requires two distinct voxels")
-    Z, Y, X = shape.as_tuple()
-    start = shape.flat_index(*v1)
-    goal = shape.flat_index(*v2)
-    a = aff.data
-    best = np.full(shape.voxels, -1.0, dtype=np.float64)
-    best[start] = 2.0  # above any affinity; the source has no bottleneck yet
-    heap = [(-2.0, start)]
-    while heap:
-        nb, u = heapq.heappop(heap)
-        b = -nb
-        if b < best[u]:
-            continue
-        if u == goal:
-            return float(b)
-        uz, ux = divmod(u, Y * X)
-        uy, ux = divmod(ux, X)
-        for ch, dz, dy, dx, off in ((0, 1, 0, 0, Y * X), (1, 0, 1, 0, X), (2, 0, 0, 1, 1)):
-            nz, ny, nx = uz + dz, uy + dy, ux + dx
-            if nz < Z and ny < Y and nx < X:
-                w = float(a[ch, uz, uy, ux])
-                cand = min(b, w)
-                if cand > best[u + off]:
-                    best[u + off] = cand
-                    heapq.heappush(heap, (-cand, u + off))
-            nz, ny, nx = uz - dz, uy - dy, ux - dx
-            if nz >= 0 and ny >= 0 and nx >= 0:
-                w = float(a[ch, nz, ny, nx])
-                cand = min(b, w)
-                if cand > best[u - off]:
-                    best[u - off] = cand
-                    heapq.heappush(heap, (-cand, u - off))
-    return float(best[goal])  # unreachable in practice: the lattice is connected
+    a, b = shape.flat_index(*v1), shape.flat_index(*v2)
+    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
+    lo, hi = 1, len(slots)  # the whole forest spans the connected lattice
+    while lo < hi:
+        mid = (lo + hi) // 2
+        root = components(shape.voxels, forest_u[:mid], forest_v[:mid])
+        if root[a] == root[b]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(aff.data.reshape(-1)[slots[lo - 1]])
 
 
 def _forest_in_sweep_order(aff: AffinityVolume):
     """Slots and endpoints of the maximum spanning forest's edges, in sweep order.
 
-    A function of its own so that the whole-lattice arrays are freed
-    before the sweep builds its per-voxel histograms.
+    Both maximin queries and the pair-count sweep read it; a function of
+    its own also frees the whole-lattice arrays before the sweep starts.
     """
     c, u, v = edge_table(aff.shape3)
     order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")
@@ -125,45 +109,46 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     shape = require_same_shape(aff, gt)
     slots, forest_u, forest_v = _forest_in_sweep_order(aff)
 
-    uf = UnionFind(shape.voxels)
-    # per-root histogram of nonzero gt labels: dict label -> count
     labels = gt.data.ravel().tolist()
-    hist: list[dict[int, int] | None] = [{lab: 1} if lab else None for lab in labels]
-    labeled_n = [1 if lab else 0 for lab in labels]
+    labeled_n = (gt.data.ravel() != 0).astype(np.int64).tolist()
+    parent = list(range(shape.voxels))
+    size = [1] * shape.voxels
+    # root -> histogram of nonzero gt labels (label -> count), kept only for
+    # components of 2+ voxels with a labeled voxel; a labeled singleton's
+    # histogram is {its label: 1}
+    hist: dict[int, dict[int, int]] = {}
     pos_at: list[int] = []
     neg_at: list[int] = []
 
-    find = uf.find
     # memoryviews yield Python ints one at a time, where tolist() would
     # hold all of them at once
     for a, b in zip(memoryview(forest_u), memoryview(forest_v)):
-        ru, rv = find(a), find(b)
-        nu, nv = labeled_n[ru], labeled_n[rv]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        na, nb = labeled_n[a], labeled_n[b]
         p = 0
-        if nu and nv:
-            hu, hv = hist[ru], hist[rv]
-            if len(hu) > len(hv):
-                hu, hv = hv, hu
-            for lab, cnt in hu.items():
-                o = hv.get(lab)
-                if o:
-                    p += cnt * o
+        if na and nb:
+            ha = hist.pop(a, None) or {labels[a]: 1}
+            hb = hist.pop(b, None) or {labels[b]: 1}
+            if len(ha) < len(hb):
+                ha, hb = hb, ha
+            for lab, cnt in hb.items():
+                o = ha.get(lab, 0)
+                p += cnt * o
+                ha[lab] = o + cnt
+            hist[a] = ha
+        elif na or nb:
+            r = a if na else b
+            hist[a] = hist.pop(r, None) or {labels[r]: 1}
+        labeled_n[a] = na + nb
         pos_at.append(p)
-        neg_at.append(nu * nv - p)
-        root = uf.union(ru, rv)
-        absorbed = rv if root == ru else ru
-        ho, hr = hist[absorbed], hist[root]
-        if ho is not None:
-            if hr is None:
-                hist[root] = ho
-            else:
-                if len(hr) < len(ho):
-                    hr, ho = ho, hr
-                    hist[root] = hr
-                for lab, cnt in ho.items():
-                    hr[lab] = hr.get(lab, 0) + cnt
-            hist[absorbed] = None
-        labeled_n[root] = nu + nv
+        neg_at.append(na * nb - p)
 
     # each forest slot is written once
     pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)

@@ -28,7 +28,7 @@ import numpy as np
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, edge_ends
 
 
-class TooManySeeds(Exception):
+class TooManySeeds(ValueError):
     """More seeds requested than the volume has voxels."""
 
 

@@ -1,9 +1,10 @@
 """Connected components and spanning forests of integer-id graphs.
 
-`components` and `spanning_forest` group ids offline, when every edge is
-known before any lookup (watershed basins, size-filter absorptions, stitch
-classes, the MALIS forest); `UnionFind` serves the MALIS sweep of that
-forest, which must query components between unions.
+Offline array code only: `components` and `spanning_forest` group ids when
+every edge is known before any lookup (watershed basins, size-filter
+absorptions, stitch classes, the MALIS forest and its maximin queries).
+The MALIS pair-count sweep, which must look up components between unions,
+keeps its own list-based union-find.
 """
 
 from __future__ import annotations
@@ -70,34 +71,3 @@ def spanning_forest(n: int, u, v) -> np.ndarray:
         # roots are each component's smallest id, so relabelling roots by
         # `components` keeps every id mapped to its (new) component's root
         root = components(n, ru[joined], rv[joined])[root]
-
-
-class UnionFind:
-    """Online union-find over dense integer ids 0..n-1 with path halving.
-
-    `union` picks the root by component size, so the surviving root is
-    arbitrary; use `components` when all edges are known up front.
-    """
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra

@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used to check the
 package.  Everything here works from first principles (BFS connectivity,
-explicit contingency dictionaries) and shares no code with the library's
-union-find / heap machinery.
+explicit contingency dictionaries, a textbook online union-find) and shares
+no code with the library's array connectivity / heap machinery.
 """
 
 from __future__ import annotations
@@ -10,6 +10,37 @@ import math
 from collections import defaultdict, deque
 
 import numpy as np
+
+
+class UnionFind:
+    """Online union-find over dense integer ids 0..n-1 with path halving.
+
+    `union` picks the root by component size, so the surviving root is
+    arbitrary; use `components` when all edges are known up front.
+    """
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return ra
 
 
 def all_edges(aff):

@@ -284,6 +284,8 @@ BAD_PARAMETERS = {
                       "--gt-out", "o.volb", "--aff-out", "o.csv"],
     "synth-shape-0": ["synth", "--shape", "0", "8", "8", "--seeds", "3",
                       "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-too-many-seeds": ["synth", "--shape", "1", "1", "2", "--seeds", "5",
+                             "--gt-out", "o.volb", "--aff-out", "o.csv"],
 }
 
 

@@ -57,21 +57,33 @@ def test_maximin_rejects_out_of_bounds():
         maximin_affinity(aff, (0, 0, 0), (0, 0, 5))
 
 
+def maximin_cases(rng):
+    """(volume, pairs to query): 20 small random volumes, then a 6x12x12
+    jittered one, its 0.25 grid (many ties) and an all-equal one (pure slot
+    order)."""
+    for _ in range(20):
+        yield random_instance(rng)[0], 1
+    aff, _ = jittered_patch(3, (6, 12, 12))
+    yield aff, 3
+    yield AffinityVolume(np.round(aff.data * 4) / 4), 4
+    yield AffinityVolume(np.full_like(aff.data, 0.5)), 2
+
+
 def test_maximin_matches_threshold_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        aff, _ = random_instance(rng)
+    for aff, n_pairs in maximin_cases(rng):
         shape = aff.shape3
         n = shape.voxels
         if n < 2:
             continue
-        u = int(rng.integers(0, n))
-        v = int(rng.integers(0, n))
-        if u == v:
-            continue
-        got = maximin_affinity(aff, shape.unflatten(u), shape.unflatten(v))
-        assert got == pytest.approx(maximin_by_threshold(aff, shape.unflatten(u),
-                                                         shape.unflatten(v)), abs=0)
+        for _ in range(n_pairs):
+            u = int(rng.integers(0, n))
+            v = int(rng.integers(0, n))
+            if u == v:
+                continue
+            got = maximin_affinity(aff, shape.unflatten(u), shape.unflatten(v))
+            assert got == pytest.approx(maximin_by_threshold(aff, shape.unflatten(u),
+                                                             shape.unflatten(v)), abs=0)
 
 
 def test_counts_chain_example():
@@ -148,11 +160,18 @@ def medium_case(name):
         gt = LabelVolume(np.where(rng.random(gt.data.shape) < 0.3, 0, gt.data))
     elif kind == "zero":  # every edge ties: pure slot order
         aff = AffinityVolume(np.zeros_like(aff.data))
+    elif kind == "sparse":  # about 95 % unlabeled: labeled singletons join glue components
+        gt = LabelVolume(np.where(rng.random(gt.data.shape) < 0.95, 0, gt.data))
+    elif kind == "single":  # one labeled voxel: no pairs at all
+        one = int(rng.integers(gt.data.size))
+        gt = LabelVolume(np.where(np.arange(gt.data.size) == one, gt.data.ravel(), 0)
+                         .reshape(gt.data.shape))
     return aff, gt
 
 
 @pytest.mark.parametrize("name", ["jitter_1", "jitter_2", "jitter_3", "ties_4", "ties_5",
-                                  "background_6", "background_7", "zero_8"])
+                                  "background_6", "background_7", "zero_8", "sparse_9",
+                                  "single_10"])
 def test_counts_match_full_sweep_on_medium_volumes(name):
     aff, gt = medium_case(name)
     counts = malis_edge_counts(aff, gt)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from affseg.unionfind import UnionFind, components, index_dtype, spanning_forest
+from affseg.unionfind import components, index_dtype, spanning_forest
 from affseg.volume import Shape3, edge_table
+
+from oracles import UnionFind
 
 
 def test_basic_union_find():
