@@ -2,15 +2,18 @@
 
 A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
 boundary of two segments, one row of a single table of mergeable per-channel
-statistics, filled in one array pass.  A merge adds the absorbed segment's
-rows into the survivor's, one array operation per statistic, or relinks
-them.  Scorers score one boundary or a whole table of them.  Agglomeration
-is a greedy best-first loop over a lazily invalidated priority queue: pop
-the highest-scoring boundary, merge (the smaller label survives), re-score
-in one call the boundaries whose score the merge can have changed, repeat
-until the best score drops below the threshold.  Those are the absorbed
-segment's former boundaries, plus all of the survivor's when the scorer
-reads segment sizes.  Every applied merge is recorded in a MergeTree that
+statistics, filled in one array pass: one additive block (per channel
+count, power sums s1..s4 and histogram), min and max.  A merge adds the
+absorbed segment's rows into the survivor's, one array operation for each
+of the three, or relinks them.  Scorers score one boundary or a whole table
+of them.  Agglomeration is a greedy best-first loop over a lazily
+invalidated priority queue: pop the highest-scoring boundary, merge (the
+smaller label survives), re-score in one call the boundaries whose score
+the merge can have changed, repeat until the best score drops below the
+threshold.  Those are the absorbed segment's former boundaries, plus all of
+the survivor's when the scorer reads segment sizes.  A heap entry carries
+its table row and that row's stamp, which a merge bumps for every row it
+drops or re-scores.  Every applied merge is recorded in a MergeTree that
 can be replayed later, at one threshold or, walking the merges once, at a
 whole decreasing series of them.
 
@@ -37,9 +40,8 @@ from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, overlap_
 
 N_FEATURES = 51
 HIST_BINS = 10
-# how each field of two boundaries' statistics combines into their union's
-MERGE_RULES = {"count": np.add, "s1": np.add, "s2": np.add, "s3": np.add, "s4": np.add,
-               "vmin": np.minimum, "vmax": np.maximum, "hist": np.add}
+# how each storage block of two boundaries' statistics combines into their union's
+MERGE_RULES = {"sums": np.add, "vmin": np.minimum, "vmax": np.maximum}
 
 MODEL_MAGIC_VERSION = 1
 
@@ -60,19 +62,21 @@ class FeatureAccumulator:
     """Mergeable boundary statistics: per channel count, power sums to the
     4th order, min, max, and a 10-bin histogram over [0, 1].
 
-    `FeatureAccumulator()` is one boundary, with fields of shape (3,) and
-    (3, 10); `table(E)` is E boundaries, with a leading row axis.  Every
-    statistic below reduces over the last (channel) axis.
+    `FeatureAccumulator()` is one boundary, `table(E)` is E boundaries, with
+    a leading row axis.  The float64 block `sums` (..., 3, 15) holds per
+    channel the count, s1..s4 and the histogram bins, which `count`,
+    `s1`..`s4` and `hist` view; `vmin` and `vmax` are (..., 3).  Every
+    statistic below reduces over the channel axis.
     """
 
-    __slots__ = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
+    __slots__ = ("sums", "vmin", "vmax")
+    count, s1, s2, s3, s4, hist = (property(lambda self, k=k: self.sums[..., k])
+                                   for k in (0, 1, 2, 3, 4, slice(5, None)))
 
     def __init__(self):
-        self.count = np.zeros(3, dtype=np.int64)
-        self.s1, self.s2, self.s3, self.s4 = (np.zeros(3) for _ in range(4))
+        self.sums = np.zeros((3, 5 + HIST_BINS))
         self.vmin = np.full(3, np.inf)
         self.vmax = np.full(3, -np.inf)
-        self.hist = np.zeros((3, HIST_BINS), dtype=np.int64)
 
     @classmethod
     def table(cls, rows: int) -> "FeatureAccumulator":
@@ -99,15 +103,14 @@ class FeatureAccumulator:
         (..., channel) cell ``tuple(i[k] for i in cells)``, all runs at once."""
         v = values.astype(np.float64)
         n = np.diff(starts, append=len(v))
-        self.count[cells] += n
-        for s, p in ((self.s1, v), (self.s2, v * v), (self.s3, v**3), (self.s4, v**4)):
-            s[cells] += np.add.reduceat(p, starts)
+        self.sums[cells + (slice(0, 5),)] += np.stack(
+            [n] + [np.add.reduceat(p, starts) for p in (v, v * v, v**3, v**4)], axis=-1)
         self.vmin[cells] = np.minimum(self.vmin[cells], np.minimum.reduceat(v, starts))
         self.vmax[cells] = np.maximum(self.vmax[cells], np.maximum.reduceat(v, starts))
         bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        slot = np.ravel_multi_index(tuple(np.repeat(i, n) for i in cells) + (bins,),
-                                    self.hist.shape)
-        self.hist += np.bincount(slot, minlength=self.hist.size).reshape(self.hist.shape)
+        hist = self.hist
+        slot = np.ravel_multi_index(tuple(np.repeat(i, n) for i in cells) + (bins,), hist.shape)
+        hist += np.bincount(slot, minlength=hist.size).reshape(hist.shape)
 
     def merge(self, other: "FeatureAccumulator") -> None:
         for name, rule in MERGE_RULES.items():
@@ -129,7 +132,7 @@ class FeatureAccumulator:
 
     @property
     def total_count(self) -> np.ndarray:
-        return self.count.sum(axis=-1)
+        return self.count.sum(axis=-1).astype(np.int64)
 
     def pooled_mean(self) -> np.ndarray:
         """Mean affinity over all channels; 0 for a boundary with no edges."""
@@ -317,31 +320,33 @@ class Rag:
         rows = np.fromiter(map(self.edges.__getitem__, keys), np.intp, len(keys))
         return self.table[rows], size_a, size_b
 
-    def merge_nodes(self, a: int, b: int) -> int:
-        """Merge b's node into a's (callers pass a < b); returns the survivor.
+    def merge_nodes(self, a: int, b: int):
+        """Merge b's node into a's (callers pass a < b).
 
         The shared boundary's row is dropped.  Each other boundary row of b
-        is added into a's row to the same neighbour, or relinked to a where
-        a has none.
+        is added into a's row to the same neighbour and dropped, or relinked
+        to a where a has none.  Returns ({neighbour x: row} of the
+        boundaries of a this changed, [rows dropped]).
         """
-        del self.edges[self.edge_key(a, b)]
+        dropped = [self.edges.pop(self.edge_key(a, b))]
         self.nodes[a] += self.nodes.pop(b)
         self.adj[a].discard(b)
-        into, rows = [], []
+        touched, into = {}, []
         for x in self.adj.pop(b) - {a}:
             row = self.edges.pop(self.edge_key(b, x))
             self.adj[x].discard(b)
             kx = self.edge_key(a, x)
             if kx in self.edges:
                 into.append(self.edges[kx])
-                rows.append(row)
+                dropped.append(row)
             else:
                 self.edges[kx] = row
                 self.adj[a].add(x)
                 self.adj[x].add(a)
+            touched[x] = self.edges[kx]
         if into:
-            self.table.merge_rows(np.array(into), np.array(rows))
-        return a
+            self.table.merge_rows(np.array(into), np.array(dropped[1:]))
+        return touched, dropped
 
 
 def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
@@ -432,44 +437,40 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
 
     A merge re-scores the absorbed node's former boundaries, and the
     survivor's others only for a scorer whose score `reads_sizes`; the
-    boundaries left alone keep their heap entries.  Live heap entries
-    (-score, a, b) are unique and a kept score is the score a re-scoring
-    would give, so the pop order is the same as re-scoring every boundary.
+    boundaries left alone keep their heap entries.  An entry (-score, a,
+    b, row, stamp) is live while `stamp` is its row's current stamp.  Live
+    entries are unique in (-score, a, b) and a kept score is the score a
+    re-scoring would give, so the pop order is the same as re-scoring every
+    boundary.
     """
     check_theta(theta)
     rag = build_rag(labels, aff)
     sizes_matter = getattr(scorer, "reads_sizes", True)
+    stamp, heap, merges = [0] * rag.n_edges, [], []
 
-    def scored(keys):
-        return zip(keys, scorer.score(*rag.boundaries(keys)).tolist())
+    def push(keys, rows):
+        acc, *sizes = rag.boundaries(keys) if sizes_matter else (rag.table[rows], None, None)
+        for (a, b), row, sc in zip(keys, rows, scorer.score(acc, *sizes).tolist()):
+            stamp[row] += 1
+            heapq.heappush(heap, (-sc, a, b, row, stamp[row]))
 
-    keys = sorted(rag.edges)
-    version: dict[tuple[int, int], int] = dict.fromkeys(keys, 0)
-    heap = [(-sc, a, b, 0) for (a, b), sc in scored(keys)]
-    heapq.heapify(heap)
-
-    merges: list[tuple[int, int, float]] = []
-
+    push(list(rag.edges), list(rag.edges.values()))
     while heap:
-        negs, a, b, ver = heapq.heappop(heap)
-        key = (a, b)
-        if key not in rag.edges or version[key] != ver:
+        neg, a, b, row, st = heapq.heappop(heap)
+        if stamp[row] != st:
             continue
-        score = -negs
-        if score < theta:
+        if -neg < theta:
             break
-        merges.append((a, b, score))
-        b_nbrs = rag.adj[b] - {a}
-        rag.merge_nodes(a, b)
-        del version[key]
-        for x in b_nbrs:
-            del version[rag.edge_key(b, x)]
-        # b's former rows were added into a's or relinked to a; a's other
-        # rows changed only if the score reads node sizes
-        for kx, sc in scored([rag.edge_key(a, x)
-                              for x in sorted(rag.adj[a] if sizes_matter else b_nbrs)]):
-            version[kx] = version.get(kx, -1) + 1
-            heapq.heappush(heap, (-sc, kx[0], kx[1], version[kx]))
+        merges.append((a, b, -neg))
+        touched, dropped = rag.merge_nodes(a, b)
+        for row in dropped:
+            stamp[row] += 1
+        # b's former rows were added into a's or relinked to a (`touched`);
+        # a's other rows changed only if the score reads node sizes
+        if sizes_matter:
+            touched = {x: rag.edges[rag.edge_key(a, x)] for x in rag.adj[a]}
+        nbrs = sorted(touched)
+        push([rag.edge_key(a, x) for x in nbrs], [touched[x] for x in nbrs])
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 

@@ -429,3 +429,21 @@ def replay_reference(labels, merges, theta):
 
     out = [final(label) for label in labels.data.ravel().tolist()]
     return np.array(out, dtype=np.uint64).reshape(labels.data.shape)
+
+
+def labels_from_seeds_reference(shape, seeds, anisotropy):
+    """Nearest-seed labels (seed k -> label k+1, ties to the lowest index)
+    by one full-volume pass per seed, as an array of shape `shape`."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    zz, yy, xx = np.meshgrid(
+        np.arange(shape.z), np.arange(shape.y), np.arange(shape.x), indexing="ij"
+    )
+    best_d = np.full(shape.as_tuple(), np.inf)
+    label = np.zeros(shape.as_tuple(), dtype=np.uint64)
+    for k, (sz, sy, sx) in enumerate(seeds.tolist()):
+        d2 = ((xx - sx) ** 2 + (yy - sy) ** 2).astype(np.float64)
+        d2 += (anisotropy * (zz - sz).astype(np.float64)) ** 2
+        closer = d2 < best_d
+        best_d[closer] = d2[closer]
+        label[closer] = k + 1
+    return label

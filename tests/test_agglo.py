@@ -21,6 +21,9 @@ from affseg.volume import AffinityVolume, LabelVolume, Shape3
 
 from oracles import agglomerate_reference, boundary_stats, boundary_values
 
+# every named statistic of a FeatureAccumulator, whatever its storage
+STATS = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
+
 
 def chain3():
     a = np.zeros((3, 1, 1, 3), dtype=np.float32)
@@ -208,7 +211,7 @@ def test_table_row_merge_equals_row_by_row_merges():
     for i, r in zip(into, rows):
         want[i].merge(want[r])
     table.merge_rows(np.array(into), np.array(rows))
-    for name in FeatureAccumulator.__slots__:
+    for name in STATS:
         assert np.array_equal(getattr(table, name), getattr(want, name))
 
 
@@ -295,7 +298,12 @@ def grid_instance(seed, levels):
     return labels, AffinityVolume(values.astype(np.float32))
 
 
-@pytest.mark.parametrize("levels", [[0.0, 0.25, 0.5, 0.75, 1.0], [0.5]])
+# tie-heavy levels: after a merge, the stale entries of the rows it dropped
+# or relinked tie with, or outrank, the live entries still on the heap
+TIE_LEVELS = [[0.0, 0.25, 0.5, 0.75, 1.0], [0.5], [0.0, 1.0], [0.25, 0.75]]
+
+
+@pytest.mark.parametrize("levels", TIE_LEVELS)
 @pytest.mark.parametrize("theta", [0.0, 0.5])
 def test_agglomerate_matches_exhaustive_reference(levels, theta):
     for seed in range(4):
@@ -305,17 +313,60 @@ def test_agglomerate_matches_exhaustive_reference(levels, theta):
         assert tree.merges
 
 
-def greedy_rescoring_everything(labels, aff, scorer):
-    """Full-dendrogram merge pairs and scores, re-scoring every boundary of
+def greedy_rescoring_everything(labels, aff, scorer, theta=0.0):
+    """Merge pairs and scores down to `theta`, re-scoring every boundary of
     the RAG before each merge, with no heap."""
     rag = build_rag(labels, aff)
     merges = []
     while rag.edges:
         keys = sorted(rag.edges)
         neg, (a, b) = min(zip((-scorer.score(*rag.boundaries(keys))).tolist(), keys))
+        if -neg < theta:
+            break
         merges.append((a, b, -neg))
         rag.merge_nodes(a, b)
     return merges
+
+
+def size_logistic(weight, bias):
+    """A logistic scorer whose one nonzero weight is on log larger segment
+    size: each score is then exact whatever the batch it is computed in,
+    so exact ties stay ties."""
+    weights = np.zeros(N_FEATURES)
+    weights[-1] = weight
+    return Logistic(weights, bias)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_agglomerate_size_reading_scorer_matches_rescoring_everything_on_ties(theta):
+    # scores tie whenever the larger segment sizes do, and each merge lowers
+    # the score of every boundary of the survivor, so the stale entries of
+    # its relinked and re-scored rows outrank live ones
+    scorer = size_logistic(-1.0, np.log(40.0))
+    for seed in range(6):
+        labels, aff = grid_instance(seed, TIE_LEVELS[0])
+        _, tree = agglomerate(labels, aff, scorer, theta)
+        assert tree.merges == greedy_rescoring_everything(labels, aff, scorer, theta)
+        assert tree.merges
+
+
+def test_agglomerate_skips_stale_entries_of_dropped_and_relinked_rows():
+    # 1 1 2 / 3 3 2: merging 1 and 2 adds row (2, 3), mean 0.85, into row
+    # (1, 3); the pooled mean 0.35 is now below the dropped row's old entry
+    labels = LabelVolume(np.array([[[1, 1, 2], [3, 3, 2]]], dtype=np.uint64))
+    a = np.zeros((3, 1, 2, 3), dtype=np.float32)
+    a[2, 0, :, 1] = [0.9, 0.85]
+    a[1, 0, 0, :2] = 0.1
+    for theta, want in ((0.5, [(1, 2)]), (0.0, [(1, 2), (1, 3)])):
+        _, tree = agglomerate(labels, AffinityVolume(a), MeanAffinity(), theta)
+        assert [m[:2] for m in tree.merges] == want
+    # chain 1 2 3 under a score that falls with the larger segment size:
+    # merging 1 and 2 relinks row (2, 3) to (1, 3) and lowers its score
+    labels, aff = chain_rag([0.9, 0.8])
+    scorer = size_logistic(-4.0, np.log(2.0) * 4.0 + 0.5)
+    for theta, want in ((0.5, [(1, 2)]), (0.0, [(1, 2), (1, 3)])):
+        _, tree = agglomerate(labels, aff, scorer, theta)
+        assert [m[:2] for m in tree.merges] == want
 
 
 def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():
@@ -492,7 +543,7 @@ def test_trained_scorer_in_unit_interval():
     scorer = train_scorer(rag, gt)
     # training merges a copy: the caller's graph and table are untouched
     assert rag.nodes == nodes and rag.edges == edges
-    assert all(np.array_equal(getattr(rag.table, f), getattr(table, f)) for f in table.__slots__)
+    assert all(np.array_equal(getattr(rag.table, f), getattr(table, f)) for f in STATS)
     for key in rag.edges:
         a, b = key
         s = scorer.score(rag.edge_acc(a, b), rag.nodes[a], rag.nodes[b])

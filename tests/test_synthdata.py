@@ -14,7 +14,7 @@ from affseg.synthdata import (
 from affseg.volume import LabelVolume, Shape3, oob_edge_mask
 from affseg.zwatershed import WatershedParams, zwatershed
 
-from oracles import connected_components, partitions_equal
+from oracles import connected_components, labels_from_seeds_reference, partitions_equal
 
 
 def test_single_seed_labels_everything():
@@ -41,6 +41,33 @@ def test_anisotropy_flattens_cells():
     assert (aniso.data == 1).sum() != (iso.data == 1).sum()
     # each z section of the anisotropic volume is a single cell
     assert all(len(np.unique(aniso.data[z])) == 1 for z in range(4))
+
+
+def test_labels_match_full_volume_reference_on_random_layouts():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        shape = Shape3(*(int(d) for d in rng.integers(1, 12, 3)))
+        n = int(rng.integers(1, min(shape.voxels, 30) + 1))
+        flat = rng.choice(shape.voxels, size=n, replace=False)
+        seeds = np.array([shape.unflatten(int(i)) for i in flat], dtype=np.int64)
+        for anisotropy in (1.0, 1.7, 3.0):
+            got = labels_from_seeds(shape, seeds, anisotropy).data
+            assert np.array_equal(got, labels_from_seeds_reference(shape, seeds, anisotropy))
+
+
+def test_labels_match_full_volume_reference_on_symmetric_ties():
+    # seeds mirrored about the volume centre, listed in shuffled order, put
+    # many voxels at exactly equal distance from several seeds
+    rng = np.random.default_rng(13)
+    shape = Shape3(7, 9, 9)
+    half = np.array([[1, 2, 2], [3, 0, 4], [0, 4, 1], [3, 4, 0], [2, 1, 1]])
+    mirrored = np.array([6, 8, 8]) - half
+    for seeds in (np.concatenate([half, mirrored]),
+                  rng.permutation(np.concatenate([half, mirrored])),
+                  np.array([[3, 4, 0], [3, 0, 4], [3, 8, 4], [3, 4, 8], [0, 4, 4], [6, 4, 4]])):
+        for anisotropy in (1.0, 2.0, 2.5):
+            got = labels_from_seeds(shape, seeds, anisotropy).data
+            assert np.array_equal(got, labels_from_seeds_reference(shape, seeds, anisotropy))
 
 
 def test_labels_deterministic():
