@@ -3,14 +3,15 @@
 A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
 boundary of two segments, one row of a single table of mergeable per-channel
 statistics, filled in one array pass: one additive block (per channel
-count, power sums s1..s4 and histogram), min and max.  A merge adds the
-absorbed segment's rows into the survivor's, one array operation for each
-of the three, or relinks them.  Scorers score one boundary or a whole table
-of them.  Agglomeration is a greedy best-first loop over a lazily
-invalidated priority queue: pop the highest-scoring boundary, merge (the
-smaller label survives), re-score in one call the boundaries whose score
-the merge can have changed, repeat until the best score drops below the
-threshold.  Those are the absorbed segment's former boundaries, plus all of
+count, power sums s1..s4 and histogram), min and max; one adjacency map
+takes each segment to {neighbour: row}.  A merge relinks the absorbed
+segment's rows to the survivor, or adds them into the survivor's rows to
+the same neighbours, one array operation for each of the three.  Scorers
+score one boundary or a whole table of them.  Agglomeration is a greedy
+best-first loop over a lazily invalidated priority queue: pop the
+highest-scoring boundary, merge (the smaller label survives), re-score in
+one call the boundaries whose score the merge can have changed, repeat
+until the best score drops below the threshold.  Those are the absorbed segment's former boundaries, plus all of
 the survivor's when the scorer reads segment sizes.  A heap entry carries
 its table row and that row's stamp, which a merge bumps for every row it
 drops or re-scores.  Every applied merge is recorded in a MergeTree that
@@ -44,6 +45,7 @@ HIST_BINS = 10
 MERGE_RULES = {"sums": np.add, "vmin": np.minimum, "vmax": np.maximum}
 
 MODEL_MAGIC_VERSION = 1
+FIT_EPOCHS, FIT_LR = 500, 0.1  # full-batch gradient descent of the logistic fit
 
 
 class MissingEdge(Exception):
@@ -242,11 +244,11 @@ class MergeTree:
 
     @classmethod
     def read(cls, path, base: LabelVolume) -> "MergeTree":
-        """Parse a tree file, rejecting a line that merges a label with itself,
-        with one an earlier line absorbed, or with one that is not a nonzero
-        label of `base`: `agglomerate` writes no such line, replaying a cycle
-        of them would never end, and a label the base lacks would replay as
-        a silent no-op."""
+        """Parse a tree file, rejecting a line whose score is NaN or outside
+        [0, 1], that merges a label with itself or with one an earlier line
+        absorbed, or that names no nonzero label of `base`: `agglomerate`
+        writes no such line, a cycle would never end in replay, and a
+        missing label would replay as a silent no-op."""
         merges, absorbed = [], set()
         present = set(np.unique(base.data).tolist()) - {0}
         with open(path) as f:
@@ -260,7 +262,9 @@ class MergeTree:
                 except ValueError:
                     raise ValueError(f"{path}: line {n}: expected 'survivor absorbed score', "
                                      f"got {line!r}") from None
-                s, t, _ = merges[-1]
+                s, t, sc = merges[-1]
+                if not 0.0 <= sc <= 1.0:
+                    raise ValueError(f"{path}: line {n}: score {sc!r} is not in [0, 1]")
                 if s == t or s in absorbed or t in absorbed:
                     raise ValueError(f"{path}: line {n}: merges {s} and {t}, which must be "
                                      f"two labels no earlier line absorbed")
@@ -276,17 +280,16 @@ class MergeTree:
 class Rag:
     """Region adjacency graph over the nonzero labels of a segmentation.
 
-    `nodes` maps each label to its voxel count, `edges` each boundary
-    (lo, hi) to its row of `table`, and `adj` each label to its
-    neighbours.  `merge_nodes` mutates the graph in place exactly the way
-    the agglomeration loop does, so recomputation tests can drive it
-    directly.
+    `nodes` maps each label to its voxel count and `adj` each label to
+    {neighbour: row of `table`}, the boundary's statistics; `edges` is the
+    same graph as {(lo, hi): row}.  `relink` and `merge_nodes` mutate the
+    graph in place exactly the way watershed rule (d) and the agglomeration
+    loop do, so recomputation tests can drive them directly.
     """
 
     labels: LabelVolume
     nodes: dict[int, int]
-    edges: dict[tuple[int, int], int]
-    adj: dict[int, set[int]]
+    adj: dict[int, dict[int, int]]
     table: FeatureAccumulator
 
     @property
@@ -295,19 +298,21 @@ class Rag:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj.values())) // 2
+
+    @property
+    def edges(self) -> dict[tuple[int, int], int]:
+        """{(lo, hi): row} of every boundary, built afresh from `adj`."""
+        return {(a, b): row for a, nbrs in self.adj.items() for b, row in nbrs.items() if a < b}
 
     def copy(self) -> "Rag":
         """An independent graph over the same labels, to merge in a simulation."""
-        return Rag(self.labels, dict(self.nodes), dict(self.edges),
-                   {l: set(s) for l, s in self.adj.items()}, self.table.copy())
-
-    def edge_key(self, a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
+        return Rag(self.labels, dict(self.nodes), {l: dict(n) for l, n in self.adj.items()},
+                   self.table.copy())
 
     def edge_acc(self, a: int, b: int) -> FeatureAccumulator:
         """The statistics of one boundary: views into its table row."""
-        row = self.edges.get(self.edge_key(a, b))
+        row = self.adj.get(a, {}).get(b)
         if row is None:
             raise MissingEdge(f"no boundary between labels {a} and {b}")
         return self.table[row]
@@ -317,33 +322,40 @@ class Rag:
         `keys`, to score or describe them all in one call."""
         size_a = np.fromiter((self.nodes[a] for a, _ in keys), np.int64, len(keys))
         size_b = np.fromiter((self.nodes[b] for _, b in keys), np.int64, len(keys))
-        rows = np.fromiter(map(self.edges.__getitem__, keys), np.intp, len(keys))
+        rows = np.fromiter((self.adj[a][b] for a, b in keys), np.intp, len(keys))
         return self.table[rows], size_a, size_b
 
-    def merge_nodes(self, a: int, b: int):
-        """Merge b's node into a's (callers pass a < b).
+    def relink(self, a: int, b: int):
+        """Merge neighbour b's node into a's in the graph alone; a may be the
+        larger label.  The table is left as it was.
 
         The shared boundary's row is dropped.  Each other boundary row of b
-        is added into a's row to the same neighbour and dropped, or relinked
-        to a where a has none.  Returns ({neighbour x: row} of the
-        boundaries of a this changed, [rows dropped]).
+        is dropped where a has a row to the same neighbour, or else relinked
+        to a.  Returns ({neighbour x: row} of the boundaries of a this
+        changed, [rows dropped, the shared row first], [for each later
+        dropped row, the row of a it pairs with]).
         """
-        dropped = [self.edges.pop(self.edge_key(a, b))]
         self.nodes[a] += self.nodes.pop(b)
-        self.adj[a].discard(b)
-        touched, into = {}, []
-        for x in self.adj.pop(b) - {a}:
-            row = self.edges.pop(self.edge_key(b, x))
-            self.adj[x].discard(b)
-            kx = self.edge_key(a, x)
-            if kx in self.edges:
-                into.append(self.edges[kx])
+        mine, theirs = self.adj[a], self.adj.pop(b)
+        dropped = [mine.pop(b)]
+        del theirs[a]
+        into = []
+        for x, row in theirs.items():
+            other = self.adj[x]
+            del other[b]
+            if x in mine:
+                into.append(mine[x])
                 dropped.append(row)
             else:
-                self.edges[kx] = row
-                self.adj[a].add(x)
-                self.adj[x].add(a)
-            touched[x] = self.edges[kx]
+                mine[x] = other[a] = row
+        return {x: mine[x] for x in theirs}, dropped, into
+
+    def merge_nodes(self, a: int, b: int):
+        """Merge neighbour b's node into a's: `relink`, then add each dropped
+        row of b into the row of a it pairs with.  Returns ({neighbour x:
+        row} of the boundaries of a this changed, [rows dropped]).
+        """
+        touched, dropped, into = self.relink(a, b)
         if into:
             self.table.merge_rows(np.array(into), np.array(dropped[1:]))
         return touched, dropped
@@ -370,14 +382,11 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
     table = FeatureAccumulator.table(np.count_nonzero(new_pair))
     table._push_runs(((np.cumsum(new_pair) - 1)[starts], ch[starts]), val, starts)
 
-    lo, hi = lo[new_pair], hi[new_pair]
-    edges = dict(zip(zip(lo.tolist(), hi.tolist()), range(len(lo))))
-    # each label's neighbours, cut out of both orientations sorted by label
-    end = np.concatenate([lo, hi])
-    order = np.argsort(end, kind="stable")
-    nbrs = np.split(np.concatenate([hi, lo])[order], np.searchsorted(end[order], ids[1:]))
-    adj = dict(zip(ids.tolist(), map(set, map(np.ndarray.tolist, nbrs))))
-    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), edges, adj, table)
+    # pairs come sorted by (lo, hi), so each label's neighbours go in ascending
+    adj = {l: {} for l in ids.tolist()}
+    for row, (a, b) in enumerate(zip(lo[new_pair].tolist(), hi[new_pair].tolist())):
+        adj[a][b] = adj[b][a] = row
+    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), adj, table)
 
 
 def edge_features(rag: Rag, edge: tuple[int, int]) -> np.ndarray:
@@ -454,7 +463,8 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
             stamp[row] += 1
             heapq.heappush(heap, (-sc, a, b, row, stamp[row]))
 
-    push(list(rag.edges), list(rag.edges.values()))
+    edges = rag.edges
+    push(list(edges), list(edges.values()))
     while heap:
         neg, a, b, row, st = heapq.heappop(heap)
         if stamp[row] != st:
@@ -468,9 +478,9 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         # b's former rows were added into a's or relinked to a (`touched`);
         # a's other rows changed only if the score reads node sizes
         if sizes_matter:
-            touched = {x: rag.edges[rag.edge_key(a, x)] for x in rag.adj[a]}
+            touched = rag.adj[a]
         nbrs = sorted(touched)
-        push([rag.edge_key(a, x) for x in nbrs], [touched[x] for x in nbrs])
+        push([(min(a, x), max(a, x)) for x in nbrs], [touched[x] for x in nbrs])
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 
@@ -498,20 +508,19 @@ def _standardize(X: np.ndarray):
     return (X - mu) / sd, mu, sd
 
 
-def _fit_logistic(X: np.ndarray, y: np.ndarray, epochs: int = 500,
-                  lr: float = 0.1) -> Logistic:
+def _fit_logistic(X: np.ndarray, y: np.ndarray) -> Logistic:
     """Full-batch gradient descent on mean cross-entropy, then fold the
     feature standardization into the returned weights."""
     Xs, mu, sd = _standardize(X)
     n = len(y)
     w = np.zeros(X.shape[1])
     b = 0.0
-    for _ in range(epochs):
+    for _ in range(FIT_EPOCHS):
         z = np.clip(Xs @ w + b, -30.0, 30.0)
         p = 1.0 / (1.0 + np.exp(-z))
         err = p - y
-        w -= lr * (Xs.T @ err) / n
-        b -= lr * float(err.mean())
+        w -= FIT_LR * (Xs.T @ err) / n
+        b -= FIT_LR * float(err.mean())
     w_raw = w / sd
     b_raw = b - float((w * mu / sd).sum())
     return Logistic(w_raw, b_raw)

@@ -7,12 +7,13 @@ The segmentation is built in four fixed stages:
       incident edge when that affinity is >= t_low (ties: lower channel
       first, then the neighbour at the lower coordinate);
   (c) voxels with no incident edge >= t_low stay background (label 0);
-  (d) basins smaller than size_min merge into the neighbour behind their
-      strongest boundary edge (ties: the smaller neighbour label), provided
-      that edge is >= t_merge, processed to a fixpoint in decreasing order
-      of that boundary affinity (ties: smaller label first); the merged
-      basin keeps the neighbour's label and the stronger of the two
-      boundaries to each third basin; leftovers below size_min with no
+  (d) on the region adjacency graph of `agglo.build_rag`, basins smaller
+      than size_min merge into the neighbour behind their strongest
+      boundary edge (ties: the smaller neighbour label), provided that edge
+      is >= t_merge, processed to a fixpoint in decreasing order of that
+      boundary affinity (ties: smaller label first); the merged basin keeps
+      the neighbour's label and the stronger of the two boundaries to each
+      third basin (`Rag.relink`); leftovers below size_min with no
       qualifying neighbour drop to background.
 
 Output labels are densified to 1..K in order of each segment's first voxel
@@ -26,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from affseg.agglo import build_rag, threshold_lookups
 from affseg.unionfind import components, index_dtype
-from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, dense_relabel,
-                           edge_ends, require_same_shape)
+from affseg.volume import (AffinityVolume, LabelVolume, dense_relabel, edge_ends,
+                           require_same_shape)
 
 
 @dataclass(frozen=True)
@@ -90,84 +92,53 @@ def _incident_best(aff: AffinityVolume):
     return best.astype(np.float64), offs[pick]
 
 
-def _size_filter_flat(flat_labels: np.ndarray, aff: AffinityVolume,
-                      size_min: int, t_merge: float) -> np.ndarray:
-    """Rule (d): absorb under-sized segments, then drop unsalvageable ones."""
-    u_all, inv_all, cnt_all = np.unique(flat_labels, return_inverse=True,
-                                        return_counts=True)
-    nz = u_all != 0
-    uniq = u_all[nz]
-    if len(uniq) == 0:
-        return flat_labels.copy()
-    m = len(uniq)
-    sizes = cnt_all[nz].astype(np.int64).tolist()
-
-    # strongest boundary lattice edge per pair of adjacent segments
-    lo, hi, _, av = boundary_edges(flat_labels.reshape(aff.data.shape[1:]), aff.data)
-    pairs, inv = np.unique(np.searchsorted(uniq, lo) * m + np.searchsorted(uniq, hi),
-                           return_inverse=True)
-    vmax = np.full(len(pairs), -1.0)
-    np.maximum.at(vmax, inv, av)
-    adj: list[dict[int, float]] = [dict() for _ in range(m)]
-    for i, j, v in zip((pairs // m).tolist(), (pairs % m).tolist(), vmax.tolist()):
-        adj[i][j] = v
-        adj[j][i] = v
-
-    absorbed: list[tuple[int, int]] = []
-    alive = [True] * m
-    version = [0] * m
+def _size_filter(labels: LabelVolume, aff: AffinityVolume,
+                 size_min: int, t_merge: float) -> LabelVolume:
+    """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
+    lattice edge; the result is numbered 1..K by first voxel."""
+    rag = build_rag(labels, aff)
+    weight = rag.table.vmax.max(-1).tolist()
+    sizes = rag.nodes
 
     def best_neighbour(i):
-        """Strongest live boundary of i; ties go to the smaller neighbour id."""
+        """Strongest boundary of i; ties go to the smaller neighbour label."""
         bv, bj = -1.0, -1
-        for j, v in adj[i].items():
+        for j, row in rag.adj[i].items():
+            v = weight[row]
             if v > bv or (v == bv and j < bj):
                 bv, bj = v, j
         return bv, bj
 
-    heap = []
-    for i in range(m):
-        if sizes[i] < size_min:
-            bv, bj = best_neighbour(i)
-            if bj >= 0 and bv >= t_merge:
-                heapq.heappush(heap, (-bv, i, version[i]))
-
+    heap = [(-bv, i) for i in sizes if sizes[i] < size_min
+            for bv, bj in [best_neighbour(i)] if bj >= 0 and bv >= t_merge]
+    heapq.heapify(heap)
+    merges = []
     while heap:
-        negv, i, ver = heapq.heappop(heap)
-        if not alive[i] or ver != version[i] or sizes[i] >= size_min:
-            continue
+        negv, i = heapq.heappop(heap)
+        if sizes.get(i, size_min) >= size_min:
+            continue  # absorbed, or grown big enough
         bv, bj = best_neighbour(i)
         if bj < 0 or bv < t_merge:
             continue
         if -negv != bv:
-            heapq.heappush(heap, (-bv, i, ver))
+            heapq.heappush(heap, (-bv, i))
             continue
-        # absorb i into bj
-        absorbed.append((bj, i))
-        alive[i] = False
-        sizes[bj] += sizes[i]
-        nbrs = adj[i]
-        adj[i] = {}
-        for k, v in nbrs.items():
-            del adj[k][i]
-            if k == bj:
-                continue
-            merged = max(v, adj[bj].get(k, -1.0))
-            adj[bj][k] = merged
-            adj[k][bj] = merged
-        version[bj] += 1
-        if sizes[bj] < size_min:
-            bv2, bj2 = best_neighbour(bj)
-            if bj2 >= 0 and bv2 >= t_merge:
-                heapq.heappush(heap, (-bv2, bj, version[bj]))
+        # bj absorbs i and keeps the stronger boundary to each third basin
+        merges.append((bj, i, bv))
+        _, dropped, into = rag.relink(bj, i)
+        for kept, row in zip(into, dropped[1:]):
+            weight[kept] = max(weight[kept], weight[row])
+        # a still small bj has best <= bv (or it would have gone before i),
+        # so this entry pops no later than bj's turn and re-weighs it then
+        heapq.heappush(heap, (negv, bj))
 
-    # resolve every original label to its component's smallest id; components
-    # below size_min had no qualifying neighbour and drop to background
-    root = components(m, *np.array(absorbed, dtype=np.int64).reshape(-1, 2).T)
-    total = np.bincount(root, weights=cnt_all[nz], minlength=m)[root]
-    mapping = np.zeros(len(u_all), dtype=np.uint64)
-    mapping[nz] = np.where(total < size_min, 0, uniq[root])
-    return mapping[inv_all]
+    # survivors below size_min had no qualifying neighbour: background
+    uniq, first, inv = np.unique(labels.data, return_index=True, return_inverse=True)
+    final = next(threshold_lookups(merges, uniq, [t_merge]))
+    final[[sizes.get(l, 0) < size_min for l in final.tolist()]] = 0
+    order = np.argsort(first)
+    final[order] = dense_relabel(final[order])
+    return LabelVolume(final[inv].reshape(labels.data.shape))
 
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,
@@ -180,13 +151,10 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
         raise ValueError(f"size_min must be >= 0, got {size_min}")
     if not 0.0 <= t_merge <= 1.0:
         raise ValueError(f"t_merge must be in [0, 1], got {t_merge}")
-    shape = require_same_shape(labels, aff)
+    require_same_shape(labels, aff)
     if size_min == 0:
         return LabelVolume(labels.data.copy())
-    flat = labels.data.ravel()
-    filtered = _size_filter_flat(flat, aff, size_min, t_merge)
-    dense = dense_relabel(filtered)
-    return LabelVolume(dense.reshape(shape.as_tuple()))
+    return _size_filter(labels, aff, size_min, t_merge)
 
 
 def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolume, BasinStats]:
@@ -212,11 +180,9 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     dense = np.cumsum(grow & (root == ids.ravel()), dtype=np.uint64)[root]
     dense[~grow] = 0
 
-    # (d)/(e) size filtering and final densification
-    if params.size_min > 0:
-        filtered = _size_filter_flat(dense, aff, params.size_min, params.t_merge)
-        dense = dense_relabel(filtered)
-
+    # (d)/(e) size filtering, renumbered by first voxel
     vol = LabelVolume(dense.reshape(shape.as_tuple()))
-    cnts = np.bincount(dense.astype(np.intp), minlength=1).tolist()
+    if params.size_min > 0:
+        vol = _size_filter(vol, aff, params.size_min, params.t_merge)
+    cnts = np.bincount(vol.data.ravel().astype(np.intp), minlength=1).tolist()
     return vol, BasinStats(sizes=dict(enumerate(cnts[1:], 1)), background=cnts[0])

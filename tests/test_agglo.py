@@ -490,14 +490,24 @@ def test_features_equal_fresh_rebuild_after_merges():
             k = int(rng.integers(1, len(tree.merges) + 1))
             rag = build_rag(seg, aff)
             mapping = {}
-            for s, t, _sc in tree.merges[:k]:
-                rag.merge_nodes(s, t)
-                mapping[t] = s
 
             def live(l):
                 while l in mapping:
                     l = mapping[l]
                 return l
+
+            for s, t, _sc in tree.merges[:k]:
+                # the larger label survives in about half the merges, as in rule (d)
+                a, b = live(s), live(t)
+                if rng.random() < 0.5:
+                    a, b = b, a
+                twin = rag.copy()
+                got = twin.relink(a, b)
+                assert all(np.array_equal(getattr(twin.table, f), getattr(rag.table, f))
+                           for f in STATS)
+                assert rag.merge_nodes(a, b) == got[:2]
+                assert twin.nodes == rag.nodes and twin.edges == rag.edges
+                mapping[b] = a
 
             current = np.vectorize(live, otypes=[np.uint64])(seg.data.astype(np.int64))
             fresh = build_rag(LabelVolume(current), aff)

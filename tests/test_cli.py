@@ -379,6 +379,8 @@ BAD_INPUT_FILES = {
     "tree-absorbed-survivor": ("tree.txt", "3 1 0.9\n1 3 0.8\n", 2),
     "tree-absorbed-twice": ("tree.txt", "3 1 0.9\n2 1 0.8\n", 2),
     "tree-label-not-in-base": ("tree.txt", "3 1 0.9\n999 1000 0.9\n", 2),
+    "tree-score-nan": ("tree.txt", "3 1 0.9\n3 2 nan\n", 2),
+    "tree-score-above-one": ("tree.txt", "3 1 0.9\n3 2 1.5\n", 2),
     "manifest-12-fields": ("manifest.txt", "0 6 0 12 0 12 0 6 0 12 0 12\n", 1),
     "manifest-not-an-int": ("manifest.txt", "0 6 0 12 0 12 0 6 0 1.5 0 12 blk.volb\n", 1),
 }

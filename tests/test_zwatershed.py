@@ -211,14 +211,17 @@ def test_size_filter_matches_rule_d_oracle(case):
     merged = 0
     for t_high, t_low, size_min, t_merge in RULE_D_PARAMS:
         basins, stats = zwatershed(aff, WatershedParams(t_high, t_low, 0, t_low))
-        # permuted, non-dense labels: the tie rules follow label values
-        ids = np.concatenate([[0], rng.permutation(stats.n_segments) * 3 + 7]).astype(np.uint64)
-        labels = LabelVolume(ids[basins.data])
-        for m in (size_min, 1, 2 * size_min):
-            got = size_filter(labels, aff, m, t_merge)
-            expected = size_filter_reference(labels, aff, m, t_merge)
-            assert np.array_equal(got.data, expected), (t_high, t_low, m, t_merge)
-            merged += stats.n_segments - int(expected.max())
+        # permuted, non-dense labels: the tie rules follow label values, also
+        # near 2**63 and 2**64 (built in uint64: through float64 they collide)
+        perm = rng.permutation(stats.n_segments).astype(np.uint64) * np.uint64(3)
+        for offset in (7, 2**63, 2**64 - 2**12):
+            ids = np.concatenate([np.zeros(1, np.uint64), perm + np.uint64(offset)])
+            labels = LabelVolume(ids[basins.data])
+            for m in (size_min, 1, 2 * size_min):
+                got = size_filter(labels, aff, m, t_merge)
+                expected = size_filter_reference(labels, aff, m, t_merge)
+                assert np.array_equal(got.data, expected), (offset, t_high, t_low, m, t_merge)
+                merged += stats.n_segments - int(expected.max())
     assert merged > 0  # rule (d) really ran
 
 
