@@ -216,7 +216,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    specs = _checked(partition_blocks, Shape3(*args.shape), tuple(args.block), tuple(args.halo))
+    specs = _checked(partition_blocks, _checked(Shape3, *args.shape), args.block, args.halo)
     paths = [f"{args.prefix}_{i:04d}.volb" for i in range(len(specs))]
     write_manifest(specs, paths, args.out)
     return 0

@@ -7,19 +7,25 @@ see the same voxels near their shared faces.  After per-block segmentation
 blocks are matched wherever their halo regions overlap: two local segments
 merge when their voxel overlap inside the shared region is at least
 `min_voxels` AND at least `min_ratio` times the smaller of the two segments'
-voxel counts within that region.  Each connected component of the merged
-pairs becomes one global label, written out from core regions only, so every
-output voxel has exactly one writer.
+voxel counts within that region.  Every (block, nonzero label) is one node
+with a dense id, its block's offset plus the label's rank in that block, and
+the graph is parallel arrays over those ids.  Each connected component of
+the merged pairs becomes one global label, written out from core regions
+only; `stitch` rejects cores that overlap or leave a gap, so every output
+voxel has exactly one writer.
 
 Manifest files (one line per block) tie specs to labeling files on disk:
 
     z0 z1 y0 y1 x0 x1  hz0 hz1 hy0 hy1 hx0 hx1  path
 
-with core then halo ranges as inclusive-exclusive intervals.
+with core then halo ranges as inclusive-exclusive intervals, 0 <= h0 <= c0
+< c1 <= h1 on each axis.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +35,7 @@ from affseg.volume import LabelVolume, Shape3, cooccurrence, dense_relabel
 
 
 class InvalidPartition(ValueError):
-    """Partition parameters cannot produce overlapping halos."""
+    """Blocks whose ranges, halos or cores cannot form a stitchable partition."""
 
 
 class CoverageGap(Exception):
@@ -43,13 +49,15 @@ class BlockSpec:
     core: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     halo: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
+    def __post_init__(self):
+        for axis, (c0, c1), (h0, h1) in zip("zyx", self.core, self.halo):
+            if not 0 <= h0 <= c0 < c1 <= h1:
+                raise InvalidPartition(f"axis {axis}: core ({c0}, {c1}) and halo ({h0}, {h1}) "
+                                       "break 0 <= h0 <= c0 < c1 <= h1")
+
     @property
     def halo_shape(self) -> tuple[int, int, int]:
         return tuple(b - a for a, b in self.halo)
-
-    @property
-    def core_shape(self) -> tuple[int, int, int]:
-        return tuple(b - a for a, b in self.core)
 
     def core_slices_local(self):
         """Core region expressed in the halo-local frame."""
@@ -74,50 +82,46 @@ def partition_blocks(shape: Shape3, block, halo) -> list[BlockSpec]:
     several blocks but has halo 0 there, since such blocks could never be
     matched.
     """
-    dims = shape.as_tuple()
-    bdims = _as_dims(block, "block", 1)
-    hdims = _as_dims(halo, "halo", 0)
-    counts = []
-    for axis in range(3):
-        n = -(-dims[axis] // bdims[axis])  # ceil division
-        if n > 1 and hdims[axis] < 1:
-            raise InvalidPartition(
-                f"axis {('z', 'y', 'x')[axis]} splits into {n} blocks but has halo 0"
-            )
-        counts.append(n)
-    specs = []
-    for iz in range(counts[0]):
-        for iy in range(counts[1]):
-            for ix in range(counts[2]):
-                core = []
-                halo_rng = []
-                for axis, i in zip(range(3), (iz, iy, ix)):
-                    c0 = i * bdims[axis]
-                    c1 = min(c0 + bdims[axis], dims[axis])
-                    core.append((c0, c1))
-                    halo_rng.append((max(0, c0 - hdims[axis]),
-                                     min(dims[axis], c1 + hdims[axis])))
-                specs.append(BlockSpec(core=tuple(core), halo=tuple(halo_rng)))
-    return specs
+    axes = []  # per axis, the (core, halo) ranges of the blocks along it
+    for name, d, b, h in zip("zyx", shape.as_tuple(), _as_dims(block, "block", 1),
+                             _as_dims(halo, "halo", 0)):
+        if d > b and h < 1:
+            raise InvalidPartition(f"axis {name} splits into {-(-d // b)} blocks but has halo 0")
+        axes.append([((c0, min(c0 + b, d)), (max(0, c0 - h), min(d, c0 + b + h)))
+                     for c0 in range(0, d, b)])
+    # z-major; zip turns ((core, halo) along z, y, x) into (core, halo)
+    return [BlockSpec(*zip(*ranges)) for ranges in itertools.product(*axes)]
 
 
-def _intersect(ra, rb):
-    lo = max(ra[0], rb[0])
-    hi = min(ra[1], rb[1])
-    return (lo, hi) if lo < hi else None
+def _overlaps(boxes: np.ndarray):
+    """(i, j, lo, hi) for each pair i < j of (B, 3, 2) boxes that share a
+    voxel, with the shared box's corners: one array comparison per box."""
+    for i in range(len(boxes) - 1):
+        lo = np.maximum(boxes[i, :, 0], boxes[i + 1:, :, 0])
+        hi = np.minimum(boxes[i, :, 1], boxes[i + 1:, :, 1])
+        for k in np.flatnonzero((lo < hi).all(axis=1)):
+            yield i, i + 1 + int(k), lo[k], hi[k]
 
 
 @dataclass(frozen=True)
 class StitchGraph:
-    """Overlap graph over (block id, local label) nodes.
+    """Overlap graph over dense node ids.  Row k of `nodes` (N x 2 uint64)
+    is node k's (block, label), labels increasing within a block.  Edge e
+    joins nodes a[e] and b[e]; weights[e] is (overlap, count_a, count_b):
+    their voxel overlap inside the shared halo region and each node's voxel
+    count within it, so overlap never exceeds either count."""
 
-    `edges` maps node pairs to (overlap, count_a, count_b): the voxel
-    overlap inside the shared halo region, and each node's total voxel
-    count within that region.  Overlap never exceeds either count.
-    """
+    nodes: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    weights: np.ndarray
 
-    nodes: list[tuple[int, int]]
-    edges: dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, int, int]]
+    @property
+    def edges(self) -> dict[tuple[tuple[int, int], tuple[int, int]], tuple[int, int, int]]:
+        """{(node_a, node_b): (overlap, count_a, count_b)}, nodes as (block, label)."""
+        nodes = list(map(tuple, self.nodes.tolist()))
+        return {(nodes[a], nodes[b]): tuple(w)
+                for a, b, w in zip(self.a.tolist(), self.b.tolist(), self.weights.tolist())}
 
 
 def _check_coverage(specs, block_labelings):
@@ -136,74 +140,67 @@ def build_stitch_graph(specs: list[BlockSpec],
                        block_labelings: list[LabelVolume]) -> StitchGraph:
     """Count label overlaps over every pair of intersecting halo regions."""
     _check_coverage(specs, block_labelings)
-    nodes: list[tuple[int, int]] = []
-    for bi, lv in enumerate(block_labelings):
-        uniq = np.unique(lv.data)
-        nodes.extend((bi, int(l)) for l in uniq[uniq != 0])
-    edges: dict = {}
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            boxes = [_intersect(specs[i].halo[a], specs[j].halo[a]) for a in range(3)]
-            if any(b is None for b in boxes):
-                continue
-            vi = _halo_view(block_labelings[i], specs[i], boxes).ravel()
-            vj = _halo_view(block_labelings[j], specs[j], boxes).ravel()
-            both = (vi != 0) & (vj != 0)
-            if not both.any():
-                continue
-            # per-label voxel counts inside the shared region, each side
-            ui, ci = np.unique(vi[vi != 0], return_counts=True)
-            uj, cj = np.unique(vj[vj != 0], return_counts=True)
-            la, lb, overlaps = cooccurrence(vi[both], vj[both])  # in (la, lb) order
-            count_a, count_b = ci[np.searchsorted(ui, la)], cj[np.searchsorted(uj, lb)]
-            for a, b, ov, na, nb in zip(la.tolist(), lb.tolist(), overlaps.tolist(),
-                                        count_a.tolist(), count_b.tolist()):
-                edges[((i, a), (j, b))] = (ov, na, nb)
-    return StitchGraph(nodes=nodes, edges=edges)
+    labels = [u[u != 0] for u in (np.unique(lv.data) for lv in block_labelings)]
+    offset = np.cumsum([0] + [len(u) for u in labels])
+    halos = np.array([spec.halo for spec in specs], dtype=np.int64).reshape(-1, 3, 2)
+    h0 = halos[:, :, 0]
+    rows = [np.empty((0, 5), dtype=np.int64)]  # a, b, overlap, count_a, count_b
+    for i, j, lo, hi in _overlaps(halos):
+        vi, vj = (block_labelings[k].data[tuple(map(slice, lo - h0[k], hi - h0[k]))]
+                  for k in (i, j))
+        la, lb, n = cooccurrence(vi.ravel(), vj.ravel())
+        # 1 + each label's rank among its block's labels; 0 for background
+        ra, rb = np.searchsorted(labels[i], la, "right"), np.searchsorted(labels[j], lb, "right")
+        # each side's voxels per label in the region, background partners included
+        counts = [np.bincount(r, n).astype(np.int64)[r] for r in (ra, rb)]
+        rows.append(np.column_stack([offset[i] + ra - 1, offset[j] + rb - 1, n, *counts])
+                    [(ra != 0) & (rb != 0)])
+    e = np.concatenate(rows)
+    block = np.repeat(np.arange(len(labels), dtype=np.uint64), np.diff(offset))
+    nodes = np.column_stack([block, np.concatenate([np.empty(0, np.uint64), *labels])])
+    return StitchGraph(nodes, e[:, 0], e[:, 1], e[:, 2:])
 
 
 def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
            min_ratio: float = 0.5, min_voxels: int = 2) -> LabelVolume:
-    """Merge per-block labelings into one volume via halo-overlap matching."""
+    """Merge per-block labelings, cores tiling the volume, via halo-overlap matching."""
     if not 0.0 < min_ratio <= 1.0:
         raise ValueError(f"min_ratio must be in (0, 1], got {min_ratio}")
     if min_voxels < 1:
         raise ValueError(f"min_voxels must be positive, got {min_voxels}")
-    graph = build_stitch_graph(specs, block_labelings)
+    shape = _tiled_shape(specs)
+    g = build_stitch_graph(specs, block_labelings)
+    ov, ca, cb = g.weights.T
+    accept = (ov >= min_voxels) & (ov >= min_ratio * np.minimum(ca, cb))
+    # class of node k at k + 1, as 1 + its class's smallest node id; 0 is background
+    cls = np.r_[0, components(len(g.nodes), g.a[accept], g.b[accept]) + 1]
+    offset = np.searchsorted(g.nodes[:, 0], np.arange(len(specs) + 1, dtype=np.uint64))
 
-    node_id = {node: k for k, node in enumerate(graph.nodes)}
-    accepted = [(node_id[na], node_id[nb])
-                for (na, nb), (ov, ca, cb) in graph.edges.items()
-                if ov >= min_voxels and ov >= min_ratio * min(ca, cb)]
-    # class of each node, as 1 + its class's smallest node id; 0 is background
-    cls = components(len(graph.nodes),
-                     *np.array(accepted, dtype=np.int64).reshape(-1, 2).T).astype(np.uint64) + 1
-
-    out = np.zeros(_global_shape(specs), dtype=np.uint64)
+    out = np.zeros(shape, dtype=np.uint64)
     walk = []
     for bi, (spec, lv) in enumerate(zip(specs, block_labelings)):
         local = lv.data[spec.core_slices_local()]
         uniq, first, inv = np.unique(local, return_index=True, return_inverse=True)
-        lut = np.array([cls[node_id[(bi, l)]] if l else 0 for l in uniq.tolist()],
-                       dtype=np.uint64)
+        rank = np.searchsorted(g.nodes[offset[bi]:offset[bi + 1], 1], uniq, "right")
+        lut = cls[np.where(rank != 0, offset[bi] + rank, 0)]
         walk.append(lut[np.argsort(first)])
         out[tuple(slice(a, b) for a, b in spec.core)] = lut[inv].reshape(local.shape)
     # global labels 1..K in order of first appearance, block by block
     walk = np.concatenate(walk)
-    glob = np.zeros(len(graph.nodes) + 1, dtype=np.uint64)
+    glob = np.zeros(len(g.nodes) + 1, dtype=np.uint64)
     glob[walk] = dense_relabel(walk)
     return LabelVolume(glob[out])
 
 
-def _halo_view(lv: LabelVolume, spec: BlockSpec, boxes):
-    """View of a block's labeling restricted to a global-coordinate box."""
-    sl = tuple(slice(lo - h0, hi - h0)
-               for (lo, hi), (h0, _) in zip(boxes, spec.halo))
-    return lv.data[sl]
-
-
-def _global_shape(specs) -> tuple[int, int, int]:
-    return tuple(max(spec.core[a][1] for spec in specs) for a in range(3))
+def _tiled_shape(specs) -> tuple[int, int, int]:
+    """The shape whose [0, shape) the cores tile, else InvalidPartition."""
+    cores = np.array([spec.core for spec in specs], dtype=np.int64).reshape(-1, 3, 2)
+    shape = tuple(cores[:, :, 1].max(axis=0, initial=0).tolist())
+    for i, j, _, _ in _overlaps(cores):
+        raise InvalidPartition(f"cores of blocks {i} and {j} overlap")
+    if not specs or np.diff(cores).prod(axis=1).sum() != math.prod(shape):
+        raise InvalidPartition(f"the cores of {len(specs)} blocks do not tile {shape}")
+    return shape
 
 
 def write_manifest(specs: list[BlockSpec], paths: list[str], out_path) -> None:
@@ -229,8 +226,10 @@ def read_manifest(path) -> tuple[list[BlockSpec], list[str]]:
             except ValueError:
                 raise ValueError(f"{path}: line {n}: manifest line needs 12 ints and a path, "
                                  f"got {line!r}") from None
-            core = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(3))
-            halo = tuple((nums[6 + 2 * a], nums[6 + 2 * a + 1]) for a in range(3))
-            specs.append(BlockSpec(core=core, halo=halo))
+            try:
+                specs.append(BlockSpec(core=tuple(zip(nums[0:6:2], nums[1:6:2])),
+                                       halo=tuple(zip(nums[6::2], nums[7::2]))))
+            except InvalidPartition as e:
+                raise InvalidPartition(f"{path}: line {n}: {e}") from None
             paths.append(parts[12])
     return specs, paths

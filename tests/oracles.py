@@ -6,6 +6,7 @@ no code with the library's array connectivity / heap machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict, deque
 
@@ -275,6 +276,35 @@ def partitions_equal(a, b) -> bool:
     pa = np.stack([a.ravel(), b.ravel()], axis=1)
     u = np.unique(pa, axis=0)
     return len(np.unique(u[:, 0])) == len(u) and len(np.unique(u[:, 1])) == len(u)
+
+
+def stitch_overlaps_reference(specs, labelings):
+    """{((i, a), (j, b)): (overlap, count_a, count_b)} for blocks i < j.
+
+    Visits, for every pair of blocks, each voxel of the volume and keeps
+    those inside both halos; there it counts each side's label, and each
+    pair of nonzero labels, by hand.
+    """
+    def inside(k, p):
+        return all(h0 <= c < h1 for c, (h0, h1) in zip(p, specs[k].halo))
+
+    def label(k, p):
+        return int(labelings[k].data[tuple(c - h0 for c, (h0, _) in zip(p, specs[k].halo))])
+
+    extent = [max(spec.halo[axis][1] for spec in specs) for axis in range(3)]
+    edges = {}
+    for i, j in itertools.combinations(range(len(specs)), 2):
+        count_a, count_b, overlap = defaultdict(int), defaultdict(int), defaultdict(int)
+        for p in itertools.product(*map(range, extent)):
+            if inside(i, p) and inside(j, p):
+                la, lb = label(i, p), label(j, p)
+                count_a[la] += 1
+                count_b[lb] += 1
+                if la and lb:
+                    overlap[la, lb] += 1
+        for (la, lb), n in overlap.items():
+            edges[(i, la), (j, lb)] = (n, count_a[la], count_b[lb])
+    return edges
 
 
 def boundary_values(labels, aff):

@@ -280,6 +280,8 @@ BAD_PARAMETERS = {
                            "--out", "o.volb"],
     "stitch-min-voxels-0": ["stitch", "--manifest", "manifest.txt", "--min-voxels", "0",
                             "--out", "o.volb"],
+    "partition-shape-0": ["partition", "--shape", "0", "4", "4", "--block", "2", "2", "2",
+                          "--halo", "1", "1", "1", "--out", "o.csv"],
     "synth-seeds-0": ["synth", "--shape", "4", "6", "6", "--seeds", "0",
                       "--gt-out", "o.volb", "--aff-out", "o.csv"],
     "synth-shape-0": ["synth", "--shape", "0", "8", "8", "--seeds", "3",
@@ -383,6 +385,10 @@ BAD_INPUT_FILES = {
     "tree-score-above-one": ("tree.txt", "3 1 0.9\n3 2 1.5\n", 2),
     "manifest-12-fields": ("manifest.txt", "0 6 0 12 0 12 0 6 0 12 0 12\n", 1),
     "manifest-not-an-int": ("manifest.txt", "0 6 0 12 0 12 0 6 0 1.5 0 12 blk.volb\n", 1),
+    "manifest-core-outside-halo": ("manifest.txt", "0 6 0 12 0 12 0 6 2 12 0 12 blk.volb\n", 1),
+    "manifest-halo-reversed": ("manifest.txt", "0 6 0 12 0 12 0 6 0 12 0 12 blk.volb\n"
+                               "0 4 0 4 0 4 4 0 0 4 0 4 blk.volb\n", 2),
+    "manifest-negative-start": ("manifest.txt", "-2 6 0 12 0 12 -2 6 0 12 0 12 blk.volb\n", 1),
 }
 
 
@@ -405,6 +411,22 @@ def test_malformed_tree_and_manifest_lines_are_usage_errors(replay_inputs, case)
         assert f"{bad}: line {lineno}:" in err
         assert not (replay_inputs / "o.volb").exists()
         assert not (replay_inputs / "o.csv").exists()
+
+
+@pytest.mark.parametrize("cores,message", [
+    ([(0, 4), (2, 6)], "cores of blocks 0 and 1 overlap"),   # two writers for z 2 and 3
+    ([(0, 2), (4, 6)], "the cores of 2 blocks do not tile (6, 12, 12)"),  # no writer for z 2, 3
+    ([], "the cores of 0 blocks do not tile"),
+])
+def test_stitch_cores_that_do_not_tile_are_usage_errors(replay_inputs, cores, message):
+    manifest = replay_inputs / "bad_manifest.txt"
+    blk = replay_inputs / "blk_0000.volb"
+    manifest.write_text("".join(f"{z0} {z1} 0 12 0 12 0 6 0 12 0 12 {blk}\n" for z0, z1 in cores))
+    code, _, err = run(["stitch", "--manifest", str(manifest),
+                        "--out", str(replay_inputs / "o.volb")])
+    assert code == 2, err
+    assert message in err
+    assert not (replay_inputs / "o.volb").exists()
 
 
 def _required_flags():

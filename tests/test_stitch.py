@@ -15,7 +15,7 @@ from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_l
 from affseg.volume import AffinityVolume, LabelVolume, Shape3
 from affseg.zwatershed import WatershedParams, zwatershed
 
-from oracles import partitions_equal
+from oracles import partitions_equal, stitch_overlaps_reference
 
 
 def two_blocks_1d():
@@ -180,6 +180,70 @@ def test_stitch_graph_weights_bounded_by_node_counts():
     for (na, nb), (overlap, count_a, count_b) in graph.edges.items():
         assert na[0] != nb[0]  # always across two different blocks
         assert 1 <= overlap <= min(count_a, count_b)
+
+
+def random_labelings(specs, seed, empty=()):
+    """Labels 0..4 per halo voxel, nonzero ones shifted near 2**64; the
+    blocks in `empty` are all background."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, spec in enumerate(specs):
+        raw = rng.integers(0, 5, size=spec.halo_shape).astype(np.uint64)
+        raw[raw != 0] += np.uint64(2**64 - 8)
+        out.append(LabelVolume(raw * np.uint64(k not in empty)))
+    return out
+
+
+def test_stitch_graph_equals_oracle_when_halos_reach_past_neighbours():
+    # x halo 4 >= block 3, so blocks two and three apart along x overlap too
+    specs = partition_blocks(Shape3(3, 6, 14), (3, 3, 3), (1, 1, 4))
+    assert len(specs) == 10
+    for seed in range(3):
+        labelings = random_labelings(specs, seed, empty={4})
+        edges = build_stitch_graph(specs, labelings).edges
+        assert edges == stitch_overlaps_reference(specs, labelings)
+        assert any(abs(na[0] - nb[0]) >= 2 and specs[na[0]].core[1] == specs[nb[0]].core[1]
+                   for na, nb in edges)
+
+
+def test_stitch_graph_equals_oracle_on_irregular_specs():
+    specs = [BlockSpec(core=((0, 2), (0, 3), (0, 4)), halo=((0, 3), (0, 4), (0, 6))),
+             BlockSpec(core=((0, 2), (0, 3), (4, 7)), halo=((0, 2), (0, 5), (1, 7))),
+             BlockSpec(core=((0, 2), (3, 5), (0, 7)), halo=((0, 3), (1, 5), (0, 7))),
+             BlockSpec(core=((2, 3), (0, 5), (0, 7)), halo=((1, 3), (0, 5), (0, 7)))]
+    for seed in range(3):
+        labelings = random_labelings(specs, seed)
+        graph = build_stitch_graph(specs, labelings)
+        assert graph.edges == stitch_overlaps_reference(specs, labelings)
+        assert {(int(graph.nodes[a, 0]), int(graph.nodes[b, 0]))
+                for a, b in zip(graph.a, graph.b)} == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                                       (2, 3)}
+        merged = stitch(specs, labelings, min_ratio=0.5, min_voxels=1)
+        assert merged.data.shape == (3, 5, 7)
+
+
+@pytest.mark.parametrize("core,halo", [
+    (((0, 2), (0, 4), (0, 4)), ((0, 2), (1, 4), (0, 4))),   # core starts before its halo
+    (((0, 2), (0, 4), (0, 4)), ((0, 2), (0, 4), (0, 3))),   # core ends after its halo
+    (((0, 2), (0, 4), (0, 4)), ((2, 0), (0, 4), (0, 4))),   # reversed halo
+    (((0, 2), (2, 2), (0, 4)), ((0, 2), (0, 4), (0, 4))),   # empty core
+    (((-1, 2), (0, 4), (0, 4)), ((-1, 2), (0, 4), (0, 4))),  # negative start
+])
+def test_block_spec_rejects_out_of_order_ranges(core, halo):
+    with pytest.raises(InvalidPartition):
+        BlockSpec(core=core, halo=halo)
+
+
+@pytest.mark.parametrize("cores", [
+    [(0, 6), (4, 10)],   # two writers for voxels 4 and 5
+    [(0, 4), (6, 10)],   # nobody writes voxels 4 and 5
+    [],
+])
+def test_stitch_rejects_cores_that_do_not_tile(cores):
+    specs = [BlockSpec(core=((0, 1), (0, 1), c), halo=((0, 1), (0, 1), (0, 10))) for c in cores]
+    labelings = [LabelVolume(np.ones((1, 1, 10), dtype=np.uint64)) for _ in cores]
+    with pytest.raises(InvalidPartition):
+        stitch(specs, labelings)
 
 
 def test_manifest_roundtrip(tmp_path):
