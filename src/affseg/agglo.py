@@ -226,8 +226,13 @@ class Logistic:
 
     @classmethod
     def load(cls, path) -> "Logistic":
+        """Read a model file; a malformed one raises ValueError naming `path`."""
         with open(path, "rb") as f:
-            return cls.from_bytes(f.read())
+            raw = f.read()
+        try:
+            return cls.from_bytes(raw)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass

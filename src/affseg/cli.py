@@ -11,8 +11,9 @@ config values and config values beat defaults.  Required options and
 ``--threads`` (from either source) are checked before any input is read.
 
 Exit codes: 0 success, 2 usage or validation error (a malformed config
-file, merge tree or manifest included), 1 runtime error such as a missing
-input file.  All subcommands are deterministic: identical inputs give
+file, merge tree, manifest, model or volume file included, and volumes
+whose shapes do not match), 1 runtime error such as a missing input
+file.  All subcommands are deterministic: identical inputs give
 byte-identical outputs, regardless of ``--threads`` (a cap on internal
 parallelism; the current implementation is single-threaded).
 """
@@ -26,8 +27,9 @@ import sys
 
 from affseg import agglo, metrics, synthdata
 from affseg.malis import malis_gradient
-from affseg.stitch import partition_blocks, read_manifest, stitch, write_manifest
-from affseg.volume import AffinityVolume, LabelVolume, Shape3, read_volume, write_volume
+from affseg.stitch import partition_blocks, read_manifest, stitch, tiled_shape, write_manifest
+from affseg.volume import (AffinityVolume, LabelVolume, Shape3, VolumeError, read_volume,
+                           require_same_shape, write_volume)
 from affseg.zwatershed import WatershedParams, size_filter, zwatershed
 
 REQUIRED = object()
@@ -118,7 +120,7 @@ def _scorer_from(args) -> object:
         return agglo.MeanAffinity()
     if args.model is None:
         raise _missing("model")
-    return agglo.Logistic.load(args.model)
+    return _checked(agglo.Logistic.load, args.model)
 
 
 def _watershed_params(args) -> WatershedParams:
@@ -224,6 +226,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_stitch(args) -> int:
     specs, paths = _checked(read_manifest, args.manifest)
+    _checked(tiled_shape, specs)
     labelings = [_read_labels(p) for p in paths]
     merged = _checked(stitch, specs, labelings,
                       min_ratio=args.min_ratio, min_voxels=args.min_voxels)
@@ -237,6 +240,7 @@ def _cmd_pipeline(args) -> int:
     scorer = _scorer_from(args)
     aff = _read_affinities(args.aff)
     gt = _read_labels(args.gt)
+    require_same_shape(aff, gt)
     os.makedirs(args.workdir, exist_ok=True)
 
     seg, stats = zwatershed(aff, params)
@@ -357,7 +361,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as e:  # argparse: usage error or --help
         return int(e.code) if e.code else 0
-    except CliError as e:
+    except (CliError, VolumeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 -- boundary of the program

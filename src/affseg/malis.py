@@ -6,11 +6,10 @@ path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
 agree, to the negative channel when they differ.  Maximin edges are exactly
 the edges of the maximum spanning forest (Turaga et al. 2009), so the forest
-is found once, by array Borůvka rounds, and both questions read it: a
-maximin query binary-searches the forest's sweep-order prefixes, and pair
-counts fall out of one sweep of the forest edges in decreasing affinity,
-carrying per-component label histograms through the sweep's own
-union-find.
+is found once, by array Borůvka rounds, and pair counts fall out of one
+sweep of its edges in decreasing affinity, carrying per-component label
+histograms through the sweep's own union-find.  A maximin query is that
+sweep over a volume labeling just its two voxels.
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import components, spanning_forest
+from affseg.unionfind import spanning_forest
 from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
 
 
@@ -56,12 +55,10 @@ class MalisResult:
 def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
     """Best bottleneck affinity between two voxels.
 
-    Read off the same maximum spanning forest the pair counts sweep: the
-    pair's maximin edge is the forest edge whose sweep joins the two
-    voxels, found by binary search for the shortest forest prefix that
-    `components` puts them together in.  Every in-bounds edge is a
-    candidate (zero-affinity edges included), so the result is always
-    defined.
+    Read off the pair-count sweep: with `v1` labeled 1, `v2` labeled 2 and
+    every other voxel glue, the one edge charged a negative pair is the
+    pair's maximin edge.  Every in-bounds edge is a candidate (zero-affinity
+    edges included), so the result is always defined.
     """
     shape = aff.shape3
     for v in (v1, v2):
@@ -69,24 +66,16 @@ def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
             raise OutOfBounds(f"voxel {tuple(v)} outside {shape}")
     if tuple(v1) == tuple(v2):
         raise OutOfBounds("maximin affinity requires two distinct voxels")
-    a, b = shape.flat_index(*v1), shape.flat_index(*v2)
-    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
-    lo, hi = 1, len(slots)  # the whole forest spans the connected lattice
-    while lo < hi:
-        mid = (lo + hi) // 2
-        root = components(shape.voxels, forest_u[:mid], forest_v[:mid])
-        if root[a] == root[b]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(aff.data.reshape(-1)[slots[lo - 1]])
+    gt = np.zeros(shape.as_tuple(), dtype=np.uint64)
+    gt[tuple(v1)], gt[tuple(v2)] = 1, 2
+    return float(aff.data[malis_edge_counts(aff, LabelVolume(gt)).neg != 0][0])
 
 
 def _forest_in_sweep_order(aff: AffinityVolume):
     """Slots and endpoints of the maximum spanning forest's edges, in sweep order.
 
-    Both maximin queries and the pair-count sweep read it; a function of
-    its own also frees the whole-lattice arrays before the sweep starts.
+    A function of its own frees the whole-lattice arrays before the
+    pair-count sweep starts.
     """
     c, u, v = edge_table(aff.shape3)
     order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")

@@ -31,14 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import components
-from affseg.volume import LabelVolume, Shape3, cooccurrence, dense_relabel
+from affseg.volume import LabelVolume, Shape3, VolumeError, cooccurrence, dense_relabel
 
 
 class InvalidPartition(ValueError):
     """Blocks whose ranges, halos or cores cannot form a stitchable partition."""
 
 
-class CoverageGap(Exception):
+class CoverageGap(VolumeError):
     """A block spec has no labeling, or the labeling has the wrong shape."""
 
 
@@ -168,7 +168,7 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
         raise ValueError(f"min_ratio must be in (0, 1], got {min_ratio}")
     if min_voxels < 1:
         raise ValueError(f"min_voxels must be positive, got {min_voxels}")
-    shape = _tiled_shape(specs)
+    shape = tiled_shape(specs)
     g = build_stitch_graph(specs, block_labelings)
     ov, ca, cb = g.weights.T
     accept = (ov >= min_voxels) & (ov >= min_ratio * np.minimum(ca, cb))
@@ -192,8 +192,9 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     return LabelVolume(glob[out])
 
 
-def _tiled_shape(specs) -> tuple[int, int, int]:
-    """The shape whose [0, shape) the cores tile, else InvalidPartition."""
+def tiled_shape(specs) -> tuple[int, int, int]:
+    """The shape whose [0, shape) the cores tile, else InvalidPartition;
+    needs the specs alone, so a caller can check them before reading blocks."""
     cores = np.array([spec.core for spec in specs], dtype=np.int64).reshape(-1, 3, 2)
     shape = tuple(cores[:, :, 1].max(axis=0, initial=0).tolist())
     for i, j, _, _ in _overlaps(cores):

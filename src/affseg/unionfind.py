@@ -2,7 +2,7 @@
 
 Offline array code only: `components` and `spanning_forest` group ids when
 every edge is known before any lookup (watershed basins, size-filter
-absorptions, stitch classes, the MALIS forest and its maximin queries).
+absorptions, stitch classes, the MALIS forest).
 The MALIS pair-count sweep, which must look up components between unions,
 keeps its own list-based union-find.
 """

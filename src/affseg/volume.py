@@ -10,6 +10,11 @@ Everything in this package works on two arrays:
   neighbour along axis ``c``.  Slots whose neighbour falls outside the
   volume carry no edge and are forced to 0.0 on every construction path.
 
+Both containers own their data: every construction path, reading a file
+included, makes exactly one private C-contiguous copy of its input and
+freezes it read-only, so a volume never aliases the array it was built
+from and can be shared freely between threads.
+
 Both are serialized to a single little-endian container format ("VOLB"):
 
     bytes  0..3   magic b"VOLB"
@@ -25,6 +30,7 @@ Writes are deterministic: equal volumes produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -32,8 +38,6 @@ import numpy as np
 
 MAGIC = b"VOLB"
 VERSION = 1
-DTYPE_LABELS = 1
-DTYPE_AFFINITIES = 2
 HEADER_SIZE = 40
 
 _HEADER = struct.Struct("<4sIBB6sQQQ")
@@ -188,46 +192,48 @@ def overlap_counts(seg: np.ndarray, gt: np.ndarray):
     return cooccurrence(seg.ravel()[m], g[m])
 
 
-class LabelVolume:
-    """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
-
-    The backing array is made read-only so volumes can be shared freely
-    between threads after construction.
-    """
+class _Volume:
+    """Both kinds' one construction path (see the module docstring) and
+    comparison; `check_range` tests the kind's value range, if it has one."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray):
-        arr = np.asarray(data)
-        if arr.ndim != 3:
-            raise ValueError(f"label volume must be 3-d, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr, dtype=np.uint64)
-        if arr is data:
-            arr = arr.copy()
+    def __init__(self, data, check_range: bool = True):
+        noun, _, dtype, lead = _CODECS[type(self)]
+        arr = np.array(data, dtype=dtype, order="C")
+        if arr.ndim != len(lead) + 3 or arr.shape[:len(lead)] != lead:
+            axes = ", ".join([*map(str, lead), "z", "y", "x"])
+            raise ValueError(f"{noun} volume must have shape ({axes}), got {arr.shape}")
+        self._settle(arr, check_range)
         arr.flags.writeable = False
         self.data = arr
 
-    @classmethod
-    def zeros(cls, shape: Shape3) -> "LabelVolume":
-        return cls(np.zeros(shape.as_tuple(), dtype=np.uint64))
+    def _settle(self, arr: np.ndarray, check_range: bool) -> None:
+        """Fix up or check the private copy before it is frozen."""
 
     @property
     def shape3(self) -> Shape3:
-        return Shape3(*self.data.shape)
-
-    def label_at(self, z: int, y: int, x: int) -> int:
-        return int(self.data[z, y, x])
+        return Shape3(*self.data.shape[-3:])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelVolume):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
 
     def __repr__(self) -> str:
-        return f"LabelVolume(shape={self.data.shape})"
+        return f"{type(self).__name__}(shape={self.data.shape[-3:]})"
 
 
-class AffinityVolume:
+class LabelVolume(_Volume):
+    """Dense uint64 segment ids over a (z, y, x) grid; 0 = background."""
+
+    __slots__ = ()
+
+    def label_at(self, z: int, y: int, x: int) -> int:
+        return int(self.data[z, y, x])
+
+
+class AffinityVolume(_Volume):
     """Float32 edge weights over the voxel lattice, shape (3, z, y, x).
 
     Affinities proper live in [0, 1]; the same container also carries
@@ -235,39 +241,21 @@ class AffinityVolume:
     Out-of-bounds slots are zeroed on construction, always.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
-    def __init__(self, data: np.ndarray, check_range: bool = True):
-        arr = np.asarray(data)
-        if arr.ndim != 4 or arr.shape[0] != 3:
-            raise ValueError(f"affinity volume must have shape (3, z, y, x), got {arr.shape}")
-        arr = np.ascontiguousarray(arr, dtype=np.float32)
-        if arr is data:
-            arr = arr.copy()
-        if not arr.flags.writeable:
-            arr = arr.copy()
-        mask = oob_edge_mask(Shape3(*arr.shape[1:]))
-        arr[mask] = 0.0
+    def _settle(self, arr: np.ndarray, check_range: bool) -> None:
+        arr[oob_edge_mask(Shape3(*arr.shape[1:]))] = 0.0
         if check_range and not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("affinities must be finite and lie in [0, 1]")
-        arr.flags.writeable = False
-        self.data = arr
 
-    @classmethod
-    def zeros(cls, shape: Shape3) -> "AffinityVolume":
-        return cls(np.zeros((3,) + shape.as_tuple(), dtype=np.float32))
 
-    @property
-    def shape3(self) -> Shape3:
-        return Shape3(*self.data.shape[1:])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffinityVolume):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
-
-    def __repr__(self) -> str:
-        return f"AffinityVolume(shape={self.data.shape[1:]})"
+# The VOLB codec, one row per kind: its noun, dtype code (header byte 8),
+# numpy dtype in memory and on disk, and the axes in front of (z, y, x),
+# whose product is the channel count (header byte 9).
+_CODECS = {
+    LabelVolume: ("label", 1, np.dtype("<u8"), ()),
+    AffinityVolume: ("affinity", 2, np.dtype("<f4"), (3,)),
+}
 
 
 def require_same_shape(a, b) -> Shape3:
@@ -280,25 +268,18 @@ def require_same_shape(a, b) -> Shape3:
 
 def write_volume(vol: LabelVolume | AffinityVolume, path) -> None:
     """Write a volume to `path` in VOLB format. Deterministic bytes."""
-    if isinstance(vol, LabelVolume):
-        dtype_code, channels = DTYPE_LABELS, 1
-        payload = np.ascontiguousarray(vol.data, dtype="<u8").tobytes()
-        shape = vol.shape3
-    elif isinstance(vol, AffinityVolume):
-        dtype_code, channels = DTYPE_AFFINITIES, 3
-        payload = np.ascontiguousarray(vol.data, dtype="<f4").tobytes()
-        shape = vol.shape3
-    else:
+    if type(vol) not in _CODECS:
         raise TypeError(f"cannot serialize {type(vol).__name__}")
-    header = _HEADER.pack(MAGIC, VERSION, dtype_code, channels, b"\x00" * 6,
-                          shape.z, shape.y, shape.x)
+    _, code, _, lead = _CODECS[type(vol)]
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
+        f.write(_HEADER.pack(MAGIC, VERSION, code, math.prod(lead), bytes(6),
+                             *vol.shape3.as_tuple()))
+        f.write(vol.data.tobytes())  # the constructor's dtype is the file's
 
 
 def read_volume(path) -> LabelVolume | AffinityVolume:
-    """Read a VOLB file back into memory, bit-for-bit."""
+    """Read a VOLB file back into memory, bit-for-bit; affinities are not
+    range-checked, since gradient volumes share the format."""
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 4 or raw[:4] != MAGIC:
@@ -308,25 +289,21 @@ def read_volume(path) -> LabelVolume | AffinityVolume:
     magic, version, dtype_code, channels, reserved, z, y, x = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise VolumeError(f"{path}: unsupported format version {version}")
-    if reserved != b"\x00" * 6:
+    if reserved != bytes(6):
         raise VolumeError(f"{path}: reserved header bytes are not zero")
-    if dtype_code == DTYPE_LABELS:
-        if channels != 1:
-            raise VolumeError(f"{path}: label file declares {channels} channels")
-        np_dtype, itemsize = "<u8", 8
-    elif dtype_code == DTYPE_AFFINITIES:
-        if channels != 3:
-            raise VolumeError(f"{path}: affinity file declares {channels} channels")
-        np_dtype, itemsize = "<f4", 4
-    else:
+    kinds = {row[1]: (kind, *row) for kind, row in _CODECS.items()}
+    if dtype_code not in kinds:
         raise UnknownDtype(f"{path}: dtype code {dtype_code}")
-    shape = Shape3(int(z), int(y), int(x))
-    expected = channels * shape.voxels * itemsize
+    kind, noun, _, dtype, lead = kinds[dtype_code]
+    if channels != math.prod(lead):
+        raise VolumeError(f"{path}: {noun} file declares {channels} channels")
+    try:
+        shape = Shape3(int(z), int(y), int(x))
+    except ValueError as e:
+        raise VolumeError(f"{path}: {e}") from None
+    expected = channels * shape.voxels * dtype.itemsize
     got = len(raw) - HEADER_SIZE
     if got != expected:
         raise TruncatedPayload(f"{path}: payload is {got} bytes, header implies {expected}")
-    flat = np.frombuffer(raw, dtype=np_dtype, offset=HEADER_SIZE)
-    if dtype_code == DTYPE_LABELS:
-        return LabelVolume(flat.astype(np.uint64, copy=True).reshape(shape.as_tuple()))
-    arr = flat.astype(np.float32, copy=True).reshape((3,) + shape.as_tuple())
-    return AffinityVolume(arr, check_range=False)
+    view = np.frombuffer(raw, dtype=dtype, offset=HEADER_SIZE)
+    return kind(view.reshape(lead + shape.as_tuple()), check_range=False)

@@ -8,7 +8,7 @@ import pytest
 
 from affseg.cli import REQUIRED, _build_parser, main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import AffinityVolume, Shape3, read_volume, write_volume
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, read_volume, write_volume
 
 
 def run(argv):
@@ -427,6 +427,74 @@ def test_stitch_cores_that_do_not_tile_are_usage_errors(replay_inputs, cores, me
     assert code == 2, err
     assert message in err
     assert not (replay_inputs / "o.volb").exists()
+
+
+def test_stitch_checks_the_tiling_before_reading_blocks(replay_inputs):
+    manifest = replay_inputs / "bad_manifest.txt"
+    manifest.write_text(2 * f"0 6 0 12 0 12 0 6 0 12 0 12 {replay_inputs / 'nope.volb'}\n")
+    code, _, err = run(["stitch", "--manifest", str(manifest),
+                        "--out", str(replay_inputs / "o.volb")])
+    assert code == 2, err
+    assert "cores of blocks 0 and 1 overlap" in err
+    assert not (replay_inputs / "o.volb").exists()
+
+
+BAD_VOLUMES = {
+    "zero-dimension": (lambda raw: raw[:16] + bytes(8) + raw[24:],
+                       "dimension z must be a positive integer, got 0"),
+    "truncated-payload": (lambda raw: raw[:-8], "payload is"),
+    "bad-magic": (lambda raw: b"XXXX" + raw[4:], "not a VOLB file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VOLUMES))
+def test_malformed_volume_files_are_usage_errors(workdir, case):
+    corrupt, message = BAD_VOLUMES[case]
+    bad = workdir / "bad.volb"
+    bad.write_bytes(corrupt((workdir / "ws.volb").read_bytes()))
+    before = sorted(workdir.iterdir())
+    for argv in (["eval", "--seg", str(bad), "--gt", str(workdir / "gt.volb")],
+                 ["size-filter", "--labels", str(bad), "--aff", str(workdir / "aff.volb"),
+                  "--out", str(workdir / "o.volb")]):
+        code, out, err = run(argv)
+        assert code == 2, err
+        assert f"{bad}: {message}" in err
+        assert out == ""
+        assert sorted(workdir.iterdir()) == before
+
+
+def test_mismatched_volume_shapes_are_usage_errors(workdir):
+    other = workdir / "other.volb"
+    write_volume(LabelVolume(np.ones((6, 12, 10), dtype=np.uint64)), other)
+    manifest = workdir / "manifest.txt"  # one 6x12x12 block whose labeling is 6x12x10
+    manifest.write_text(f"0 6 0 12 0 12 0 6 0 12 0 12 {other}\n")
+    before = sorted(workdir.iterdir())
+    differ = "volume shapes differ"
+    for argv, message in (
+            (["eval", "--seg", str(other), "--gt", str(workdir / "gt.volb")], differ),
+            (["agglomerate", "--labels", str(other), "--aff", str(workdir / "aff.volb"),
+              "--out", str(workdir / "o.volb")], differ),
+            (["pipeline", "--aff", str(workdir / "aff.volb"), "--gt", str(other),
+              "--workdir", str(workdir / "pipe")], differ),
+            (["stitch", "--manifest", str(manifest), "--out", str(workdir / "o.volb")],
+             "block 0 labeling shape (6, 12, 10) != halo (6, 12, 12)")):
+        code, out, err = run(argv)
+        assert code == 2, err
+        assert message in err
+        assert out == ""
+        assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["agglomerate", "pipeline"])
+def test_malformed_model_file_is_usage_error_naming_file(replay_inputs, command):
+    model = replay_inputs / "model.bin"
+    model.write_bytes(b"\x01\x00")
+    before = sorted(replay_inputs.iterdir())
+    code, _, err = run(_required_argv(replay_inputs, command)
+                       + ["--scorer", "logistic", "--model", str(model)])
+    assert code == 2, err
+    assert f"{model}: model file must be 417 bytes, got 2" in err
+    assert sorted(replay_inputs.iterdir()) == before
 
 
 def _required_flags():

@@ -206,3 +206,58 @@ def test_shape_validation():
         Shape3(0, 1, 1)
     with pytest.raises(ValueError):
         Shape3(-2, 1, 1)
+
+
+KINDS = [(LabelVolume, np.uint64, (2, 3, 4), 7), (AffinityVolume, np.float32, (3, 2, 3, 4), 0.5)]
+
+
+@pytest.mark.parametrize("kind,dtype,shape,fill", KINDS)
+def test_construction_from_memmap_owns_a_private_copy(tmp_path, kind, dtype, shape, fill):
+    src = np.memmap(tmp_path / "src.bin", dtype=dtype, mode="w+", shape=shape)
+    src[...] = fill  # out-of-bounds affinity slots included
+    vol = kind(src)
+    assert np.all(src == fill)  # the caller's array is left as it was
+    assert not np.shares_memory(vol.data, src)
+    src[(0,) * len(shape)] = 9  # outside [0, 1] for affinities
+    assert vol.data[(0,) * len(shape)] == fill  # later writes do not show through
+    assert type(vol.data) is np.ndarray and not vol.data.flags.writeable
+
+
+@pytest.mark.parametrize("kind,dtype,shape,fill", KINDS)
+def test_no_construction_path_shares_memory_with_its_source(kind, dtype, shape, fill):
+    arr = np.full(shape, fill, dtype=dtype)
+    readonly = arr.copy()
+    readonly.flags.writeable = False
+    sources = {"array": arr, "strided view": np.repeat(arr, 2, axis=-1)[..., ::2],
+               "read-only": readonly, "buffer": np.frombuffer(arr.tobytes(), dtype).reshape(shape),
+               "other dtype": arr.astype(np.float64), "list": arr.tolist()}
+    for name, data in sources.items():
+        vol = kind(data)
+        assert not np.shares_memory(vol.data, data), name
+        assert vol.data.flags.c_contiguous and not vol.data.flags.writeable, name
+    assert np.all(arr == fill)  # out-of-bounds slots are zeroed in the copy only
+
+
+def test_nonzero_oob_slots_in_a_file_read_back_zeroed(tmp_path):
+    rng = np.random.default_rng(5)
+    vol = random_affinities(rng, Shape3(2, 3, 4))
+    p = tmp_path / "a.volb"
+    write_volume(vol, p)
+    raw = bytearray(p.read_bytes())
+    payload = np.frombuffer(raw, dtype="<f4", offset=40).copy()
+    mask = oob_edge_mask(vol.shape3).ravel()
+    payload[mask] = 0.75
+    p.write_bytes(bytes(raw[:40]) + payload.tobytes())
+    back = read_volume(p)
+    assert np.all(back.data.ravel()[mask] == 0.0)
+    assert back == vol
+
+
+def test_zero_dimension_in_header_is_volume_error_naming_file(tmp_path):
+    p = tmp_path / "z.volb"
+    write_volume(LabelVolume(np.ones((2, 2, 2), dtype=np.uint64)), p)
+    raw = bytearray(p.read_bytes())
+    raw[16:24] = (0).to_bytes(8, "little")  # dimension z
+    p.write_bytes(bytes(raw))
+    with pytest.raises(VolumeError, match=f"{p}: dimension z must be a positive integer, got 0"):
+        read_volume(p)
