@@ -29,7 +29,7 @@ from affseg import agglo, metrics, synthdata
 from affseg.malis import malis_gradient
 from affseg.stitch import partition_blocks, read_manifest, stitch, tiled_shape, write_manifest
 from affseg.volume import (AffinityVolume, LabelVolume, Shape3, VolumeError, read_volume,
-                           require_same_shape, write_volume)
+                           require_affinity_range, require_same_shape, write_volume)
 from affseg.zwatershed import WatershedParams, size_filter, zwatershed
 
 REQUIRED = object()
@@ -56,9 +56,10 @@ def _read_affinities(path) -> AffinityVolume:
     if not isinstance(vol, AffinityVolume):
         raise CliError(f"{path}: expected an affinity volume")
     try:
-        return AffinityVolume(vol.data)  # read_volume skips the range check
+        require_affinity_range(vol.data)  # read_volume skips the range check
     except ValueError as e:
         raise CliError(f"{path}: {e}") from e
+    return vol
 
 
 def _checked(fn, *args, **kwargs):

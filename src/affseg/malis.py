@@ -6,10 +6,10 @@ path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
 agree, to the negative channel when they differ.  Maximin edges are exactly
 the edges of the maximum spanning forest (Turaga et al. 2009), so the forest
-is found once, by array Borůvka rounds, and pair counts fall out of one
-sweep of its edges in decreasing affinity, carrying per-component label
-histograms through the sweep's own union-find.  A maximin query is that
-sweep over a volume labeling just its two voxels.
+is found once, by array Borůvka rounds; a union-find loop over its edges
+in decreasing affinity records which root absorbed which, and array passes
+over those merge records count the pairs (`malis_edge_counts`).  A maximin
+query is those counts over a volume labeling just its two voxels.
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import spanning_forest
+from affseg.unionfind import index_dtype, spanning_forest
 from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
 
 
@@ -55,7 +55,7 @@ class MalisResult:
 def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
     """Best bottleneck affinity between two voxels.
 
-    Read off the pair-count sweep: with `v1` labeled 1, `v2` labeled 2 and
+    Read off the pair counts: with `v1` labeled 1, `v2` labeled 2 and
     every other voxel glue, the one edge charged a negative pair is the
     pair's maximin edge.  Every in-bounds edge is a candidate (zero-affinity
     edges included), so the result is always defined.
@@ -71,14 +71,38 @@ def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
     return float(aff.data[malis_edge_counts(aff, LabelVolume(gt)).neg != 0][0])
 
 
+def _sweep_order(a: np.ndarray) -> np.ndarray:
+    """Indices that sort float32 `a` by decreasing value, ties by index.
+
+    The order of ``np.argsort(-a, kind="stable")`` -- -0.0 ties +0.0, every
+    NaN comes last -- from one sort of uint64 keys: the high word maps the
+    value's bits to a uint32 that falls as the value rises, the low word is
+    the index.  Only integer operations touch the values, so signalling NaNs
+    raise no floating-point warning.
+    """
+    if len(a) >= 2**32:
+        raise ValueError(f"{len(a)} edges do not fit the 32-bit index of the sweep key")
+    bits = a.view(np.uint32)
+    magnitude = bits & np.uint32(0x7FFFFFFF)
+    # positives and both zeros count down from 0x7FFFFFFF, negatives up from
+    # 0x80000001, and every NaN takes the largest key
+    rank = np.where(bits > np.uint32(0x80000000), bits, np.uint32(0x7FFFFFFF) - magnitude)
+    rank[magnitude > np.uint32(0x7F800000)] = 0xFFFFFFFF
+    keys = rank.astype(np.uint64) << np.uint64(32)
+    keys |= np.arange(len(a), dtype=np.uint64)
+    keys.sort()
+    keys &= np.uint64(0xFFFFFFFF)
+    return keys.view(np.int64)  # indices below 2**32 read the same as int64
+
+
 def _forest_in_sweep_order(aff: AffinityVolume):
     """Slots and endpoints of the maximum spanning forest's edges, in sweep order.
 
-    A function of its own frees the whole-lattice arrays before the
-    pair-count sweep starts.
+    A function of its own frees the whole-lattice arrays before the merge
+    loop starts.
     """
     c, u, v = edge_table(aff.shape3)
-    order = np.argsort(-aff.data.reshape(3, -1)[c, u], kind="stable")
+    order = _sweep_order(aff.data.reshape(3, -1)[c, u])
     u, v = u[order], v[order]
     forest = spanning_forest(aff.shape3.voxels, u, v)
     # edge slot == channel * voxels + flat index of the lower endpoint
@@ -86,29 +110,16 @@ def _forest_in_sweep_order(aff: AffinityVolume):
     return slots, u[forest], v[forest]
 
 
-def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
-    """Attribute every labeled voxel pair to its maximin edge.
+def _merges(n: int, forest_u, forest_v):
+    """Union-find over the forest edges in sweep order, by size with path halving.
 
-    The maximum spanning forest comes from Borůvka rounds
-    (`spanning_forest`); a sweep of its edges in decreasing affinity then
-    joins two components per edge, which is by construction the maximin
-    edge of exactly the pairs that straddle it, so the pair counts are
-    products of the components' label histograms.
+    Returns, per merge, the root kept and the root absorbed, the kept
+    component's size before the merge, and every voxel's final component
+    size -- for an absorbed root, its size when absorbed.
     """
-    shape = require_same_shape(aff, gt)
-    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
-
-    labels = gt.data.ravel().tolist()
-    labeled_n = (gt.data.ravel() != 0).astype(np.int64).tolist()
-    parent = list(range(shape.voxels))
-    size = [1] * shape.voxels
-    # root -> histogram of nonzero gt labels (label -> count), kept only for
-    # components of 2+ voxels with a labeled voxel; a labeled singleton's
-    # histogram is {its label: 1}
-    hist: dict[int, dict[int, int]] = {}
-    pos_at: list[int] = []
-    neg_at: list[int] = []
-
+    parent = list(range(n))
+    size = [1] * n
+    kept, gone, kept_size = [], [], []
     # memoryviews yield Python ints one at a time, where tolist() would
     # hold all of them at once
     for a, b in zip(memoryview(forest_u), memoryview(forest_v)):
@@ -116,34 +127,105 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
-        if size[a] < size[b]:
-            a, b = b, a
+        sa, sb = size[a], size[b]
+        if sa < sb:
+            a, b, sa, sb = b, a, sb, sa
         parent[b] = a
-        size[a] += size[b]
-        na, nb = labeled_n[a], labeled_n[b]
-        p = 0
-        if na and nb:
-            ha = hist.pop(a, None) or {labels[a]: 1}
-            hb = hist.pop(b, None) or {labels[b]: 1}
-            if len(ha) < len(hb):
-                ha, hb = hb, ha
-            for lab, cnt in hb.items():
-                o = ha.get(lab, 0)
-                p += cnt * o
-                ha[lab] = o + cnt
-            hist[a] = ha
-        elif na or nb:
-            r = a if na else b
-            hist[a] = hist.pop(r, None) or {labels[r]: 1}
-        labeled_n[a] = na + nb
-        pos_at.append(p)
-        neg_at.append(na * nb - p)
+        size[a] = sa + sb
+        kept.append(a)
+        gone.append(b)
+        kept_size.append(sa)
+    dtype = index_dtype(n)
+    return tuple(np.fromiter(x, dtype, count=len(x)) for x in (kept, gone, kept_size, size))
+
+
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo[q]:hi[q]]) for every query q, where lo < hi.
+
+    A sparse table (Bender & Farach-Colton 2000), built one level at a
+    time: level t holds the maxima of runs of 2**t, and a query whose
+    length lies in [2**t, 2**(t+1)) is the larger of two overlapping runs.
+    Only one level is alive at a time, so memory stays O(len(values)).
+    """
+    level = np.frexp(hi - lo)[1] - 1  # floor(log2(length))
+    out = np.empty(len(lo), dtype=values.dtype)
+    table = values
+    for t in range(int(level.max(initial=-1)) + 1):
+        run = 1 << t
+        if t:
+            table = np.maximum(table[:-(run >> 1)], table[run >> 1:])
+        q = np.flatnonzero(level == t)
+        out[q] = np.maximum(table[lo[q]], table[hi[q] - run])
+    return out
+
+
+def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
+    """Attribute every labeled voxel pair to its maximin edge.
+
+    The lattice is connected, so the maximum spanning forest is one tree,
+    and forest edge k in sweep order, the k-th merge, is the maximin edge
+    of exactly the pairs it joins.  From the merge records:
+
+    - **Leaf order.**  Each merge puts the absorbed component's voxels
+      after the kept one's, so every component is a contiguous run headed
+      by its root; a voxel's position sums the kept sizes along its chain
+      of absorptions (pointer doubling: union by size keeps the chains
+      shorter than log2 of the voxel count).  Merge k covers [lo, end),
+      split at mid = lo + kept size.
+    - **Labeled pairs** n_left * n_right come from one prefix sum.
+    - **Positive pairs.**  Consecutive same-label voxels of the
+      (label, position) order meet at the latest merge between them, a
+      range maximum over the gaps of the leaf order.  That merge is
+      credited the label's count left of mid times its count right of it,
+      found by `searchsorted` in the (label, position) keys; this credits
+      each label of each merge once.  Negative pairs are the rest.
+    """
+    shape = require_same_shape(aff, gt)
+    n = shape.voxels
+    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
+    kept, gone, kept_size, size = _merges(n, forest_u, forest_v)
+    del forest_u, forest_v
+
+    # leaf positions: the tree's root sits at 0, every absorbed root at its
+    # keeper's position plus the keeper's size at the merge
+    up = np.arange(n, dtype=kept.dtype)
+    up[gone] = kept
+    at = np.zeros(n, dtype=kept.dtype)
+    at[gone] = kept_size
+    while True:
+        upup = up[up]
+        if np.array_equal(upup, up):
+            break
+        at += at[up]
+        up = upup
+    mid = at[gone]
+    lo = mid - kept_size
+    end = mid + size[gone]
+    closes = np.empty(n - 1, dtype=kept.dtype)  # closes[p - 1] joins positions p - 1, p
+    closes[mid - 1] = np.arange(n - 1, dtype=kept.dtype)
+
+    flat = gt.data.ravel()
+    labeled = np.flatnonzero(flat)
+    in_order = np.zeros(n + 1, dtype=np.int64)
+    in_order[at[labeled] + 1] = 1
+    np.cumsum(in_order, out=in_order)  # labeled voxels before each position
+    labeled_pairs = (in_order[mid] - in_order[lo]) * (in_order[end] - in_order[mid])
+
+    label_rank = np.unique(flat[labeled], return_inverse=True)[1]
+    keys = np.sort(label_rank * n + at[labeled])
+    first = keys // n * n  # key of position 0 of the key's label
+    t = np.flatnonzero(first[1:] == first[:-1])
+    k = _range_max(closes, keys[t] - first[t], keys[t + 1] - first[t])
+    left = t + 1 - np.searchsorted(keys, first[t] + lo[k])
+    right = np.searchsorted(keys, first[t] + end[k]) - t - 1
+    pos_at = np.zeros(n - 1, dtype=np.int64)
+    np.add.at(pos_at, k, left * right)
 
     # each forest slot is written once
     pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
     neg = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
-    pos.reshape(-1)[slots] = np.array(pos_at, dtype=np.uint64)
-    neg.reshape(-1)[slots] = np.array(neg_at, dtype=np.uint64)
+    pos.reshape(-1)[slots] = pos_at
+    neg.reshape(-1)[slots] = labeled_pairs - pos_at
     return PairCounts(pos=pos, neg=neg)
 
 

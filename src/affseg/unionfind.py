@@ -3,8 +3,8 @@
 Offline array code only: `components` and `spanning_forest` group ids when
 every edge is known before any lookup (watershed basins, size-filter
 absorptions, stitch classes, the MALIS forest).
-The MALIS pair-count sweep, which must look up components between unions,
-keeps its own list-based union-find.
+The MALIS merge loop, which must find the two roots of each forest edge
+before it records their merge, keeps its own list-based union-find.
 """
 
 from __future__ import annotations
@@ -47,27 +47,26 @@ def spanning_forest(n: int, u, v) -> np.ndarray:
     Borůvka rounds: every component takes its earliest live incident edge
     (`np.minimum.at` of edge positions onto both endpoint roots), those
     edges join the forest, `components` merges along them, and edges inside
-    one component drop out.  Position is a strict total order, so the
-    minimum spanning forest under it is unique and equals Kruskal's, with
-    self-loops and later duplicates rejected alike.
+    one component drop out.  Each live edge carries its endpoints' roots
+    from round to round, so a round gathers roots for live edges only.
+    Position is a strict total order, so the minimum spanning forest under
+    it is unique and equals Kruskal's, with self-loops and later duplicates
+    rejected alike.
     """
     m = len(u)
     keep = np.zeros(m, dtype=bool)
     pos = np.arange(m, dtype=index_dtype(m + 1))  # m marks "no edge"
     dtype = index_dtype(n)
-    u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
-    root = np.arange(n, dtype=dtype)
+    ru, rv = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
     while True:
-        ru, rv = root[u], root[v]
-        live = ru != rv
-        if not live.any():
+        live = np.flatnonzero(ru != rv)
+        if not len(live):
             return keep
-        u, v, ru, rv, pos = u[live], v[live], ru[live], rv[live], pos[live]
+        ru, rv, pos = ru[live], rv[live], pos[live]
         best = np.full(n, m, dtype=pos.dtype)
         np.minimum.at(best, ru, pos)
         np.minimum.at(best, rv, pos)
         keep[best[best < m]] = True
         joined = keep[pos]
-        # roots are each component's smallest id, so relabelling roots by
-        # `components` keeps every id mapped to its (new) component's root
-        root = components(n, ru[joined], rv[joined])[root]
+        root = components(n, ru[joined], rv[joined])
+        ru, rv = root[ru], root[rv]

@@ -245,8 +245,14 @@ class AffinityVolume(_Volume):
 
     def _settle(self, arr: np.ndarray, check_range: bool) -> None:
         arr[oob_edge_mask(Shape3(*arr.shape[1:]))] = 0.0
-        if check_range and not ((arr >= 0.0) & (arr <= 1.0)).all():
-            raise ValueError("affinities must be finite and lie in [0, 1]")
+        if check_range:
+            require_affinity_range(arr)
+
+
+def require_affinity_range(data: np.ndarray) -> None:
+    """Raise ValueError unless every value is finite and lies in [0, 1]."""
+    if not ((data >= 0.0) & (data <= 1.0)).all():
+        raise ValueError("affinities must be finite and lie in [0, 1]")
 
 
 # The VOLB codec, one row per kind: its noun, dtype code (header byte 8),

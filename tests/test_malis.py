@@ -3,6 +3,7 @@ import pytest
 
 from affseg.malis import (
     OutOfBounds,
+    _sweep_order,
     malis_edge_counts,
     malis_gradient,
     maximin_affinity,
@@ -182,6 +183,105 @@ def test_counts_match_full_sweep_on_medium_volumes(name):
     labeled = sum(sizes)
     assert int(counts.pos.sum()) == sum(s * (s - 1) // 2 for s in sizes)
     assert counts.total_pairs == labeled * (labeled - 1) // 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_order_matches_stable_argsort():
+    # quiet and signalling NaNs of both signs, +-0, +-inf, +-subnormals
+    special = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFA00000, 0x7FFFFFFF,
+                        0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+                        0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,
+                        0x3F800000, 0xBF800000, 0x7F7FFFFF, 0xFF7FFFFF],
+                       dtype=np.uint32).view(np.float32)
+    rng = np.random.default_rng(15)
+    for size in (0, 1, 2, 17, 300, 5000):
+        values = np.concatenate([special, rng.normal(size=8).astype(np.float32),
+                                 np.float32([0.5, -0.5, 0.25])])
+        a = values[rng.integers(0, len(values), size)]  # long ties
+        assert np.array_equal(_sweep_order(a), np.argsort(-a, kind="stable"))
+    a = np.repeat(special, 50)
+    assert np.array_equal(_sweep_order(a), np.argsort(-a, kind="stable"))
+
+
+def chain_affinities(n, kind):
+    """x affinities of a 1 x 1 x n chain: increasing, decreasing, all equal,
+    or "balanced", which merges pairs, then pairs of pairs, and so on, so
+    that union by size builds a union tree of depth log2(n)."""
+    i = np.arange(n - 1)
+    if kind == "balanced":
+        trailing = np.frexp((i + 1) & -(i + 1))[1] - 1  # trailing zeros of i + 1
+        return 1.0 - trailing / 32.0
+    return {"increasing": (i + 1) / n, "decreasing": 1.0 - (i + 1) / n,
+            "equal": np.full(n - 1, 0.5)}[kind]
+
+
+def assert_counts_match_oracles(aff, gt, brute_force=False):
+    counts = malis_edge_counts(aff, gt)
+    exp_pos, exp_neg = malis_counts_full_sweep(aff, gt)
+    assert np.array_equal(counts.pos, exp_pos)
+    assert np.array_equal(counts.neg, exp_neg)
+    if brute_force:
+        exp_pos, exp_neg = pair_counts(aff, gt)
+        assert np.array_equal(counts.pos, exp_pos)
+        assert np.array_equal(counts.neg, exp_neg)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["increasing", "decreasing", "equal", "balanced"])
+def test_counts_on_chains_match_oracles(kind):
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 12, 64, 257):
+        aff = chain_volume(chain_affinities(n, kind))
+        for n_labels, glue in ((1, 0.0), (3, 0.3), (5, 0.8)):
+            labels = rng.integers(1, n_labels + 1, n).astype(np.uint64)
+            labels[rng.random(n) < glue] = 0
+            assert_counts_match_oracles(aff, LabelVolume(labels.reshape(1, 1, n)),
+                                        brute_force=n <= 12)
+
+
+def test_counts_one_label_per_voxel():
+    rng = np.random.default_rng(17)
+    for aff, _ in [random_instance(rng) for _ in range(5)] + [jittered_patch(18)]:
+        n = aff.shape3.voxels
+        ids = rng.permutation(n).astype(np.uint64) + 1
+        counts = assert_counts_match_oracles(
+            aff, LabelVolume(ids.reshape(aff.shape3.as_tuple())), brute_force=n <= 12)
+        assert not counts.pos.any()
+        assert counts.total_pairs == n * (n - 1) // 2
+
+
+def test_counts_with_labels_near_2_64():
+    rng = np.random.default_rng(19)
+    top = np.array([2**64 - 1, 2**64 - 2, 2**63, 2**63 - 1], dtype=np.uint64)
+    for aff, gt in [random_instance(rng, n_labels=4) for _ in range(10)] + [jittered_patch(20)]:
+        labels = np.where(gt.data == 0, 0, top[gt.data % 4])
+        assert_counts_match_oracles(aff, LabelVolume(labels),
+                                    brute_force=aff.shape3.voxels <= 12)
+
+
+def test_counts_for_same_label_pairs_at_every_leaf_distance():
+    # with equal affinities a chain's leaf order is x order, so a pair of
+    # voxels x apart is one range-maximum query of length x; with increasing
+    # ones neighbours in x lie far apart in leaf order
+    n = 130
+    for kind in ("equal", "increasing", "balanced"):
+        aff = chain_volume(chain_affinities(n, kind))
+        for gap in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129):
+            labels = np.zeros(n, dtype=np.uint64)
+            labels[0] = labels[gap] = 7
+            labels[gap // 2 + 1: gap] = 3  # other labels between, and after
+            labels[gap + 1:] = 5
+            assert_counts_match_oracles(aff, LabelVolume(labels.reshape(1, 1, n)))
+
+
+@pytest.mark.parametrize("labels", [[0], [4], [0, 0], [0, 9], [9, 9], [9, 8]])
+def test_counts_on_one_and_two_voxel_volumes(labels):
+    aff = chain_volume([0.3] if len(labels) == 2 else [])
+    counts = assert_counts_match_oracles(
+        aff, LabelVolume(np.array(labels, dtype=np.uint64).reshape(1, 1, -1)), brute_force=True)
+    same = labels == [9, 9]
+    assert counts.pos[2, 0, 0, 0] == (1 if same else 0)
+    assert counts.neg[2, 0, 0, 0] == (1 if labels == [9, 8] else 0)
 
 
 def test_count_conservation():
