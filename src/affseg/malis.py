@@ -5,11 +5,11 @@ the maximum over all connecting paths of the minimum edge affinity along the
 path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
 agree, to the negative channel when they differ.  Maximin edges are exactly
-the edges of the maximum spanning forest (Turaga et al. 2009), so the forest
-is found once, by array Borůvka rounds; a union-find loop over its edges
-in decreasing affinity records which root absorbed which, and array passes
-over those merge records count the pairs (`malis_edge_counts`).  A maximin
-query is those counts over a volume labeling just its two voxels.
+the edges of the maximum spanning forest (Turaga et al. 2009): a Kruskal
+loop in decreasing affinity, behind a cycle filter, decides the forest and
+records which root absorbed which, and array passes over those merge records
+count the pairs (`malis_edge_counts`).  A maximin query is those counts over
+a volume labeling just its two voxels.
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import index_dtype, spanning_forest
-from affseg.volume import AffinityVolume, LabelVolume, edge_table, require_same_shape
+from affseg.unionfind import index_dtype
+from affseg.volume import AffinityVolume, LabelVolume, edge_ends, edge_table, require_same_shape
 
 
 class OutOfBounds(Exception):
@@ -95,38 +95,61 @@ def _sweep_order(a: np.ndarray) -> np.ndarray:
     return keys.view(np.int64)  # indices below 2**32 read the same as int64
 
 
-def _forest_in_sweep_order(aff: AffinityVolume):
-    """Slots and endpoints of the maximum spanning forest's edges, in sweep order.
+def _square_sides(arr: np.ndarray, a: int, b: int):
+    """Views of an affinity-shaped array at the four sides of every unit
+    square in the plane of axes a < b: its two a-edges, then its two b-edges."""
+    return (*edge_ends(edge_ends(arr[a], a)[0], b), *edge_ends(edge_ends(arr[b], b)[0], a))
 
-    A function of its own frees the whole-lattice arrays before the merge
-    loop starts.
+
+def _candidates_in_sweep_order(aff: AffinityVolume):
+    """Slots and endpoints, in sweep order, of the edges the cycle filter keeps.
+
+    The last-swept side of a unit square joins two voxels its other three
+    sides have joined already, so (cycle property) it never merges; dropping
+    it in every (z, y), (z, x) and (y, x) square halves the merge loop.  A
+    function of its own frees the whole-lattice arrays before that loop.
     """
-    c, u, v = edge_table(aff.shape3)
-    order = _sweep_order(aff.data.reshape(3, -1)[c, u])
-    u, v = u[order], v[order]
-    forest = spanning_forest(aff.shape3.voxels, u, v)
-    # edge slot == channel * voxels + flat index of the lower endpoint
-    slots = (c[order] * aff.shape3.voxels + u)[forest]
-    return slots, u[forest], v[forest]
+    shape = aff.shape3
+    c, u, v = edge_table(shape)
+    slot = c * shape.voxels + u  # channel * voxels + flat index of the lower endpoint
+    del c
+    order = _sweep_order(aff.data.reshape(-1)[slot])
+    # out-of-bounds slots keep no rank: no square has them as a side
+    rank = np.empty((3,) + shape.as_tuple(), dtype=index_dtype(len(order)))
+    rank.reshape(-1)[slot[order]] = np.arange(len(order), dtype=rank.dtype)
+    last = np.zeros(rank.shape, dtype=bool)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        ranks = _square_sides(rank, a, b)
+        top = np.maximum(np.maximum(ranks[0], ranks[1]), np.maximum(ranks[2], ranks[3]))
+        for r, mark in zip(ranks, _square_sides(last, a, b)):
+            mark |= r == top
+    del rank
+    order = order[~last.reshape(-1)[slot[order]]]
+    dtype = index_dtype(shape.voxels)
+    return slot[order], u[order].astype(dtype), v[order].astype(dtype)
 
 
-def _merges(n: int, forest_u, forest_v):
-    """Union-find over the forest edges in sweep order, by size with path halving.
+def _merges(n: int, cand_u, cand_v):
+    """Kruskal over the candidates in sweep order: union-find by size with
+    path halving that skips an edge whose ends already share a root.
 
-    Returns, per merge, the root kept and the root absorbed, the kept
-    component's size before the merge, and every voxel's final component
-    size -- for an absorbed root, its size when absorbed.
+    Returns the mask of the candidates that merged; per merge the kept root,
+    the absorbed root and the kept size before the merge; and every voxel's
+    final component size (an absorbed root's size when absorbed).
     """
     parent = list(range(n))
     size = [1] * n
     kept, gone, kept_size = [], [], []
+    merged = bytearray(len(cand_u))
     # memoryviews yield Python ints one at a time, where tolist() would
     # hold all of them at once
-    for a, b in zip(memoryview(forest_u), memoryview(forest_v)):
+    for i, (a, b) in enumerate(zip(memoryview(cand_u), memoryview(cand_v))):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
         sa, sb = size[a], size[b]
         if sa < sb:
             a, b, sa, sb = b, a, sb, sa
@@ -135,8 +158,10 @@ def _merges(n: int, forest_u, forest_v):
         kept.append(a)
         gone.append(b)
         kept_size.append(sa)
+        merged[i] = 1
     dtype = index_dtype(n)
-    return tuple(np.fromiter(x, dtype, count=len(x)) for x in (kept, gone, kept_size, size))
+    return (np.frombuffer(merged, dtype=bool),
+            *(np.fromiter(x, dtype, count=len(x)) for x in (kept, gone, kept_size, size)))
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -163,8 +188,9 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     """Attribute every labeled voxel pair to its maximin edge.
 
     The lattice is connected, so the maximum spanning forest is one tree,
-    and forest edge k in sweep order, the k-th merge, is the maximin edge
-    of exactly the pairs it joins.  From the merge records:
+    and the k-th merge of the Kruskal loop over the cycle filter's
+    candidates in sweep order is the maximin edge of exactly the pairs it
+    joins.  From the merge records:
 
     - **Leaf order.**  Each merge puts the absorbed component's voxels
       after the kept one's, so every component is a contiguous run headed
@@ -182,9 +208,10 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     """
     shape = require_same_shape(aff, gt)
     n = shape.voxels
-    slots, forest_u, forest_v = _forest_in_sweep_order(aff)
-    kept, gone, kept_size, size = _merges(n, forest_u, forest_v)
-    del forest_u, forest_v
+    cand_slots, cand_u, cand_v = _candidates_in_sweep_order(aff)
+    merged, kept, gone, kept_size, size = _merges(n, cand_u, cand_v)
+    slots = cand_slots[merged]
+    del cand_slots, cand_u, cand_v
 
     # leaf positions: the tree's root sits at 0, every absorbed root at its
     # keeper's position plus the keeper's size at the merge
@@ -221,7 +248,7 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     pos_at = np.zeros(n - 1, dtype=np.int64)
     np.add.at(pos_at, k, left * right)
 
-    # each forest slot is written once
+    # each merged slot is written once
     pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
     neg = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
     pos.reshape(-1)[slots] = pos_at

@@ -1,10 +1,9 @@
-"""Connected components and spanning forests of integer-id graphs.
+"""Connected components of integer-id graphs.
 
-Offline array code only: `components` and `spanning_forest` group ids when
-every edge is known before any lookup (watershed basins, size-filter
-absorptions, stitch classes, the MALIS forest).
-The MALIS merge loop, which must find the two roots of each forest edge
-before it records their merge, keeps its own list-based union-find.
+Offline array code only: `components` groups ids when every edge is known
+before any lookup (watershed basins, stitch classes).  The MALIS Kruskal
+loop, which must find the two roots of each edge before it merges them or
+skips the edge, keeps its own list-based union-find.
 """
 
 from __future__ import annotations
@@ -40,33 +39,3 @@ def components(n: int, u, v) -> np.ndarray:
         while not np.array_equal(jumped, parent):
             parent, jumped = jumped, jumped[jumped]
 
-
-def spanning_forest(n: int, u, v) -> np.ndarray:
-    """Mask of the edges (u, v) that Kruskal accepts taking them in the given order.
-
-    Borůvka rounds: every component takes its earliest live incident edge
-    (`np.minimum.at` of edge positions onto both endpoint roots), those
-    edges join the forest, `components` merges along them, and edges inside
-    one component drop out.  Each live edge carries its endpoints' roots
-    from round to round, so a round gathers roots for live edges only.
-    Position is a strict total order, so the minimum spanning forest under
-    it is unique and equals Kruskal's, with self-loops and later duplicates
-    rejected alike.
-    """
-    m = len(u)
-    keep = np.zeros(m, dtype=bool)
-    pos = np.arange(m, dtype=index_dtype(m + 1))  # m marks "no edge"
-    dtype = index_dtype(n)
-    ru, rv = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
-    while True:
-        live = np.flatnonzero(ru != rv)
-        if not len(live):
-            return keep
-        ru, rv, pos = ru[live], rv[live], pos[live]
-        best = np.full(n, m, dtype=pos.dtype)
-        np.minimum.at(best, ru, pos)
-        np.minimum.at(best, rv, pos)
-        keep[best[best < m]] = True
-        joined = keep[pos]
-        root = components(n, ru[joined], rv[joined])
-        ru, rv = root[ru], root[rv]

@@ -44,6 +44,18 @@ class UnionFind:
         return ra
 
 
+def kruskal_forest(n, u, v):
+    """Mask of the edges (u, v) Kruskal accepts: those whose ends are still
+    apart when the edge's turn comes, in the given order."""
+    uf = UnionFind(n)
+    keep = []
+    for a, b in zip(u, v):
+        ra, rb = uf.find(int(a)), uf.find(int(b))
+        keep.append(ra != rb)
+        uf.union(ra, rb)
+    return np.array(keep, dtype=bool)
+
+
 def all_edges(aff):
     """Every in-bounds lattice edge as (c, z, y, x, affinity, u, v)."""
     Z, Y, X = aff.data.shape[1:]

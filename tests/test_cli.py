@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+from affseg.agglo import MODEL_MAGIC_VERSION, N_FEATURES
 from affseg.cli import REQUIRED, _build_parser, main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, read_volume, write_volume
@@ -286,6 +287,14 @@ BAD_PARAMETERS = {
                       "--gt-out", "o.volb", "--aff-out", "o.csv"],
     "synth-shape-0": ["synth", "--shape", "0", "8", "8", "--seeds", "3",
                       "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-anisotropy-nan": ["synth", "--shape", "4", "6", "6", "--seeds", "3",
+                             "--anisotropy", "nan", "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-anisotropy-inf": ["synth", "--shape", "4", "6", "6", "--seeds", "3",
+                             "--anisotropy", "inf", "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-sigma-nan": ["synth", "--shape", "4", "6", "6", "--seeds", "3",
+                        "--sigma", "nan", "--gt-out", "o.volb", "--aff-out", "o.csv"],
+    "synth-sigma-inf": ["synth", "--shape", "4", "6", "6", "--seeds", "3",
+                        "--sigma", "inf", "--gt-out", "o.volb", "--aff-out", "o.csv"],
     "synth-too-many-seeds": ["synth", "--shape", "1", "1", "2", "--seeds", "5",
                              "--gt-out", "o.volb", "--aff-out", "o.csv"],
 }
@@ -494,6 +503,22 @@ def test_malformed_model_file_is_usage_error_naming_file(replay_inputs, command)
                        + ["--scorer", "logistic", "--model", str(model)])
     assert code == 2, err
     assert f"{model}: model file must be 417 bytes, got 2" in err
+    assert sorted(replay_inputs.iterdir()) == before
+
+
+@pytest.mark.parametrize("at, value", [(0, np.nan), (N_FEATURES, np.inf)],
+                         ids=["nan-weight", "inf-bias"])
+@pytest.mark.parametrize("command", ["agglomerate", "pipeline"])
+def test_non_finite_model_is_usage_error_naming_file(replay_inputs, command, at, value):
+    values = np.zeros(N_FEATURES + 1)  # the weights, then the bias
+    values[at] = value
+    model = replay_inputs / "model.bin"
+    model.write_bytes(bytes([MODEL_MAGIC_VERSION]) + values.astype("<f8").tobytes())
+    before = sorted(replay_inputs.iterdir())
+    code, _, err = run(_required_argv(replay_inputs, command)
+                       + ["--scorer", "logistic", "--model", str(model)])
+    assert code == 2, err
+    assert f"{model}: weights and bias must be finite" in err
     assert sorted(replay_inputs.iterdir()) == before
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from affseg.malis import (
     OutOfBounds,
+    _candidates_in_sweep_order,
     _sweep_order,
     malis_edge_counts,
     malis_gradient,
@@ -11,7 +12,14 @@ from affseg.malis import (
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
 
-from oracles import malis_counts_full_sweep, maximin_by_threshold, pair_counts
+from oracles import (
+    all_edges,
+    kruskal_forest,
+    malis_counts_full_sweep,
+    maximin_by_threshold,
+    pair_counts,
+    sweep_sorted,
+)
 
 
 def chain_volume(x_affs):
@@ -151,7 +159,7 @@ def jittered_patch(seed, shape=(8, 24, 24)):
 
 
 def medium_case(name):
-    """8x24x24 volumes, where the forest takes several Borůvka rounds."""
+    """8x24x24 volumes, where the Kruskal loop skips many candidate edges."""
     kind, seed = name.rsplit("_", 1)
     aff, gt = jittered_patch(int(seed))
     rng = np.random.default_rng(int(seed))
@@ -183,6 +191,36 @@ def test_counts_match_full_sweep_on_medium_volumes(name):
     labeled = sum(sizes)
     assert int(counts.pos.sum()) == sum(s * (s - 1) // 2 for s in sizes)
     assert counts.total_pairs == labeled * (labeled - 1) // 2
+
+
+@pytest.mark.parametrize("values", ["quarter_grid", "all_equal"])
+@pytest.mark.parametrize("shape", [(6, 12, 12), (1, 7, 9), (7, 1, 9), (7, 9, 1), (1, 1, 11)],
+                         ids=["lattice", "z_1", "y_1", "x_1", "line"])
+def test_cycle_filter_drops_only_edges_kruskal_rejects(shape, values):
+    # thin volumes have squares in one plane only, a line has none
+    rng = np.random.default_rng(3)
+    if values == "quarter_grid":
+        a = rng.integers(0, 5, (3,) + shape) / 4.0
+    else:
+        a = np.full((3,) + shape, 0.5)
+    aff = AffinityVolume(a.astype(np.float32))
+    n = aff.shape3.voxels
+    c, _z, _y, _x, _a, u, v = map(np.array, zip(*sweep_sorted(all_edges(aff))))
+    slots = c * n + u
+    forest = kruskal_forest(n, u, v)
+    got_slots, got_u, got_v = _candidates_in_sweep_order(aff)
+    kept = np.isin(slots, got_slots)
+    assert np.array_equal(got_slots, slots[kept])  # still in sweep order
+    assert np.array_equal(got_u, u[kept]) and np.array_equal(got_v, v[kept])
+    assert kept[forest].all()  # every edge Kruskal accepts is a candidate
+    assert not forest[~kept].any()  # every dropped edge is one Kruskal rejects
+    squares = sum((shape[i] - 1) * (shape[j] - 1) for i, j in ((0, 1), (0, 2), (1, 2)))
+    assert kept.all() == (squares == 0)
+    gt = LabelVolume(rng.integers(0, 3, shape).astype(np.uint64))
+    counts = malis_edge_counts(aff, gt)
+    exp_pos, exp_neg = malis_counts_full_sweep(aff, gt)
+    assert np.array_equal(counts.pos, exp_pos)
+    assert np.array_equal(counts.neg, exp_neg)
 
 
 @pytest.mark.filterwarnings("error")
