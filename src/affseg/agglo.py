@@ -2,21 +2,22 @@
 
 A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
 boundary of two segments, one row of a single table of mergeable per-channel
-statistics, filled in one array pass: one additive block (per channel
-count, power sums s1..s4 and histogram), min and max; one adjacency map
-takes each segment to {neighbour: row}.  A merge relinks the absorbed
-segment's rows to the survivor, or adds them into the survivor's rows to
-the same neighbours, one array operation for each of the three.  Scorers
-score one boundary or a whole table of them.  Agglomeration is a greedy
-best-first loop over a lazily invalidated priority queue: pop the
-highest-scoring boundary, merge (the smaller label survives), re-score in
-one call the boundaries whose score the merge can have changed, repeat
-until the best score drops below the threshold.  Those are the absorbed segment's former boundaries, plus all of
-the survivor's when the scorer reads segment sizes.  A heap entry carries
-its table row and that row's stamp, which a merge bumps for every row it
-drops or re-scores.  Every applied merge is recorded in a MergeTree that
-can be replayed later, at one threshold or, walking the merges once, at a
-whole decreasing series of them.
+statistics, filled in one array pass, that holds only what its consumer
+reads (mean scorer: count and s1, rule (d): max, logistic scorer: all) in up
+to three blocks: one additive (count, s1..s4, histogram), min and max; one
+adjacency map takes each segment to {neighbour: row}.  A merge relinks the
+absorbed segment's rows to the survivor, or adds them into the survivor's
+rows to the same neighbours, one array operation per block.  Scorers score
+one boundary or a whole table of them.  Agglomeration is a greedy best-first
+loop over a lazily invalidated priority queue: pop the highest-scoring
+boundary, merge (the smaller label survives), re-score in one call the
+boundaries whose score the merge can have changed, repeat until the best
+score drops below the threshold.  Those are the absorbed segment's former
+boundaries, plus all of the survivor's when the scorer reads segment sizes.
+A heap entry carries its table row and that row's stamp, which a merge bumps
+for every row it drops or re-scores.  Every applied merge is recorded in a
+MergeTree that can be replayed later, at one threshold or, walking the
+merges once, at a whole decreasing series of them.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -37,10 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, overlap_counts,
-                           require_same_shape)
+                           require_same_shape, unique_inverse)
 
 N_FEATURES = 51
 HIST_BINS = 10
+# the power sums s1..s4, as the function of the values each one adds up
+POWERS = {"s1": lambda v: v, "s2": lambda v: v * v, "s3": lambda v: v**3, "s4": lambda v: v**4}
+ADDITIVE = ("count", *POWERS, "hist")  # the statistics in `sums`, in column order
+ALL_STATS = (*ADDITIVE, "vmin", "vmax")
 # how each storage block of two boundaries' statistics combines into their union's
 MERGE_RULES = {"sums": np.add, "vmin": np.minimum, "vmax": np.maximum}
 
@@ -64,30 +69,44 @@ class FeatureAccumulator:
     """Mergeable boundary statistics: per channel count, power sums to the
     4th order, min, max, and a 10-bin histogram over [0, 1].
 
-    `FeatureAccumulator()` is one boundary, `table(E)` is E boundaries, with
-    a leading row axis.  The float64 block `sums` (..., 3, 15) holds per
-    channel the count, s1..s4 and the histogram bins, which `count`,
-    `s1`..`s4` and `hist` view; `vmin` and `vmax` are (..., 3).  Every
-    statistic below reduces over the channel axis.
+    `FeatureAccumulator(stats)` is one boundary, `table(E, stats)` is E
+    boundaries, with a leading row axis; both hold only the `stats` named
+    (by default `ALL_STATS`).  The float64 block `sums` (..., 3, k) holds
+    per channel those of count, s1..s4 and the histogram bins, which
+    `count`, `s1`..`s4` and `hist` view; `vmin` and `vmax` are (..., 3).
+    Reading a statistic not held raises AttributeError.  Every statistic
+    below reduces over the channel axis.
     """
 
-    __slots__ = ("sums", "vmin", "vmax")
-    count, s1, s2, s3, s4, hist = (property(lambda self, k=k: self.sums[..., k])
-                                   for k in (0, 1, 2, 3, 4, slice(5, None)))
+    __slots__ = ("sums", "vmin", "vmax", "_cols", "_blocks")
 
-    def __init__(self):
-        self.sums = np.zeros((3, 5 + HIST_BINS))
-        self.vmin = np.full(3, np.inf)
-        self.vmax = np.full(3, -np.inf)
+    def __init__(self, stats=ALL_STATS):
+        held = [s for s in ("count", *POWERS) if s in stats]
+        self._cols = {s: k for k, s in enumerate(held)}
+        if "hist" in stats:
+            self._cols["hist"] = slice(len(held), len(held) + HIST_BINS)
+        width = len(held) + HIST_BINS * ("hist" in stats)
+        blocks = {"sums": np.zeros((3, width)), "vmin": np.full(3, np.inf),
+                  "vmax": np.full(3, -np.inf)}
+        self._blocks = tuple(b for b in blocks if b in stats or (b == "sums" and width))
+        for name in self._blocks:
+            setattr(self, name, blocks[name])
+
+    def __getattr__(self, name: str):
+        """`count`, `s1`..`s4` and `hist`: views of their columns of `sums`."""
+        if name not in ADDITIVE or name not in self._cols:
+            raise AttributeError(f"this table does not hold {name}")
+        return self.sums[..., self._cols[name]]
 
     @classmethod
-    def table(cls, rows: int) -> "FeatureAccumulator":
+    def table(cls, rows: int, stats=ALL_STATS) -> "FeatureAccumulator":
         """An empty table of `rows` boundaries."""
-        return cls()._map(lambda a: np.repeat(a[None], rows, axis=0))
+        return cls(stats)._map(lambda a: np.repeat(a[None], rows, axis=0))
 
     def _map(self, f) -> "FeatureAccumulator":
         out = FeatureAccumulator.__new__(FeatureAccumulator)
-        for name in self.__slots__:
+        out._cols, out._blocks = self._cols, self._blocks
+        for name in self._blocks:
             setattr(out, name, f(getattr(self, name)))
         return out
 
@@ -105,24 +124,28 @@ class FeatureAccumulator:
         (..., channel) cell ``tuple(i[k] for i in cells)``, all runs at once."""
         v = values.astype(np.float64)
         n = np.diff(starts, append=len(v))
-        self.sums[cells + (slice(0, 5),)] += np.stack(
-            [n] + [np.add.reduceat(p, starts) for p in (v, v * v, v**3, v**4)], axis=-1)
-        self.vmin[cells] = np.minimum(self.vmin[cells], np.minimum.reduceat(v, starts))
-        self.vmax[cells] = np.maximum(self.vmax[cells], np.maximum.reduceat(v, starts))
-        bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-        hist = self.hist
-        slot = np.ravel_multi_index(tuple(np.repeat(i, n) for i in cells) + (bins,), hist.shape)
-        hist += np.bincount(slot, minlength=hist.size).reshape(hist.shape)
+        cols = [n] * ("count" in self._cols) + [
+            np.add.reduceat(power(v), starts) for s, power in POWERS.items() if s in self._cols]
+        if "hist" in self._cols:
+            bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
+            hist = np.bincount(np.repeat(np.arange(len(starts)), n) * HIST_BINS + bins,
+                               minlength=len(starts) * HIST_BINS)
+            cols.extend(hist.reshape(-1, HIST_BINS).T)
+        if cols:
+            self.sums[cells + (slice(0, len(cols)),)] += np.stack(cols, axis=-1)
+        for name in set(self._blocks) - {"sums"}:
+            rule, field = MERGE_RULES[name], getattr(self, name)
+            field[cells] = rule(field[cells], rule.reduceat(v, starts))
 
     def merge(self, other: "FeatureAccumulator") -> None:
-        for name, rule in MERGE_RULES.items():
-            rule(getattr(self, name), getattr(other, name), out=getattr(self, name))
+        for name in self._blocks:
+            MERGE_RULES[name](getattr(self, name), getattr(other, name), out=getattr(self, name))
 
     def merge_rows(self, into: np.ndarray, rows: np.ndarray) -> None:
         """Merge table row rows[k] into row into[k] for every k, all at once."""
-        for name, rule in MERGE_RULES.items():
+        for name in self._blocks:
             field = getattr(self, name)
-            rule.at(field, into, field[rows])
+            MERGE_RULES[name].at(field, into, field[rows])
 
     def combine(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
         out = self.copy()
@@ -140,14 +163,14 @@ class FeatureAccumulator:
         """Mean affinity over all channels; 0 for a boundary with no edges."""
         return self.s1.sum(axis=-1) / np.maximum(self.total_count, 1)
 
-    def channel_stats(self, c: int) -> np.ndarray:
-        """16 values per boundary, shape (..., 16): mean, var, skew, kurt,
-        min, max, 10 histogram fractions; all 0 where channel c has no edges.
-        Only +, -, *, / and sqrt enter the moments, so one boundary alone and
-        the same boundary in a table give bit-identical values."""
-        n = self.count[..., c]
+    def all_channel_stats(self) -> np.ndarray:
+        """16 values per boundary and channel, shape (..., 3, 16): mean, var,
+        skew, kurt, min, max, 10 histogram fractions; all 0 where the channel
+        has no edges.  Only elementwise +, -, *, / and sqrt enter, so a row
+        alone, in a table or sliced to one channel gives bit-identical values."""
+        n = self.count
         k = np.maximum(n, 1)
-        s1, s2, s3, s4 = self.s1[..., c], self.s2[..., c], self.s3[..., c], self.s4[..., c]
+        s1, s2, s3, s4 = self.s1, self.s2, self.s3, self.s4
         m1 = s1 / k
         m2 = s2 / k - m1 * m1
         m3 = s3 / k - 3.0 * m1 * s2 / k + 2.0 * (m1 * m1 * m1)
@@ -156,26 +179,29 @@ class FeatureAccumulator:
         v = np.where(wide, m2, 1.0)
         skew = np.where(wide, m3 / (v * np.sqrt(v)), 0.0)
         kurt = np.where(wide, m4 / (v * v), 0.0)
-        out = np.concatenate([
-            np.stack([m1, m2, skew, kurt, self.vmin[..., c], self.vmax[..., c]], axis=-1),
-            self.hist[..., c, :] / k[..., None],
-        ], axis=-1)
+        out = np.concatenate([np.stack([m1, m2, skew, kurt, self.vmin, self.vmax], axis=-1),
+                              self.hist / k[..., None]], axis=-1)
         return np.where((n > 0)[..., None], out, 0.0)
+
+    def channel_stats(self, c: int) -> np.ndarray:
+        """Channel c's (..., 16) slice of `all_channel_stats`."""
+        return self.all_channel_stats()[..., c, :]
 
 
 def edge_feature_vector(acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
     """The 51-value boundary descriptor of a segment pair, or (E, 51) for
     a table of E boundaries and their (E,) segment sizes."""
+    stats = acc.all_channel_stats()
     counts = np.stack([acc.total_count, np.minimum(size_a, size_b),
                        np.maximum(size_a, size_b)], axis=-1)
-    return np.concatenate([acc.channel_stats(c) for c in range(3)] + [np.log(counts)],
-                          axis=-1)
+    return np.concatenate([stats.reshape(stats.shape[:-2] + (3 * 16,)), np.log(counts)], axis=-1)
 
 
 class MeanAffinity:
     """Scores a boundary by its mean affinity pooled over all channels."""
 
     name = "mean"
+    reads = ("count", "s1")
     reads_sizes = False  # a merge leaves the scores of untouched boundaries as they were
 
     def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
@@ -192,6 +218,7 @@ class Logistic:
     """
 
     name = "logistic"
+    reads = ALL_STATS
     reads_sizes = True  # log segment sizes are features
 
     def __init__(self, weights: np.ndarray, bias: float):
@@ -368,8 +395,8 @@ class Rag:
         return touched, dropped
 
 
-def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
-    """Node sizes and boundary statistics of every adjacent label pair: the
+def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
+    """Node sizes and boundary `stats` of every adjacent label pair: the
     boundary edges are sorted into (boundary, channel) runs, each in slot
     order, and all runs are folded into the rows of one table at once."""
     require_same_shape(labels, aff)
@@ -386,7 +413,7 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume) -> Rag:
     new_run = new_pair.copy()
     new_run[1:] |= ch[1:] != ch[:-1]
     starts = np.flatnonzero(new_run)
-    table = FeatureAccumulator.table(np.count_nonzero(new_pair))
+    table = FeatureAccumulator.table(np.count_nonzero(new_pair), stats)
     table._push_runs(((np.cumsum(new_pair) - 1)[starts], ch[starts]), val, starts)
 
     # pairs come sorted by (lo, hi), so each label's neighbours go in ascending
@@ -432,9 +459,8 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
 
 def _replay(labels: LabelVolume, merges, theta: float) -> LabelVolume:
     """Replay the longest prefix of `merges` scoring >= theta over a labeling."""
-    uniq, inv = np.unique(labels.data, return_inverse=True)
-    lut = next(threshold_lookups(merges, uniq, [theta]))
-    return LabelVolume(lut[inv].reshape(labels.data.shape))
+    uniq, inv = unique_inverse(labels.data)
+    return LabelVolume(next(threshold_lookups(merges, uniq, [theta]))[inv])
 
 
 def check_theta(theta: float) -> None:
@@ -451,8 +477,9 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     surviving input ids, so replaying the returned tree over the input
     reproduces the output exactly.
 
-    A merge re-scores the absorbed node's former boundaries, and the
-    survivor's others only for a scorer whose score `reads_sizes`; the
+    The RAG holds the statistics the scorer `reads` (all if it declares
+    none).  A merge re-scores the absorbed node's former boundaries, and
+    the survivor's others only for a scorer whose score `reads_sizes`; the
     boundaries left alone keep their heap entries.  An entry (-score, a,
     b, row, stamp) is live while `stamp` is its row's current stamp.  Live
     entries are unique in (-score, a, b) and a kept score is the score a
@@ -460,7 +487,7 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     boundary.
     """
     check_theta(theta)
-    rag = build_rag(labels, aff)
+    rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
     sizes_matter = getattr(scorer, "reads_sizes", True)
     stamp, heap, merges = [0] * rag.n_edges, [], []
 

@@ -166,7 +166,7 @@ def _cmd_size_filter(args) -> int:
 
 
 def _cmd_build_rag(args) -> int:
-    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff))
+    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff), ("count", "s1"))
     with open(args.out, "w") as f:
         f.write("label_a,label_b,boundary_count,mean_affinity\n")
         for a, b in sorted(rag.edges):

@@ -168,20 +168,26 @@ def dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
     return new_ids[inv]
 
 
+def unique_inverse(x: np.ndarray):
+    """``np.unique(x, return_inverse=True)``, the inverse in x's shape, from
+    one sort and a binary search where np.unique sorts stably."""
+    s = np.sort(x, axis=None)
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    uniq = s[first]
+    return uniq, np.searchsorted(uniq, x)
+
+
 def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
     """The distinct pairs (a[i], b[i]) of two parallel id arrays, sorted by
     (a, b), as (a ids, b ids, how often each occurs or the sum of its
     `weights`).  Pairs are packed as dense indices, so ids of any uint64
     value cannot overflow the key."""
-    au, ai = np.unique(a, return_inverse=True)
-    bu, bi = np.unique(b, return_inverse=True)
-    if weights is None:
-        keys, counts = np.unique(ai * len(bu) + bi, return_counts=True)
-    else:
-        keys, at = np.unique(ai * len(bu) + bi, return_inverse=True)
-        counts = np.bincount(at, weights)
+    au, ai = unique_inverse(a)
+    bu, bi = unique_inverse(b)
+    keys, at = unique_inverse(ai * len(bu) + bi)
     ka, kb = np.divmod(keys, len(bu))
-    return au[ka], bu[kb], counts
+    return au[ka], bu[kb], np.bincount(at, weights)
 
 
 def overlap_counts(seg: np.ndarray, gt: np.ndarray):

@@ -96,7 +96,7 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
                  size_min: int, t_merge: float) -> LabelVolume:
     """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
     lattice edge; the result is numbered 1..K by first voxel."""
-    rag = build_rag(labels, aff)
+    rag = build_rag(labels, aff, ("vmax",))
     weight = rag.table.vmax.max(-1).tolist()
     sizes = rag.nodes
 

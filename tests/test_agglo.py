@@ -4,6 +4,7 @@ import pytest
 from affseg.agglo import (
     DegenerateTraining,
     FeatureAccumulator,
+    HIST_BINS,
     Logistic,
     MeanAffinity,
     MergeTree,
@@ -13,6 +14,7 @@ from affseg.agglo import (
     agglomerate,
     apply_threshold,
     build_rag,
+    edge_feature_vector,
     edge_features,
     train_scorer,
 )
@@ -163,6 +165,67 @@ def test_histogram_fractions_sum_to_one():
                     assert fv[c * 16 + 6 : c * 16 + 16].sum() == pytest.approx(1.0)
                 else:
                     assert np.all(fv[c * 16 : (c + 1) * 16] == 0.0)
+
+
+# every storage block of a FeatureAccumulator
+BLOCKS = ("sums", "vmin", "vmax")
+SUBSETS = [("count", "s1"), ("vmax",), ("vmin",), ("hist",), ("s2", "s4"),
+           ("count", "hist", "vmin"), ("s3", "hist", "vmax"), ()]
+
+
+@pytest.mark.parametrize("stats", SUBSETS)
+def test_subset_rag_columns_equal_full_rag(stats):
+    for seed in (0, 1, 2):
+        _, aff, seg = noisy_instance(seed)
+        full, sub = build_rag(seg, aff), build_rag(seg, aff, stats)
+        assert sub.nodes == full.nodes and sub.edges == full.edges
+        for name in stats:
+            assert np.array_equal(getattr(sub.table, name), getattr(full.table, name))
+        # the table stores the declared statistics and nothing else
+        width = sum(HIST_BINS if name == "hist" else 1 for name in stats
+                    if name not in ("vmin", "vmax"))
+        held = [b for b in BLOCKS if hasattr(sub.table, b)]
+        assert held == [b for b in BLOCKS if (b == "sums" and width) or b in stats]
+        assert not width or sub.table.sums.shape == (len(full.edges), 3, width)
+
+
+@pytest.mark.parametrize("stats", SUBSETS)
+def test_reading_an_undeclared_statistic_raises(stats):
+    _, aff, seg = noisy_instance(3)
+    for acc in (FeatureAccumulator(stats), build_rag(seg, aff, stats).table):
+        for name in set(STATS) - set(stats):
+            with pytest.raises(AttributeError):
+                getattr(acc, name)
+        with pytest.raises(AttributeError):
+            acc.channel_stats(0)
+    with pytest.raises(AttributeError):
+        edge_feature_vector(FeatureAccumulator(("count", "s1")), 1, 1)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_mean_agglomerate_on_its_lean_table_matches_rescoring_a_full_table(theta):
+    for seed in range(6):
+        _, aff, seg = noisy_instance(seed, n_seeds=6)
+        _, tree = agglomerate(seg, aff, MeanAffinity(), theta)
+        assert tree.merges == greedy_rescoring_everything(seg, aff, MeanAffinity(), theta)
+        assert tree.merges
+
+
+def test_agglomerate_builds_the_table_its_scorer_declares():
+    _, aff, seg = noisy_instance(4)
+
+    class Undeclared:
+        """Reads the whole table and declares nothing."""
+        def score(self, acc, size_a, size_b):
+            return acc.all_channel_stats()[..., 0, 0]
+
+    class Lean(Undeclared):
+        reads = ("count", "s1")
+
+    _, tree = agglomerate(seg, aff, Undeclared(), 0.0)
+    assert tree.merges
+    with pytest.raises(AttributeError):
+        agglomerate(seg, aff, Lean(), 0.0)
 
 
 # ------------------------------------------------------------- accumulators

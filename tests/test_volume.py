@@ -14,6 +14,7 @@ from affseg.volume import (
     inbounds_edge_region,
     oob_edge_mask,
     read_volume,
+    unique_inverse,
     write_volume,
 )
 
@@ -261,3 +262,22 @@ def test_zero_dimension_in_header_is_volume_error_naming_file(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(VolumeError, match=f"{p}: dimension z must be a positive integer, got 0"):
         read_volume(p)
+
+
+TOP = 2**64 - 1
+
+
+@pytest.mark.parametrize("values", [
+    [0, TOP, 5, 0, TOP, 5, 5, 1],
+    [TOP, TOP, TOP],
+    [7],
+    [],
+    np.random.default_rng(8).integers(0, 12, (3, 4, 5), dtype=np.uint64) * np.uint64(TOP // 11),
+])
+def test_unique_inverse_equals_np_unique(values):
+    x = np.array(values, dtype=np.uint64)
+    uniq, inv = unique_inverse(x)
+    want_uniq, want_inv = np.unique(x, return_inverse=True)
+    assert uniq.dtype == np.uint64 and np.array_equal(uniq, want_uniq)
+    assert inv.shape == x.shape and np.array_equal(inv.ravel(), want_inv.ravel())
+    assert np.array_equal(uniq[inv], x)
