@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import heapq
 import struct
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, overlap_counts,
-                           require_same_shape, unique_inverse)
+from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, cooccurrence,
+                           overlap_counts, require_same_shape, unique_inverse)
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -443,7 +442,7 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
     absorbed -> survivor links followed to their end.  Each prefix extends
     the previous one, so the merges are walked once."""
     ends = np.array([m[:2] for m in merges], dtype=np.uint64).reshape(-1, 2)
-    names, idx = np.unique(np.concatenate([ids, ends[:, 0], ends[:, 1]]), return_inverse=True)
+    names, idx = unique_inverse(np.concatenate([ids, ends[:, 0], ends[:, 1]]))
     start, survivor, absorbed = np.split(idx, [len(ids), len(ids) + len(ends)])
     parent = np.arange(len(names))
     k = 0
@@ -560,25 +559,16 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray) -> Logistic:
     return Logistic(w_raw, b_raw)
 
 
-def _node_gt_histograms(rag: Rag, gt: LabelVolume) -> dict[int, Counter]:
-    hists: dict[int, Counter] = {l: Counter() for l in rag.nodes}
-    seg_ids, gt_ids, counts = overlap_counts(rag.labels.data, gt.data)
-    for l, gl, cnt in zip(seg_ids.tolist(), gt_ids.tolist(), counts.tolist()):
-        if l:
-            hists[l][gl] = cnt
-    return hists
-
-
-def _dominant(hist: dict[int, int]):
-    """(dominant gt label, purity) by plurality; ties to the smaller label.
-
-    Returns (None, 0.0) for segments with no labeled voxels.
-    """
-    if not hist:
-        return None, 0.0
-    total = sum(hist.values())
-    best = min(((-cnt, lab) for lab, cnt in hist.items()))
-    return best[1], -best[0] / total
+def _dominant(seg: np.ndarray, gt: np.ndarray, counts: np.ndarray):
+    """(segments, dominant gt labels, purities) of an overlap table of
+    (seg, gt, count) rows sorted by (seg, gt): plurality, ties to the
+    smaller gt label.  A segment with no row gets no entry."""
+    ids = np.unique(seg)
+    start = np.searchsorted(seg, ids)  # each segment's first row
+    # ordered by seg first, so each segment's rows keep their place and
+    # the plurality row leads them
+    lead = np.lexsort((gt, -counts, seg))[start]
+    return ids, gt[lead], counts[lead] / np.add.reduceat(counts, start)
 
 
 def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
@@ -588,20 +578,24 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
     labels agree and both segments are at least 50% pure.  Positive pairs
     are merged between rounds in a copy of the caller's RAG, each round's
     features computed from its table in one call, and fresh decisions
-    collected, until a round yields no positives.
+    collected, until a round yields no positives.  The decisions come from
+    the fragment x GT overlap table, counted once, regrouped each round
+    by replaying the merges so far over the fragments.
     Raises DegenerateTraining when the collected decisions are all one class.
     """
     require_same_shape(rag.labels, gt)
     sim = rag.copy()
-    hists = _node_gt_histograms(sim, gt)
+    seg, gt_ids, counts = overlap_counts(rag.labels.data, gt.data)
 
+    merged: list[tuple[int, int, float]] = []
     X_rows: list[np.ndarray] = []
     y_rows: list[bool] = []
     while True:
-        dominant = {l: _dominant(h) for l, h in hists.items()}
+        node = next(threshold_lookups(merged, seg, [0.0]))  # each fragment's segment now
+        ids, dom, purity = _dominant(*cooccurrence(node, gt_ids, counts))
+        pure = dict(zip(ids[purity >= 0.5].tolist(), dom[purity >= 0.5].tolist()))
         keys = sorted(sim.edges)
-        decisions = [da is not None and da == db and pa >= 0.5 and pb >= 0.5
-                     for (da, pa), (db, pb) in ((dominant[a], dominant[b]) for a, b in keys)]
+        decisions = [a in pure and pure[a] == pure.get(b) for a, b in keys]
         X_rows.append(edge_feature_vector(*sim.boundaries(keys)))
         y_rows.extend(decisions)
         positives = [key for key, pos in zip(keys, decisions) if pos]
@@ -618,7 +612,7 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             sim.merge_nodes(lo, hi)
             alias[hi] = lo
-            hists[lo].update(hists.pop(hi))
+            merged.append((lo, hi, 0.0))
 
     if not y_rows or len(set(y_rows)) < 2:
         raise DegenerateTraining("boundary decisions contain a single class only")

@@ -10,12 +10,12 @@ like the flags, which becomes the subcommand's defaults, so flags beat
 config values and config values beat defaults.  Required options and
 ``--threads`` (from either source) are checked before any input is read.
 
-Exit codes: 0 success, 2 usage or validation error (a malformed config
-file, merge tree, manifest, model or volume file included, and volumes
-whose shapes do not match), 1 runtime error such as a missing input
-file.  All subcommands are deterministic: identical inputs give
-byte-identical outputs, regardless of ``--threads`` (a cap on internal
-parallelism; the current implementation is single-threaded).
+Exit codes: 0 success, 2 usage or validation error (a malformed config file,
+merge tree, manifest, model or volume file, volumes whose shapes differ, or
+a ground truth with no labeled voxel outside `malis-grad`), 1 runtime error
+such as a missing input file.  All subcommands are deterministic: identical
+inputs give byte-identical outputs, regardless of ``--threads`` (a cap on
+internal parallelism; the current implementation is single-threaded).
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def _read_labels(path) -> LabelVolume:
     if not isinstance(vol, LabelVolume):
         raise CliError(f"{path}: expected a label volume")
     return vol
+
+
+def _read_gt(path) -> LabelVolume:
+    gt = _read_labels(path)
+    if not gt.data.any():
+        raise CliError(f"{path}: ground truth has no labeled voxel")
+    return gt
 
 
 def _read_affinities(path) -> AffinityVolume:
@@ -177,8 +184,8 @@ def _cmd_build_rag(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff))
-    agglo.train_scorer(rag, _read_labels(args.gt)).save(args.model_out)
+    labels, aff, gt = _read_labels(args.labels), _read_affinities(args.aff), _read_gt(args.gt)
+    agglo.train_scorer(agglo.build_rag(labels, aff), gt).save(args.model_out)
     return 0
 
 
@@ -201,14 +208,14 @@ def _cmd_apply_threshold(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    score = metrics.split_vi(_read_labels(args.seg), _read_labels(args.gt))
+    score = metrics.split_vi(_read_labels(args.seg), _read_gt(args.gt))
     print(f"{score.vi_under:.6f},{score.vi_over:.6f}")
     return 0
 
 
 def _cmd_curve(args) -> int:
     base = _read_labels(args.base)
-    gt = _read_labels(args.gt)
+    gt = _read_gt(args.gt)
     tree = _checked(agglo.MergeTree.read, args.tree, base)
     curve = _checked(metrics.vi_curve, tree, base, gt, args.thetas)
     with open(args.out, "w") as f:
@@ -240,7 +247,7 @@ def _cmd_pipeline(args) -> int:
     _checked(agglo.check_theta, args.theta)
     scorer = _scorer_from(args)
     aff = _read_affinities(args.aff)
-    gt = _read_labels(args.gt)
+    gt = _read_gt(args.gt)
     require_same_shape(aff, gt)
     os.makedirs(args.workdir, exist_ok=True)
 

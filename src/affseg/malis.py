@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import index_dtype
-from affseg.volume import AffinityVolume, LabelVolume, edge_ends, edge_table, require_same_shape
+from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, edge_table, require_same_shape,
+                           unique_inverse)
 
 
 class OutOfBounds(Exception):
@@ -238,7 +239,7 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     np.cumsum(in_order, out=in_order)  # labeled voxels before each position
     labeled_pairs = (in_order[mid] - in_order[lo]) * (in_order[end] - in_order[mid])
 
-    label_rank = np.unique(flat[labeled], return_inverse=True)[1]
+    label_rank = unique_inverse(flat[labeled])[1]
     keys = np.sort(label_rank * n + at[labeled])
     first = keys // n * n  # key of position 0 of the key's label
     t = np.flatnonzero(first[1:] == first[:-1])

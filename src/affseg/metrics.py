@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.agglo import MergeTree, check_base, check_theta, threshold_lookups
-from affseg.volume import LabelVolume, cooccurrence, overlap_counts, require_same_shape
+from affseg.volume import (LabelVolume, cooccurrence, overlap_counts, require_same_shape,
+                           unique_inverse)
 
 
 class EmptyOverlap(Exception):
@@ -51,10 +52,8 @@ def _vi(seg_ids: np.ndarray, gt_ids: np.ndarray, counts: np.ndarray) -> ViScore:
         raise EmptyOverlap("ground truth has no labeled voxels")
     seg_ids, gt_ids, joint = cooccurrence(seg_ids, gt_ids, counts)
     n = joint.sum()
-    _, si = np.unique(seg_ids, return_inverse=True)
-    _, gi = np.unique(gt_ids, return_inverse=True)
-    seg_n = np.bincount(si, joint)[si]
-    gt_n = np.bincount(gi, joint)[gi]
+    si, gi = (unique_inverse(ids)[1] for ids in (seg_ids, gt_ids))
+    seg_n, gt_n = (np.bincount(i, joint)[i] for i in (si, gi))
     vi_under = float(np.sum(joint / n * np.log2(seg_n / joint)))
     vi_over = float(np.sum(joint / n * np.log2(gt_n / joint)))
     return ViScore(vi_under=vi_under, vi_over=vi_over)

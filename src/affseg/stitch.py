@@ -179,14 +179,12 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     out = np.zeros(shape, dtype=np.uint64)
     walk = []
     for bi, (spec, lv) in enumerate(zip(specs, block_labelings)):
-        local = lv.data[spec.core_slices_local()]
-        uniq, first, inv = np.unique(local, return_index=True, return_inverse=True)
-        rank = np.searchsorted(g.nodes[offset[bi]:offset[bi + 1], 1], uniq, "right")
-        lut = cls[np.where(rank != 0, offset[bi] + rank, 0)]
-        walk.append(lut[np.argsort(first)])
-        out[tuple(slice(a, b) for a, b in spec.core)] = lut[inv].reshape(local.shape)
+        rank = np.searchsorted(g.nodes[offset[bi]:offset[bi + 1], 1],
+                               lv.data[spec.core_slices_local()], "right")
+        walk.append(cls[np.where(rank != 0, offset[bi] + rank, 0)])
+        out[tuple(slice(a, b) for a, b in spec.core)] = walk[-1]
     # global labels 1..K in order of first appearance, block by block
-    walk = np.concatenate(walk)
+    walk = np.concatenate([w.ravel() for w in walk])
     glob = np.zeros(len(g.nodes) + 1, dtype=np.uint64)
     glob[walk] = dense_relabel(walk)
     return LabelVolume(glob[out])

@@ -158,13 +158,15 @@ def boundary_edges(labels: np.ndarray, aff: np.ndarray):
     return tuple(np.concatenate(col) for col in zip(*cols))
 
 
-def dense_relabel(flat_labels: np.ndarray) -> np.ndarray:
-    """Map nonzero labels to 1..K by order of first occurrence; 0 stays 0."""
-    uniq, first, inv = np.unique(flat_labels, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    order = order[uniq[order] != 0]
-    new_ids = np.zeros(len(uniq), dtype=np.uint64)
-    new_ids[order] = np.arange(1, len(order) + 1, dtype=np.uint64)
+def dense_relabel(labels: np.ndarray) -> np.ndarray:
+    """Map the nonzero labels of an array of any shape to uint64 1..K by
+    order of first occurrence in flat order; 0 stays 0.  Keeps the shape."""
+    uniq, inv = unique_inverse(labels)
+    first = np.full(len(uniq), labels.size)
+    np.minimum.at(first, inv.ravel(), np.arange(labels.size))
+    first[uniq == 0] = -1  # 0, if present, ranks first and maps to 0
+    new_ids = np.empty(len(uniq), dtype=np.uint64)
+    new_ids[np.argsort(first)] = np.arange(len(uniq)) + (uniq[:1] != 0)
     return new_ids[inv]
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from affseg.agglo import build_rag, threshold_lookups
 from affseg.unionfind import components, index_dtype
 from affseg.volume import (AffinityVolume, LabelVolume, dense_relabel, edge_ends,
-                           require_same_shape)
+                           require_same_shape, unique_inverse)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def _incident_best(aff: AffinityVolume):
 def _size_filter(labels: LabelVolume, aff: AffinityVolume,
                  size_min: int, t_merge: float) -> LabelVolume:
     """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
-    lattice edge; the result is numbered 1..K by first voxel."""
+    lattice edge; `dense_relabel` numbers the result 1..K by first voxel."""
     rag = build_rag(labels, aff, ("vmax",))
     weight = rag.table.vmax.max(-1).tolist()
     sizes = rag.nodes
@@ -133,12 +133,10 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
         heapq.heappush(heap, (negv, bj))
 
     # survivors below size_min had no qualifying neighbour: background
-    uniq, first, inv = np.unique(labels.data, return_index=True, return_inverse=True)
+    uniq, inv = unique_inverse(labels.data)
     final = next(threshold_lookups(merges, uniq, [t_merge]))
     final[[sizes.get(l, 0) < size_min for l in final.tolist()]] = 0
-    order = np.argsort(first)
-    final[order] = dense_relabel(final[order])
-    return LabelVolume(final[inv].reshape(labels.data.shape))
+    return LabelVolume(dense_relabel(final[inv]))
 
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,

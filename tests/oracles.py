@@ -489,3 +489,22 @@ def labels_from_seeds_reference(shape, seeds, anisotropy):
         best_d[closer] = d2[closer]
         label[closer] = k + 1
     return label
+
+
+def dominant_reference(hist):
+    """(dominant gt label, purity) of one segment's {gt label: voxel count}
+    histogram by plurality, ties to the smaller label; (None, 0.0) for a
+    segment with no labeled voxel."""
+    if not hist:
+        return None, 0.0
+    total = sum(hist.values())
+    best = min((-cnt, lab) for lab, cnt in hist.items())
+    return best[1], -best[0] / total
+
+
+def dense_relabel_reference(labels):
+    """Nonzero labels numbered 1..K by first occurrence in flat order, one
+    voxel at a time through a dict; 0 stays 0."""
+    seen = {0: 0}
+    out = [seen.setdefault(l, len(seen)) for l in labels.ravel().tolist()]
+    return np.array(out, dtype=np.uint64).reshape(labels.shape)

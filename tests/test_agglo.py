@@ -11,6 +11,7 @@ from affseg.agglo import (
     MissingEdge,
     N_FEATURES,
     TreeBaseMismatch,
+    _dominant,
     agglomerate,
     apply_threshold,
     build_rag,
@@ -19,9 +20,9 @@ from affseg.agglo import (
     train_scorer,
 )
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import AffinityVolume, LabelVolume, Shape3
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, cooccurrence, overlap_counts
 
-from oracles import agglomerate_reference, boundary_stats, boundary_values
+from oracles import agglomerate_reference, boundary_stats, boundary_values, dominant_reference
 
 # every named statistic of a FeatureAccumulator, whatever its storage
 STATS = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
@@ -583,6 +584,42 @@ def test_features_equal_fresh_rebuild_after_merges():
 
 
 # ----------------------------------------------------------------- training
+
+
+TOP = 2**64 - 1
+DOMINANT_CASES = {
+    # segment 1 ties gt 4 and gt 2 (purity 0.5), segment 2 has purity
+    # exactly 0.5 without a tie, segment 3 covers only gt 0
+    "ties": ([1] * 6 + [2] * 4 + [3] * 3, [4, 2, 4, 2, 4, 2, 7, 9, 7, 3, 0, 0, 0]),
+    "top-ids": ([TOP, TOP, TOP, TOP - 1, TOP - 1, 5, 5], [TOP, 3, TOP - 1, TOP, 0, 3, TOP]),
+    "random": tuple(np.random.default_rng(4).integers(0, [30, 6], (400, 2)).T),
+    # few voxels per pair over many gt labels: plurality ties everywhere
+    "tie-heavy": tuple(np.random.default_rng(5).integers(0, [12, 40], (150, 2)).T),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMINANT_CASES))
+def test_dominant_matches_the_per_segment_histogram_rule(case):
+    seg, gt = (np.array(a, dtype=np.uint64) for a in DOMINANT_CASES[case])
+    hist = {l: {} for l in seg.tolist()}
+    for l, g in zip(seg.tolist(), gt.tolist()):
+        if g:
+            hist[l][g] = hist[l].get(g, 0) + 1
+    table = overlap_counts(seg, gt)
+    # as in a later training round: fragments regrouped into segments
+    # through the table, the counts summed as weights
+    node = table[0] // np.uint64(3)
+    for got, segments in ((_dominant(*table), {l: [l] for l in hist}),
+                          (_dominant(*cooccurrence(node, table[1], table[2])),
+                           {n: [l for l in hist if l // 3 == n] for n in node.tolist()})):
+        found = {l: (d, p) for l, d, p in zip(*(a.tolist() for a in got))}
+        for n, members in segments.items():
+            merged = {}
+            for l in members:
+                for g, c in hist[l].items():
+                    merged[g] = merged.get(g, 0) + c
+            assert found.get(n, (None, 0.0)) == dominant_reference(merged), n
+        assert set(found) <= set(segments)
 
 
 def test_train_scorer_perfect_accuracy_on_decision_set():

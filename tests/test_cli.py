@@ -494,6 +494,28 @@ def test_mismatched_volume_shapes_are_usage_errors(workdir):
         assert sorted(workdir.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "curve", "pipeline"])
+def test_ground_truth_without_labels_is_usage_error_naming_file(replay_inputs, command):
+    empty = replay_inputs / "empty_gt.volb"
+    write_volume(LabelVolume(np.zeros((6, 12, 12), dtype=np.uint64)), empty)
+    before = sorted(replay_inputs.iterdir())
+    code, out, err = run(_required_argv(replay_inputs, command) + ["--gt", str(empty)])
+    assert code == 2, err
+    assert f"{empty}: ground truth has no labeled voxel" in err
+    assert out == ""
+    assert sorted(replay_inputs.iterdir()) == before  # pipeline made no workdir
+
+
+def test_malis_grad_accepts_ground_truth_without_labels(workdir):
+    empty = workdir / "empty_gt.volb"
+    write_volume(LabelVolume(np.zeros((6, 12, 12), dtype=np.uint64)), empty)
+    code, out, err = run(["malis-grad", "--aff", str(workdir / "aff.volb"), "--gt", str(empty),
+                          "--grad-out", str(workdir / "grad.volb")])
+    assert code == 0, err
+    assert float(out) == 0.0
+    assert not read_volume(workdir / "grad.volb").data.any()
+
+
 @pytest.mark.parametrize("command", ["agglomerate", "pipeline"])
 def test_malformed_model_file_is_usage_error_naming_file(replay_inputs, command):
     model = replay_inputs / "model.bin"

@@ -9,6 +9,7 @@ from affseg.volume import (
     TruncatedPayload,
     UnknownDtype,
     VolumeError,
+    dense_relabel,
     edge_ends,
     edge_table,
     inbounds_edge_region,
@@ -17,6 +18,8 @@ from affseg.volume import (
     unique_inverse,
     write_volume,
 )
+
+from oracles import dense_relabel_reference
 
 
 def random_labels(rng, shape):
@@ -281,3 +284,21 @@ def test_unique_inverse_equals_np_unique(values):
     assert uniq.dtype == np.uint64 and np.array_equal(uniq, want_uniq)
     assert inv.shape == x.shape and np.array_equal(inv.ravel(), want_inv.ravel())
     assert np.array_equal(uniq[inv], x)
+
+
+@pytest.mark.parametrize("values", [
+    [3, 0, 9, 3, 0, 1, 9, 4],
+    [5, 2, 5, 7, 2],
+    [0, TOP, 5, 0, TOP, 1],
+    [TOP, 1, TOP],
+    [6, 6, 6],
+    [0],
+    [],
+    np.random.default_rng(9).integers(0, 9, (3, 4, 5), dtype=np.uint64) * np.uint64(TOP // 8),
+], ids=["with-0", "without-0", "top-with-0", "top-without-0", "one-value", "only-0", "empty",
+        "3d"])
+def test_dense_relabel_matches_first_occurrence_loop(values):
+    x = np.array(values, dtype=np.uint64)
+    got = dense_relabel(x)
+    assert got.dtype == np.uint64 and got.shape == x.shape
+    assert np.array_equal(got, dense_relabel_reference(x))
