@@ -1,9 +1,9 @@
 """Connected components of integer-id graphs.
 
-Offline array code only: `components` groups ids when every edge is known
-before any lookup (watershed basins, stitch classes).  The MALIS Kruskal
-loop, which must find the two roots of each edge before it merges them or
-skips the edge, keeps its own list-based union-find.
+Offline array code only: `jump` finds the roots of a forest of parent
+pointers (watershed ascent trees), `components` groups ids when every edge
+is known before any lookup (basins, stitch classes).  The MALIS Kruskal
+loop, which must find an edge's two roots first, keeps a list union-find.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ def components(n: int, u, v) -> np.ndarray:
             return parent
         u, v, pu, pv = u[live], v[live], pu[live], pv[live]
         np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
-        jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
-            parent, jumped = jumped, jumped[jumped]
+        parent = jump(parent)
+
+
+def jump(parent: np.ndarray) -> np.ndarray:
+    """Per id, the root of its tree of parent pointers, in log2(depth) rounds."""
+    while not np.array_equal(jumped := parent[parent], parent):
+        parent = jumped
+    return parent
 

@@ -185,11 +185,15 @@ def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
     (a, b), as (a ids, b ids, how often each occurs or the sum of its
     `weights`).  Pairs are packed as dense indices, so ids of any uint64
     value cannot overflow the key."""
-    au, ai = unique_inverse(a)
+    au, key = unique_inverse(a)
     bu, bi = unique_inverse(b)
-    keys, at = unique_inverse(ai * len(bu) + bi)
+    key *= len(bu)
+    key += bi
+    keys, sums = np.unique(key, return_counts=True)  # one sort, no inverse
+    if weights is not None:
+        sums = np.bincount(np.searchsorted(keys, key), weights)
     ka, kb = np.divmod(keys, len(bu))
-    return au[ka], bu[kb], np.bincount(at, weights)
+    return au[ka], bu[kb], sums
 
 
 def overlap_counts(seg: np.ndarray, gt: np.ndarray):

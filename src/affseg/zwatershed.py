@@ -16,6 +16,15 @@ The segmentation is built in four fixed stages:
       third basin (`Rag.relink`); leftovers below size_min with no
       qualifying neighbour drop to background.
 
+Stages (a)-(c) are computed as ascent trees.  A voxel of (b) links to the
+far end of its strongest edge, whose own strongest edge is no weaker, so
+chains of links end in cycles of links of one weight.  No cycle is longer
+than 2: if i -> j moves minus along the lowest axis c of a cycle, j's move
+back has that weight too, so by the tie rule j moves back or minus along c
+again, and a longer cycle could never close.  Mutual pairs are rooted at
+their smaller voxel, `unionfind.jump` finds each voxel's root, and only
+edges >= t_high between different trees go to `unionfind.components`.
+
 Output labels are densified to 1..K in order of each segment's first voxel
 (flat index, x fastest), so identical inputs give identical volumes.
 """
@@ -28,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.agglo import build_rag, threshold_lookups
-from affseg.unionfind import components, index_dtype
+from affseg.unionfind import components, index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, dense_relabel, edge_ends,
-                           require_same_shape, unique_inverse)
+                           require_affinity_range, require_same_shape, unique_inverse)
 
 
 @dataclass(frozen=True)
@@ -70,26 +79,26 @@ class BasinStats:
         return len(self.sizes)
 
 
-def _incident_best(aff: AffinityVolume):
-    """Per voxel: the strongest incident edge and the step to its far end.
-
-    Returns (best_aff, best_offset) flat arrays.  Candidate order encodes
-    the tie rule: channel ascending, minus direction before plus.  Absent
-    edges are marked -1 so any real edge beats them.
-    """
-    a = aff.data
-    Z, Y, X = a.shape[1:]
-    n = Z * Y * X
-    cand = np.full((6, Z, Y, X), -1.0, dtype=np.float32)
-    for c in range(3):
-        w = edge_ends(a[c], c)[0]
-        edge_ends(cand[2 * c], c)[1][...] = w
-        edge_ends(cand[2 * c + 1], c)[0][...] = w
-    cand = cand.reshape(6, n)
-    offs = np.array([-Y * X, Y * X, -X, X, -1, 1], dtype=np.int64)
-    pick = np.argmax(cand, axis=0)
-    best = cand[pick, np.arange(n)]
-    return best.astype(np.float64), offs[pick]
+def _ascent_trees(aff: AffinityVolume, t_low: float):
+    """Stage (b): per voxel, whether it grows (strongest edge >= t_low, in
+    float64) and the flat index of its ascent tree's root.  Neighbours are
+    visited in tie-rule order, channel ascending, minus before plus; a later
+    one wins only when strictly stronger."""
+    Z, Y, X = aff.data.shape[1:]
+    best = np.full((Z, Y, X), -1.0, dtype=np.float32)
+    link = np.zeros((Z, Y, X), dtype=index_dtype(best.size))
+    for c, stride in enumerate((Y * X, X, 1)):
+        w = edge_ends(aff.data[c], c)[0]
+        for end, s in ((1, -stride), (0, stride)):  # the upper end steps down
+            b = edge_ends(best, c)[end]
+            take = w > b
+            np.copyto(b, w, where=take)
+            np.copyto(edge_ends(link, c)[end], s, where=take)
+    grow = best >= np.float64(t_low)
+    ids = np.arange(best.size, dtype=link.dtype)
+    link = ids + link.ravel() * grow.ravel()  # voxels that do not grow: roots
+    np.minimum(link, ids, out=link, where=link[link] == ids)  # mutual pairs
+    return grow, jump(link).reshape(grow.shape)
 
 
 def _size_filter(labels: LabelVolume, aff: AffinityVolume,
@@ -150,36 +159,28 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
     if not 0.0 <= t_merge <= 1.0:
         raise ValueError(f"t_merge must be in [0, 1], got {t_merge}")
     require_same_shape(labels, aff)
+    require_affinity_range(aff.data)
     if size_min == 0:
         return LabelVolume(labels.data.copy())
     return _size_filter(labels, aff, size_min, t_merge)
 
 
 def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolume, BasinStats]:
-    """Run the full four-stage watershed on an affinity volume."""
-    shape = aff.shape3
-    n = shape.voxels
+    """Run the four-stage watershed on finite affinities in [0, 1] (else ValueError)."""
+    require_affinity_range(aff.data)
+    grow, root = _ascent_trees(aff, params.t_low)  # frees its temporaries
 
-    # (a) edges >= t_high (compared in float64, like stages (b) and (d)) and
-    # (b) each voxel's steepest-ascent link >= t_low, joined in one pass
-    ids = np.arange(n, dtype=index_dtype(n)).reshape(shape.as_tuple())
-    strong = [edge_ends(aff.data[c], c)[0] >= np.float64(params.t_high) for c in range(3)]
-    best, step = _incident_best(aff)
-    grow = best >= params.t_low
-    linked = np.flatnonzero(grow).astype(ids.dtype)
-    u = np.concatenate([edge_ends(ids, c)[0][strong[c]] for c in range(3)] + [linked])
-    v = np.concatenate([edge_ends(ids, c)[1][strong[c]] for c in range(3)]
-                       + [linked + step[grow].astype(ids.dtype)])
+    # (a) edges >= t_high (compared in float64) join the trees they connect
+    ends = []
+    for c in range(3):
+        strong = edge_ends(aff.data[c], c)[0] >= np.float64(params.t_high)
+        lo, hi = (e[strong] for e in edge_ends(root, c))
+        ends.append((lo[lo != hi], hi[lo != hi]))
+    basin = components(root.size, *map(np.concatenate, zip(*ends)))[root]
 
-    # (c) voxels with nothing >= t_low stay background; they have no
-    # incident edge >= t_low, so they are singletons.  Each voxel's root is
-    # its segment's first voxel, so numbering roots in flat order densifies.
-    root = components(n, u, v)
-    dense = np.cumsum(grow & (root == ids.ravel()), dtype=np.uint64)[root]
-    dense[~grow] = 0
+    vol = LabelVolume(dense_relabel(np.where(grow, basin + 1, 0)))  # (c): 0 if not grown
 
     # (d)/(e) size filtering, renumbered by first voxel
-    vol = LabelVolume(dense.reshape(shape.as_tuple()))
     if params.size_min > 0:
         vol = _size_filter(vol, aff, params.size_min, params.t_merge)
     cnts = np.bincount(vol.data.ravel().astype(np.intp), minlength=1).tolist()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 import numpy as np
 
@@ -508,3 +508,18 @@ def dense_relabel_reference(labels):
     seen = {0: 0}
     out = [seen.setdefault(l, len(seen)) for l in labels.ravel().tolist()]
     return np.array(out, dtype=np.uint64).reshape(labels.shape)
+
+
+def cooccurrence_reference(a, b, weights=None):
+    """(a ids, b ids, counts or weight sums) of the distinct pairs of two
+    parallel id arrays, sorted by (a, b), through a Counter or a dict that
+    adds each weight in index order."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    if weights is None:
+        table = Counter(pairs)
+    else:
+        table = {}
+        for pair, w in zip(pairs, weights.tolist()):
+            table[pair] = table.get(pair, 0.0) + w
+    keys = sorted(table)
+    return ([k[0] for k in keys], [k[1] for k in keys], [table[k] for k in keys])

@@ -1,0 +1,50 @@
+"""Working-memory bounds, as bytes per voxel traced by `tracemalloc`.
+
+numpy reports its array buffers to tracemalloc, so these are deterministic
+allocation counts for a fixed input, not timings: the peak of everything
+a call allocates, its result included, above what was live before it.
+"""
+
+import tracemalloc
+
+import pytest
+
+from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
+from affseg.volume import Shape3, overlap_counts
+from affseg.zwatershed import WatershedParams, zwatershed
+
+SHAPE = Shape3(16, 64, 64)
+
+
+def traced_peak(f, *args):
+    """Peak bytes allocated during f(*args) above the live set before it."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def volume():
+    gt = synth_labels(SHAPE, SynthParams(n_seeds=40, anisotropy=2.0, rng_seed=3))
+    return gt, synth_affinities(gt, NoiseParams(flip_sigma=0.2, rng_seed=3))
+
+
+def test_watershed_peak_per_voxel(volume):
+    # ascent trees take about 45 B/voxel; a (6, n) candidate array with the
+    # ascent links in the edge list of `components` takes about 114
+    _, aff = volume
+    peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 0, 0.3))
+    assert peak / SHAPE.voxels <= 64
+
+
+def test_overlap_counts_peak_per_voxel(volume):
+    # one sort of the pair keys takes about 43 B/voxel; an inverse of the
+    # keys and a bincount take about 58
+    gt, aff = volume
+    seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
+    peak = traced_peak(overlap_counts, seg.data, gt.data)
+    assert peak / SHAPE.voxels <= 48

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affseg.unionfind import components, index_dtype
+from affseg.unionfind import components, index_dtype, jump
 
 from oracles import UnionFind
 
@@ -68,6 +68,25 @@ def test_components_maps_each_id_to_its_components_smallest_id(name):
     got = components(n, u, v)
     assert got.shape == (n,) and got.dtype == np.int32
     assert np.array_equal(got, smallest_of_component(n, u, v))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jump_maps_each_id_to_its_root(seed):
+    # a random forest under a random relabeling, with one chain 99 deep;
+    # the oracle follows the pointers one at a time
+    rng = np.random.default_rng(seed)
+    n = 400
+    below = (rng.random(n) * np.arange(1, n + 1)).astype(np.int32)  # in [0, i]
+    below[1:100] = np.arange(99)
+    perm = rng.permutation(n).astype(np.int32)
+    parent = np.empty(n, dtype=np.int32)
+    parent[perm] = perm[below]
+    roots = []
+    for i in range(n):
+        while parent[i] != i:
+            i = parent[i]
+        roots.append(i)
+    assert jump(parent).tolist() == roots
 
 
 def test_index_dtype_widens_past_int32():

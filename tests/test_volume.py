@@ -9,6 +9,7 @@ from affseg.volume import (
     TruncatedPayload,
     UnknownDtype,
     VolumeError,
+    cooccurrence,
     dense_relabel,
     edge_ends,
     edge_table,
@@ -19,7 +20,7 @@ from affseg.volume import (
     write_volume,
 )
 
-from oracles import dense_relabel_reference
+from oracles import cooccurrence_reference, dense_relabel_reference
 
 
 def random_labels(rng, shape):
@@ -270,13 +271,16 @@ def test_zero_dimension_in_header_is_volume_error_naming_file(tmp_path):
 TOP = 2**64 - 1
 
 
-@pytest.mark.parametrize("values", [
+ID_SETS = [
     [0, TOP, 5, 0, TOP, 5, 5, 1],
     [TOP, TOP, TOP],
     [7],
     [],
     np.random.default_rng(8).integers(0, 12, (3, 4, 5), dtype=np.uint64) * np.uint64(TOP // 11),
-])
+]
+
+
+@pytest.mark.parametrize("values", ID_SETS)
 def test_unique_inverse_equals_np_unique(values):
     x = np.array(values, dtype=np.uint64)
     uniq, inv = unique_inverse(x)
@@ -284,6 +288,20 @@ def test_unique_inverse_equals_np_unique(values):
     assert uniq.dtype == np.uint64 and np.array_equal(uniq, want_uniq)
     assert inv.shape == x.shape and np.array_equal(inv.ravel(), want_inv.ravel())
     assert np.array_equal(uniq[inv], x)
+
+
+@pytest.mark.parametrize("values", ID_SETS)
+def test_cooccurrence_matches_counter_oracle(values):
+    a = np.array(values, dtype=np.uint64).ravel()
+    weights = np.random.default_rng(len(a)).random(len(a))
+    for b in (a, a[::-1], np.roll(a, 1) // np.uint64(3), np.zeros_like(a)):
+        for w in (None, weights):
+            got = cooccurrence(a, b, w)
+            want = cooccurrence_reference(a, b, w)
+            assert got[0].dtype == got[1].dtype == np.uint64
+            if len(a):  # bincount gives an empty int64 array either way
+                assert got[2].dtype == (np.int64 if w is None else np.float64)
+            assert [col.tolist() for col in got] == list(want)
 
 
 @pytest.mark.parametrize("values", [

@@ -173,6 +173,30 @@ def test_float32_threshold_compared_in_float64():
     assert seg.data.ravel().tolist() == [1, 1, 2, 2]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
+def test_non_finite_or_out_of_range_affinities_are_rejected(bad):
+    # read_volume skips the range check; an argmax takes a NaN as the
+    # strongest edge, which here joins voxels 0 and 3 through background
+    a = np.zeros((3, 1, 1, 4), dtype=np.float32)
+    a[2, 0, 0, :3] = [0.9, bad, 0.5]
+    aff = AffinityVolume(a, check_range=False)
+    with pytest.raises(ValueError, match="finite"):
+        zwatershed(aff, WatershedParams(0.95, 0.3, 0, 0.3))
+    labels = LabelVolume(np.array([[[1, 1, 2, 2]]], dtype=np.uint64))
+    for size_min in (0, 2):
+        with pytest.raises(ValueError, match="finite"):
+            size_filter(labels, aff, size_min, 0.3)
+
+
+BFS_THRESHOLDS = ((0.99, 0.3), (0.95, 0.6), (0.9, 0.7), (0.7, 0.3), (0.7, 0.7))
+
+
+def assert_basins_match_bfs(vol, thresholds=BFS_THRESHOLDS):
+    for t_high, t_low in thresholds:
+        seg, _ = zwatershed(vol, WatershedParams(t_high, t_low, 0, t_low))
+        assert np.array_equal(seg.data, watershed_basins(vol, t_high, t_low)), (t_high, t_low)
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
 def test_basins_match_bfs_oracle(seed, jitter):
@@ -182,9 +206,30 @@ def test_basins_match_bfs_oracle(seed, jitter):
     # float32 rounds 0.7, 0.9 and 0.95 down and 0.3, 0.6, 0.99 up
     grid = AffinityVolume((np.round(aff.data * 20) / 20).astype(np.float32))
     for vol in (aff, grid):
-        for t_high, t_low in ((0.99, 0.3), (0.95, 0.6), (0.9, 0.7), (0.7, 0.3), (0.7, 0.7)):
-            seg, _ = zwatershed(vol, WatershedParams(t_high, t_low, 0, t_low))
-            assert np.array_equal(seg.data, watershed_basins(vol, t_high, t_low))
+        assert_basins_match_bfs(vol)
+
+
+def tie_volume(case):
+    """All 0.5, or values on a 0.25 grid, on a 6x12x12 volume or a thin one."""
+    kind, dims = case.split("_")
+    if kind == "grid" and dims == "6x12x12":
+        return rule_d_volume("grid", 1)
+    shape = (3, *map(int, dims.split("x")))
+    if kind == "equal":
+        return AffinityVolume(np.full(shape, 0.5, dtype=np.float32))
+    return AffinityVolume(np.random.default_rng(7).integers(0, 5, shape).astype(np.float32) / 4)
+
+
+TIE_CASES = [f"{kind}_{dims}" for kind in ("equal", "grid")
+             for dims in ("6x12x12", "1x1x1", "1x1x7", "1x6x6")]
+
+
+@pytest.mark.parametrize("case", TIE_CASES)
+def test_basins_match_bfs_oracle_on_ties_and_thin_shapes(case):
+    # every voxel ties with a neighbour (mutual-pair roots), all-equal rows
+    # ascend step by step (long jump chains), thin shapes lack whole axes
+    extra = ((0.75, 0.5), (0.5, 0.5), (0.5, 0.25), (1.0, 0.0))
+    assert_basins_match_bfs(tie_volume(case), BFS_THRESHOLDS + extra)
 
 
 def rule_d_volume(kind, seed):
