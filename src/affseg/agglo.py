@@ -7,15 +7,17 @@ reads (mean scorer: count and s1, rule (d): max, logistic scorer: all) in up
 to three blocks: one additive (count, s1..s4, histogram), min and max; one
 adjacency map takes each segment to {neighbour: row}.  A merge relinks the
 absorbed segment's rows to the survivor, or adds them into the survivor's
-rows to the same neighbours, one array operation per block.  Scorers score
-one boundary or a whole table of them.  Agglomeration is a greedy best-first
-loop over a lazily invalidated priority queue: pop the highest-scoring
-boundary, merge (the smaller label survives), re-score in one call the
+rows to the same neighbours.  Scorers score one boundary or a whole table
+of them.  Agglomeration is a greedy best-first loop over a lazily
+invalidated priority queue: score every boundary once, pop the
+highest-scoring boundary, merge (the smaller label survives), re-score the
 boundaries whose score the merge can have changed, repeat until the best
-score drops below the threshold.  Those are the absorbed segment's former
-boundaries, plus all of the survivor's when the scorer reads segment sizes.
-A heap entry carries its table row and that row's stamp, which a merge bumps
-for every row it drops or re-scores.  Every applied merge is recorded in a
+score drops below the threshold.  The mean scorer's loop keeps each row as
+Python numbers and re-scores only the rows that absorbed another; any other
+scorer's loop adds rows in the table, one array operation per block, and
+re-scores all of the survivor's boundaries in one call.  A heap entry
+carries its table row and that row's stamp, which a merge bumps for every
+row it drops or re-scores.  Every applied merge is recorded in a
 MergeTree that can be replayed later, at one threshold or, walking the
 merges once, at a whole decreasing series of them.
 
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, cooccurrence,
-                           overlap_counts, require_same_shape, unique_inverse)
+                           overlap_counts, require_affinity_range, require_same_shape,
+                           unique_inverse)
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -201,10 +204,16 @@ class MeanAffinity:
 
     name = "mean"
     reads = ("count", "s1")
-    reads_sizes = False  # a merge leaves the scores of untouched boundaries as they were
 
     def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
         return acc.pooled_mean()
+
+    @staticmethod
+    def scalar(n: int, s1z: float, s1y: float, s1x: float) -> float:
+        """`score` of one boundary from its total count and per-channel s1
+        as Python numbers: `pooled_mean`'s operations in its order, so the
+        same float."""
+        return (s1z + s1y + s1x) / max(n, 1)
 
 
 class Logistic:
@@ -218,7 +227,6 @@ class Logistic:
 
     name = "logistic"
     reads = ALL_STATS
-    reads_sizes = True  # log segment sizes are features
 
     def __init__(self, weights: np.ndarray, bias: float):
         w = np.asarray(weights, dtype=np.float64)
@@ -397,8 +405,10 @@ class Rag:
 def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     """Node sizes and boundary `stats` of every adjacent label pair: the
     boundary edges are sorted into (boundary, channel) runs, each in slot
-    order, and all runs are folded into the rows of one table at once."""
+    order, and all runs are folded into the rows of one table at once.
+    Raises ValueError unless the affinities are finite and in [0, 1]."""
     require_same_shape(labels, aff)
+    require_affinity_range(aff.data)
     lab = labels.data
     ids, sizes = np.unique(lab, return_counts=True)
     ids, sizes = ids[ids != 0], sizes[ids != 0]
@@ -477,27 +487,32 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     reproduces the output exactly.
 
     The RAG holds the statistics the scorer `reads` (all if it declares
-    none).  A merge re-scores the absorbed node's former boundaries, and
-    the survivor's others only for a scorer whose score `reads_sizes`; the
-    boundaries left alone keep their heap entries.  An entry (-score, a,
-    b, row, stamp) is live while `stamp` is its row's current stamp.  Live
-    entries are unique in (-score, a, b) and a kept score is the score a
-    re-scoring would give, so the pop order is the same as re-scoring every
-    boundary.
+    none), and every boundary is scored once from it.  Under `MeanAffinity`
+    the loop keeps each row as Python numbers (total count, per-channel s1)
+    and never reads the table again: a merge relinks the graph, folds each
+    dropped row into the row it pairs with and re-scores only those rows
+    with `MeanAffinity.scalar`.  Any other scorer may read segment sizes,
+    so a merge adds the paired rows in the table and re-scores all of the
+    survivor's boundaries in one call.  The survivor's changed boundaries
+    are pushed again; a relinked row keeps its statistics, so its score.
+    An entry (-score, a, b, row, stamp) is live while `stamp` is its row's
+    current stamp.  Live entries are unique in (-score, a, b) and a kept
+    score is the score a re-scoring would give, so the pop order is the
+    same as re-scoring every boundary.
     """
     check_theta(theta)
     rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
-    sizes_matter = getattr(scorer, "reads_sizes", True)
-    stamp, heap, merges = [0] * rag.n_edges, [], []
-
-    def push(keys, rows):
-        acc, *sizes = rag.boundaries(keys) if sizes_matter else (rag.table[rows], None, None)
-        for (a, b), row, sc in zip(keys, rows, scorer.score(acc, *sizes).tolist()):
-            stamp[row] += 1
-            heapq.heappush(heap, (-sc, a, b, row, stamp[row]))
-
     edges = rag.edges
-    push(list(edges), list(edges.values()))
+    if scalar := isinstance(scorer, MeanAffinity):
+        score = scorer.score(rag.table, None, None).tolist()
+        n, (sz, sy, sx) = rag.table.total_count.tolist(), rag.table.s1.T.tolist()
+    else:
+        score = [0.0] * len(edges)
+        for row, sc in zip(edges.values(), scorer.score(*rag.boundaries(list(edges))).tolist()):
+            score[row] = sc
+    stamp, merges = [0] * len(edges), []
+    heap = [(-score[row], a, b, row, 0) for (a, b), row in edges.items()]
+    heapq.heapify(heap)
     while heap:
         neg, a, b, row, st = heapq.heappop(heap)
         if stamp[row] != st:
@@ -505,15 +520,26 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         if -neg < theta:
             break
         merges.append((a, b, -neg))
-        touched, dropped = rag.merge_nodes(a, b)
+        if scalar:
+            touched, dropped, into = rag.relink(a, b)
+            for kept, row in zip(into, dropped[1:]):
+                n[kept] += n[row]
+                sz[kept] += sz[row]
+                sy[kept] += sy[row]
+                sx[kept] += sx[row]
+                score[kept] = MeanAffinity.scalar(n[kept], sz[kept], sy[kept], sx[kept])
+        else:
+            _, dropped = rag.merge_nodes(a, b)
+            touched = rag.adj[a]
+            nbrs = sorted(touched)
+            keys = [(min(a, x), max(a, x)) for x in nbrs]
+            for x, sc in zip(nbrs, scorer.score(*rag.boundaries(keys)).tolist()):
+                score[touched[x]] = sc
         for row in dropped:
             stamp[row] += 1
-        # b's former rows were added into a's or relinked to a (`touched`);
-        # a's other rows changed only if the score reads node sizes
-        if sizes_matter:
-            touched = rag.adj[a]
-        nbrs = sorted(touched)
-        push([(min(a, x), max(a, x)) for x in nbrs], [touched[x] for x in nbrs])
+        for x, row in touched.items():
+            stamp[row] += 1
+            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row, stamp[row]))
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 

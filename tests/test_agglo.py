@@ -124,6 +124,24 @@ def test_build_rag_matches_per_pair_oracle(case):
             assert np.all(err <= 1e-12 * np.array(want["feature_scale"]))
 
 
+@pytest.mark.parametrize("at", [1, 0], ids=["boundary", "interior"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.3, 1.5])
+def test_build_rag_rejects_non_finite_or_out_of_range_affinities(bad, at):
+    # unchecked, a NaN boundary was merged at score nan, which the written
+    # tree cannot be read back with, and a negative value was counted in
+    # the histogram of another boundary
+    labels = LabelVolume(np.array([[[1, 1, 2, 2, 3, 3]]], dtype=np.uint64))
+    a = np.zeros((3, 1, 1, 6), dtype=np.float32)
+    a[2, 0, 0] = [0.9, 0.9, 0.9, 0.7, 0.9, 0.0]
+    a[2, 0, 0, at] = bad
+    aff = AffinityVolume(a, check_range=False)
+    with pytest.raises(ValueError, match="finite and lie in"):
+        build_rag(labels, aff)
+    for scorer in (MeanAffinity(), size_logistic(0.0, 0.0)):
+        with pytest.raises(ValueError, match="finite and lie in"):
+            agglomerate(labels, aff, scorer, 0.5)
+
+
 # ------------------------------------------------------------ edge features
 
 
@@ -203,10 +221,46 @@ def test_reading_an_undeclared_statistic_raises(stats):
         edge_feature_vector(FeatureAccumulator(("count", "s1")), 1, 1)
 
 
+def test_mean_scalar_score_equals_table_score_bit_for_bit():
+    # non-grid s1 sums, channel counts from 0 to below 10**8 (total at least 1),
+    # then rounds of disjoint row folds as one merge makes them, so that a
+    # row absorbs several others in turn
+    rng = np.random.default_rng(18)
+    rows = 600
+    table = FeatureAccumulator.table(rows, MeanAffinity.reads)
+    table.count[:] = rng.integers(0, 10 ** rng.integers(1, 9, (rows, 3)))
+    table.count[:, 0] += table.count.sum(-1) == 0
+    table.s1[:] = table.count * rng.random((rows, 3)).astype(np.float32)
+    n, s1 = table.total_count.tolist(), table.s1.tolist()
+
+    def assert_equal_scores():
+        scalar = [MeanAffinity.scalar(k, *s) for k, s in zip(n, s1)]
+        assert MeanAffinity().score(table, None, None).tolist() == scalar
+        picked = rng.permutation(rows)[:rows // 3]
+        assert MeanAffinity().score(table[picked], None, None).tolist() == [
+            scalar[i] for i in picked]
+
+    assert_equal_scores()
+    live = list(range(rows))
+    for _ in range(6):
+        rng.shuffle(live)
+        half = len(live) // 2
+        into, dropped = live[:half // 2], live[half:half + half // 2]
+        table.merge_rows(np.array(into), np.array(dropped))
+        for kept, row in zip(into, dropped):
+            n[kept] += n[row]
+            s1[kept] = [a + b for a, b in zip(s1[kept], s1[row])]
+        gone = set(dropped)
+        live = [r for r in live if r not in gone]
+        assert_equal_scores()
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5])
 def test_mean_agglomerate_on_its_lean_table_matches_rescoring_a_full_table(theta):
-    for seed in range(6):
-        _, aff, seg = noisy_instance(seed, n_seeds=6)
+    # the last instance has 445 fragments and 953 boundaries, and its early
+    # survivors already have up to 97 neighbours
+    instances = [noisy_instance(seed, n_seeds=6) for seed in range(6)]
+    for _, aff, seg in instances + [noisy_instance(0, Shape3(16, 64, 64), n_seeds=20)]:
         _, tree = agglomerate(seg, aff, MeanAffinity(), theta)
         assert tree.merges == greedy_rescoring_everything(seg, aff, MeanAffinity(), theta)
         assert tree.merges
@@ -439,7 +493,6 @@ def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():
     for seed in (0, 1):
         gt, aff, seg = noisy_instance(seed, n_seeds=6)
         scorer = train_scorer(build_rag(seg, aff), gt)
-        assert Logistic.reads_sizes and not MeanAffinity.reads_sizes
         _, tree = agglomerate(seg, aff, scorer, 0.0)
         want = greedy_rescoring_everything(seg, aff, scorer)
         assert [m[:2] for m in tree.merges] == [m[:2] for m in want]
