@@ -16,8 +16,8 @@ score drops below the threshold.  The mean scorer's loop keeps each row as
 Python numbers and re-scores only the rows that absorbed another; any other
 scorer's loop adds rows in the table, one array operation per block, and
 re-scores all of the survivor's boundaries in one call.  A heap entry
-carries its table row and that row's stamp, which a merge bumps for every
-row it drops or re-scores.  Every applied merge is recorded in a
+(-score, a, b, row) is live while b is still a's neighbour and the entry's
+score is still its row's.  Every applied merge is recorded in a
 MergeTree that can be replayed later, at one threshold or, walking the
 merges once, at a whole decreasing series of them.
 
@@ -495,27 +495,27 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     so a merge adds the paired rows in the table and re-scores all of the
     survivor's boundaries in one call.  The survivor's changed boundaries
     are pushed again; a relinked row keeps its statistics, so its score.
-    An entry (-score, a, b, row, stamp) is live while `stamp` is its row's
-    current stamp.  Live entries are unique in (-score, a, b) and a kept
-    score is the score a re-scoring would give, so the pop order is the
-    same as re-scoring every boundary.
+    An entry (-score, a, b, row) is live while b is a's neighbour and
+    `score` is still its row's: a live boundary keeps its row, and every
+    score written is pushed, so a live entry is its row's latest push or a
+    twin of it, dead once that push's merge removes b.  A kept score is
+    the score a re-scoring would give, so the pop order is the same as
+    re-scoring every boundary.
     """
     check_theta(theta)
     rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
-    edges = rag.edges
-    if scalar := isinstance(scorer, MeanAffinity):
+    keys = list(rag.edges)  # rows in order: build_rag numbers them in (lo, hi) order
+    if scalar := isinstance(scorer, MeanAffinity):  # reads no sizes: score the table as is
         score = scorer.score(rag.table, None, None).tolist()
         n, (sz, sy, sx) = rag.table.total_count.tolist(), rag.table.s1.T.tolist()
     else:
-        score = [0.0] * len(edges)
-        for row, sc in zip(edges.values(), scorer.score(*rag.boundaries(list(edges))).tolist()):
-            score[row] = sc
-    stamp, merges = [0] * len(edges), []
-    heap = [(-score[row], a, b, row, 0) for (a, b), row in edges.items()]
+        score = scorer.score(*rag.boundaries(keys)).tolist()
+    merges = []
+    heap = [(-sc, a, b, row) for row, ((a, b), sc) in enumerate(zip(keys, score))]
     heapq.heapify(heap)
     while heap:
-        neg, a, b, row, st = heapq.heappop(heap)
-        if stamp[row] != st:
+        neg, a, b, row = heapq.heappop(heap)
+        if b not in rag.adj.get(a, ()) or score[row] != -neg:
             continue
         if -neg < theta:
             break
@@ -529,17 +529,14 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
                 sx[kept] += sx[row]
                 score[kept] = MeanAffinity.scalar(n[kept], sz[kept], sy[kept], sx[kept])
         else:
-            _, dropped = rag.merge_nodes(a, b)
+            rag.merge_nodes(a, b)
             touched = rag.adj[a]
             nbrs = sorted(touched)
             keys = [(min(a, x), max(a, x)) for x in nbrs]
             for x, sc in zip(nbrs, scorer.score(*rag.boundaries(keys)).tolist()):
                 score[touched[x]] = sc
-        for row in dropped:
-            stamp[row] += 1
         for x, row in touched.items():
-            stamp[row] += 1
-            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row, stamp[row]))
+            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row))
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 

@@ -174,10 +174,8 @@ def _cmd_size_filter(args) -> int:
 
 def _cmd_build_rag(args) -> int:
     rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff), ("count", "s1"))
-    edges = rag.edges
-    keys = sorted(edges)
-    rows = [edges[k] for k in keys]
-    counts, means = rag.table.total_count[rows].tolist(), rag.table.pooled_mean()[rows].tolist()
+    keys = list(rag.edges)  # row order, which is (lo, hi) order
+    counts, means = rag.table.total_count.tolist(), rag.table.pooled_mean().tolist()
     with open(args.out, "w") as f:
         f.write("label_a,label_b,boundary_count,mean_affinity\n")
         f.writelines(f"{a},{b},{n},{m:.6f}\n" for (a, b), n, m in zip(keys, counts, means))

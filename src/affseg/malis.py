@@ -8,8 +8,8 @@ agree, to the negative channel when they differ.  Maximin edges are exactly
 the edges of the maximum spanning forest (Turaga et al. 2009): a Kruskal
 loop in decreasing affinity, behind a cycle filter, decides the forest and
 records which root absorbed which, and array passes over those merge records
-count the pairs (`malis_edge_counts`).  A maximin query is those counts over
-a volume labeling just its two voxels.
+count the pairs (`malis_edge_counts`).  A maximin query reads the same
+merge records: the latest merge between its two voxels (`maximin_affinity`).
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -22,6 +22,7 @@ Voxels labeled 0 are glue: paths may run through them but they never pair.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +55,19 @@ class MalisResult:
 
 
 def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
-    """Best bottleneck affinity between two voxels.
-
-    Read off the pair counts: with `v1` labeled 1, `v2` labeled 2 and
-    every other voxel glue, the one edge charged a negative pair is the
-    pair's maximin edge.  Every in-bounds edge is a candidate (zero-affinity
-    edges included), so the result is always defined.
-    """
+    """Best bottleneck affinity between two voxels: that of the latest merge
+    between their leaf positions (`_leaf_order`), always defined since every
+    in-bounds edge, zero-affinity ones included, is a candidate."""
     shape = aff.shape3
-    for v in (v1, v2):
-        if not shape.contains(*v):
-            raise OutOfBounds(f"voxel {tuple(v)} outside {shape}")
-    if tuple(v1) == tuple(v2):
+    try:
+        u, v = (shape.flat_index(*map(operator.index, w)) for w in (v1, v2))
+    except (TypeError, IndexError):
+        raise OutOfBounds(f"voxels {v1!r}, {v2!r} must be three integers inside {shape}") from None
+    if u == v:
         raise OutOfBounds("maximin affinity requires two distinct voxels")
-    gt = np.zeros(shape.as_tuple(), dtype=np.uint64)
-    gt[tuple(v1)], gt[tuple(v2)] = 1, 2
-    return float(aff.data[malis_edge_counts(aff, LabelVolume(gt)).neg != 0][0])
+    slots, at, *_, closes = _leaf_order(aff)
+    p, q = sorted((at[u], at[v]))
+    return float(aff.data.reshape(-1)[slots[closes[p:q].max()]])
 
 
 def _sweep_order(a: np.ndarray) -> np.ndarray:
@@ -185,30 +183,15 @@ def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return out
 
 
-def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
-    """Attribute every labeled voxel pair to its maximin edge.
-
-    The lattice is connected, so the maximum spanning forest is one tree,
-    and the k-th merge of the Kruskal loop over the cycle filter's
-    candidates in sweep order is the maximin edge of exactly the pairs it
-    joins.  From the merge records:
-
-    - **Leaf order.**  Each merge puts the absorbed component's voxels
-      after the kept one's, so every component is a contiguous run headed
-      by its root; a voxel's position sums the kept sizes along its chain
-      of absorptions (pointer doubling: union by size keeps the chains
-      shorter than log2 of the voxel count).  Merge k covers [lo, end),
-      split at mid = lo + kept size.
-    - **Labeled pairs** n_left * n_right come from one prefix sum.
-    - **Positive pairs.**  Consecutive same-label voxels of the
-      (label, position) order meet at the latest merge between them, a
-      range maximum over the gaps of the leaf order.  That merge is
-      credited the label's count left of mid times its count right of it,
-      found by `searchsorted` in the (label, position) keys; this credits
-      each label of each merge once.  Negative pairs are the rest.
-    """
-    shape = require_same_shape(aff, gt)
-    n = shape.voxels
+def _leaf_order(aff: AffinityVolume):
+    """The Kruskal loop's merges over a leaf order in which each merge puts
+    the absorbed component after the kept one, so every component is a run
+    headed by its root: (slots, at, lo, mid, end, closes), merge k by the
+    edge at slots[k] covering [lo[k], end[k]) split at mid[k], voxel v at
+    position at[v], and closes[p - 1] the merge joining positions p - 1, p.
+    A position sums the kept sizes along the voxel's chain of absorptions
+    (pointer doubling: union by size keeps chains under log2 n long)."""
+    n = aff.shape3.voxels
     cand_slots, cand_u, cand_v = _candidates_in_sweep_order(aff)
     merged, kept, gone, kept_size, size = _merges(n, cand_u, cand_v)
     slots = cand_slots[merged]
@@ -227,10 +210,30 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
         at += at[up]
         up = upup
     mid = at[gone]
-    lo = mid - kept_size
-    end = mid + size[gone]
-    closes = np.empty(n - 1, dtype=kept.dtype)  # closes[p - 1] joins positions p - 1, p
+    closes = np.empty(n - 1, dtype=kept.dtype)
     closes[mid - 1] = np.arange(n - 1, dtype=kept.dtype)
+    return slots, at, mid - kept_size, mid, mid + size[gone], closes
+
+
+def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
+    """Attribute every labeled voxel pair to its maximin edge.
+
+    The lattice is connected, so the maximum spanning forest is one tree,
+    and the k-th merge of the Kruskal loop over the cycle filter's
+    candidates in sweep order is the maximin edge of exactly the pairs it
+    joins.  From the merges, laid out in the leaf order of `_leaf_order`:
+
+    - **Labeled pairs** n_left * n_right come from one prefix sum.
+    - **Positive pairs.**  Consecutive same-label voxels of the
+      (label, position) order meet at the latest merge between them, a
+      range maximum over the gaps of the leaf order.  That merge is
+      credited the label's count left of mid times its count right of it,
+      found by `searchsorted` in the (label, position) keys; this credits
+      each label of each merge once.  Negative pairs are the rest.
+    """
+    shape = require_same_shape(aff, gt)
+    n = shape.voxels
+    slots, at, lo, mid, end, closes = _leaf_order(aff)
 
     flat = gt.data.ravel()
     labeled = np.flatnonzero(flat)

@@ -166,7 +166,7 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     """Merge per-block labelings, cores tiling the volume, via halo-overlap matching."""
     if not 0.0 < min_ratio <= 1.0:
         raise ValueError(f"min_ratio must be in (0, 1], got {min_ratio}")
-    if min_voxels < 1:
+    if not min_voxels >= 1:
         raise ValueError(f"min_voxels must be positive, got {min_voxels}")
     shape = tiled_shape(specs)
     g = build_stitch_graph(specs, block_labelings)

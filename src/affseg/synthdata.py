@@ -39,7 +39,7 @@ class SynthParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_seeds < 1:
+        if not self.n_seeds >= 1:
             raise ValueError(f"n_seeds must be positive, got {self.n_seeds}")
         if not (np.isfinite(self.anisotropy) and self.anisotropy >= 1.0):
             raise ValueError(f"anisotropy must be finite and >= 1, got {self.anisotropy}")

@@ -59,7 +59,7 @@ class WatershedParams:
                 f"need t_low <= t_merge <= t_high, got "
                 f"{self.t_low}, {self.t_merge}, {self.t_high}"
             )
-        if self.size_min < 0:
+        if not self.size_min >= 0:
             raise ValueError(f"size_min must be >= 0, got {self.size_min}")
 
 
@@ -154,7 +154,7 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
 
     size_min == 0 is a no-op and returns the input labels unchanged.
     """
-    if size_min < 0:
+    if not size_min >= 0:
         raise ValueError(f"size_min must be >= 0, got {size_min}")
     if not 0.0 <= t_merge <= 1.0:
         raise ValueError(f"t_merge must be in [0, 1], got {t_merge}")

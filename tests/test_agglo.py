@@ -107,6 +107,9 @@ def test_build_rag_matches_per_pair_oracle(case):
     values, sizes = boundary_values(labels, aff)
     assert rag.nodes == sizes
     assert set(rag.edges) == {(lo, hi) for lo, hi, _ in values}
+    # rows are numbered in (lo, hi) order, and `edges` lists them in row order
+    assert list(rag.edges) == sorted(rag.edges)
+    assert list(rag.edges.values()) == list(range(rag.n_edges))
     for (a, b) in rag.edges:
         acc = rag.edge_acc(a, b)
         for c in range(3):

@@ -62,8 +62,11 @@ def test_maximin_rejects_identical_voxels():
 
 def test_maximin_rejects_out_of_bounds():
     aff = chain_volume([0.5])
-    with pytest.raises(OutOfBounds):
-        maximin_affinity(aff, (0, 0, 0), (0, 0, 5))
+    # past the end, too few or too many coordinates, a fraction, a string, no voxel
+    for bad in [(0, 0, 5), (0, 0), (0, 0, 0, 1), (0, 0, 0.5), (0, 0, "1"), None]:
+        for v1, v2 in [((0, 0, 0), bad), (bad, (0, 0, 1))]:
+            with pytest.raises(OutOfBounds):
+                maximin_affinity(aff, v1, v2)
 
 
 def maximin_cases(rng):

@@ -88,6 +88,13 @@ def test_stitch_small_overlap_with_ratio():
     assert len(np.unique(out2.data[out2.data != 0])) == 2  # absolute floor blocks it
 
 
+def test_stitch_rejects_nan_min_voxels():
+    specs = two_blocks_1d()
+    labelings = [LabelVolume(np.ones(s.halo_shape, dtype=np.uint64)) for s in specs]
+    with pytest.raises(ValueError, match="min_voxels"):
+        stitch(specs, labelings, min_voxels=float("nan"))
+
+
 def test_stitch_zero_overlap_stays_separate():
     specs = two_blocks_1d()
     la = np.zeros((1, 1, 8), dtype=np.uint64)

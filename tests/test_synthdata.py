@@ -87,6 +87,11 @@ def test_too_many_seeds():
         synth_labels(Shape3(1, 2, 2), SynthParams(n_seeds=5, rng_seed=0))
 
 
+def test_nan_seed_count_is_rejected():
+    with pytest.raises(ValueError, match="n_seeds"):
+        SynthParams(n_seeds=float("nan"))
+
+
 def test_noiseless_is_exact_encoding():
     gt = synth_labels(Shape3(4, 6, 6), SynthParams(n_seeds=3, rng_seed=2))
     aff = synth_affinities(gt, NoiseParams())

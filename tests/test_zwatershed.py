@@ -21,6 +21,8 @@ def test_params_invariant():
         WatershedParams(t_high=0.9, t_low=0.1, size_min=0, t_merge=0.95)
     with pytest.raises(ValueError):
         WatershedParams(t_high=1.5, t_low=0.1, size_min=0, t_merge=0.5)
+    with pytest.raises(ValueError, match="size_min"):
+        WatershedParams(t_high=0.9, t_low=0.1, size_min=float("nan"), t_merge=0.5)
 
 
 def test_all_ones_single_segment():
@@ -91,7 +93,8 @@ def test_size_filter_shape_mismatch():
         size_filter(labels, aff, 2, 0.3)
 
 
-@pytest.mark.parametrize("size_min,t_merge", [(-5, 0.3), (3, 3.0), (3, float("nan"))])
+@pytest.mark.parametrize("size_min,t_merge", [(-5, 0.3), (3, 3.0), (3, float("nan")),
+                                              (float("nan"), 0.3)])
 def test_size_filter_rejects_bad_parameters(size_min, t_merge):
     aff = chain4()
     seg, _ = zwatershed(aff, WatershedParams(0.9, 0.2, 0, 0.3))
