@@ -3,10 +3,10 @@
 A RAG node is a segment, kept as its voxel count; a RAG edge is the shared
 boundary of two segments, one row of a single table of mergeable per-channel
 statistics, filled in one array pass, that holds only what its consumer
-reads (mean scorer: count and s1, rule (d): max, logistic scorer: all) in up
-to three blocks: one additive (count, s1..s4, histogram), min and max; one
+reads (mean scorer: count and s1, rule (d): max, logistic scorer: all), one
+array per statistic, each merged by its own rule (add, min or max); one
 adjacency map takes each segment to {neighbour: row}.  A merge relinks the
-absorbed segment's rows to the survivor, or adds them into the survivor's
+absorbed segment's rows to the survivor, or merges them into the survivor's
 rows to the same neighbours.  Scorers score one boundary or a whole table
 of them.  Agglomeration is a greedy best-first loop over a lazily
 invalidated priority queue: score every boundary once, pop the
@@ -14,8 +14,8 @@ highest-scoring boundary, merge (the smaller label survives), re-score the
 boundaries whose score the merge can have changed, repeat until the best
 score drops below the threshold.  The mean scorer's loop keeps each row as
 Python numbers and re-scores only the rows that absorbed another; any other
-scorer's loop adds rows in the table, one array operation per block, and
-re-scores all of the survivor's boundaries in one call.  A heap entry
+scorer's loop merges rows in the table, one array operation per statistic,
+and re-scores all of the survivor's boundaries in one call.  A heap entry
 (-score, a, b, row) is live while b is still a's neighbour and the entry's
 score is still its row's.  Every applied merge is recorded in a
 MergeTree that can be replayed later, at one threshold or, walking the
@@ -46,10 +46,10 @@ N_FEATURES = 51
 HIST_BINS = 10
 # the power sums s1..s4, as the function of the values each one adds up
 POWERS = {"s1": lambda v: v, "s2": lambda v: v * v, "s3": lambda v: v**3, "s4": lambda v: v**4}
-ADDITIVE = ("count", *POWERS, "hist")  # the statistics in `sums`, in column order
-ALL_STATS = (*ADDITIVE, "vmin", "vmax")
-# how each storage block of two boundaries' statistics combines into their union's
-MERGE_RULES = {"sums": np.add, "vmin": np.minimum, "vmax": np.maximum}
+# how each statistic of two boundaries combines into their union's
+MERGE_RULES = {"count": np.add, **dict.fromkeys(POWERS, np.add), "hist": np.add,
+               "vmin": np.minimum, "vmax": np.maximum}
+ALL_STATS = tuple(MERGE_RULES)
 
 MODEL_MAGIC_VERSION = 1
 FIT_EPOCHS, FIT_LR = 500, 0.1  # full-batch gradient descent of the logistic fit
@@ -73,32 +73,24 @@ class FeatureAccumulator:
 
     `FeatureAccumulator(stats)` is one boundary, `table(E, stats)` is E
     boundaries, with a leading row axis; both hold only the `stats` named
-    (by default `ALL_STATS`).  The float64 block `sums` (..., 3, k) holds
-    per channel those of count, s1..s4 and the histogram bins, which
-    `count`, `s1`..`s4` and `hist` view; `vmin` and `vmax` are (..., 3).
+    (by default `ALL_STATS`), each as one float64 array: `count`,
+    `s1`..`s4`, `vmin` and `vmax` are (..., 3), `hist` is (..., 3, 10).
     Reading a statistic not held raises AttributeError.  Every statistic
     below reduces over the channel axis.
     """
 
-    __slots__ = ("sums", "vmin", "vmax", "_cols", "_blocks")
+    __slots__ = ("_held",)
 
     def __init__(self, stats=ALL_STATS):
-        held = [s for s in ("count", *POWERS) if s in stats]
-        self._cols = {s: k for k, s in enumerate(held)}
-        if "hist" in stats:
-            self._cols["hist"] = slice(len(held), len(held) + HIST_BINS)
-        width = len(held) + HIST_BINS * ("hist" in stats)
-        blocks = {"sums": np.zeros((3, width)), "vmin": np.full(3, np.inf),
-                  "vmax": np.full(3, -np.inf)}
-        self._blocks = tuple(b for b in blocks if b in stats or (b == "sums" and width))
-        for name in self._blocks:
-            setattr(self, name, blocks[name])
+        empty = {"hist": np.zeros((3, HIST_BINS)), "vmin": np.full(3, np.inf),
+                 "vmax": np.full(3, -np.inf)}
+        self._held = {s: empty.get(s, np.zeros(3)) for s in ALL_STATS if s in stats}
 
     def __getattr__(self, name: str):
-        """`count`, `s1`..`s4` and `hist`: views of their columns of `sums`."""
-        if name not in ADDITIVE or name not in self._cols:
+        """Each held statistic, by name."""
+        if name not in ALL_STATS or name not in self._held:
             raise AttributeError(f"this table does not hold {name}")
-        return self.sums[..., self._cols[name]]
+        return self._held[name]
 
     @classmethod
     def table(cls, rows: int, stats=ALL_STATS) -> "FeatureAccumulator":
@@ -107,9 +99,7 @@ class FeatureAccumulator:
 
     def _map(self, f) -> "FeatureAccumulator":
         out = FeatureAccumulator.__new__(FeatureAccumulator)
-        out._cols, out._blocks = self._cols, self._blocks
-        for name in self._blocks:
-            setattr(out, name, f(getattr(self, name)))
+        out._held = {name: f(a) for name, a in self._held.items()}
         return out
 
     def __getitem__(self, rows) -> "FeatureAccumulator":
@@ -126,27 +116,25 @@ class FeatureAccumulator:
         (..., channel) cell ``tuple(i[k] for i in cells)``, all runs at once."""
         v = values.astype(np.float64)
         n = np.diff(starts, append=len(v))
-        cols = [n] * ("count" in self._cols) + [
-            np.add.reduceat(power(v), starts) for s, power in POWERS.items() if s in self._cols]
-        if "hist" in self._cols:
-            bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
-            hist = np.bincount(np.repeat(np.arange(len(starts)), n) * HIST_BINS + bins,
-                               minlength=len(starts) * HIST_BINS)
-            cols.extend(hist.reshape(-1, HIST_BINS).T)
-        if cols:
-            self.sums[cells + (slice(0, len(cols)),)] += np.stack(cols, axis=-1)
-        for name in set(self._blocks) - {"sums"}:
-            rule, field = MERGE_RULES[name], getattr(self, name)
-            field[cells] = rule(field[cells], rule.reduceat(v, starts))
+        for name, field in self._held.items():
+            rule = MERGE_RULES[name]
+            if name == "count":
+                runs = n
+            elif name == "hist":
+                bins = np.minimum((v * HIST_BINS).astype(np.int64), HIST_BINS - 1)
+                runs = np.bincount(np.repeat(np.arange(len(starts)), n) * HIST_BINS + bins,
+                                   minlength=len(starts) * HIST_BINS).reshape(-1, HIST_BINS)
+            else:
+                runs = rule.reduceat(POWERS[name](v) if name in POWERS else v, starts)
+            field[cells] = rule(field[cells], runs)
 
     def merge(self, other: "FeatureAccumulator") -> None:
-        for name in self._blocks:
-            MERGE_RULES[name](getattr(self, name), getattr(other, name), out=getattr(self, name))
+        for name, field in self._held.items():
+            MERGE_RULES[name](field, getattr(other, name), out=field)
 
     def merge_rows(self, into: np.ndarray, rows: np.ndarray) -> None:
         """Merge table row rows[k] into row into[k] for every k, all at once."""
-        for name in self._blocks:
-            field = getattr(self, name)
+        for name, field in self._held.items():
             MERGE_RULES[name].at(field, into, field[rows])
 
     def combine(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
@@ -202,7 +190,6 @@ def edge_feature_vector(acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
 class MeanAffinity:
     """Scores a boundary by its mean affinity pooled over all channels."""
 
-    name = "mean"
     reads = ("count", "s1")
 
     def score(self, acc: FeatureAccumulator, size_a, size_b) -> np.ndarray:
@@ -225,7 +212,6 @@ class Logistic:
     Model file: one version byte, then 51 weights and the bias as f64 LE.
     """
 
-    name = "logistic"
     reads = ALL_STATS
 
     def __init__(self, weights: np.ndarray, bias: float):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import index_dtype
-from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, edge_table, require_same_shape,
-                           unique_inverse)
+from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, oob_edge_mask,
+                           require_same_shape, slot_ends, unique_inverse)
 
 
 class OutOfBounds(Exception):
@@ -109,13 +109,11 @@ def _candidates_in_sweep_order(aff: AffinityVolume):
     function of its own frees the whole-lattice arrays before that loop.
     """
     shape = aff.shape3
-    c, u, v = edge_table(shape)
-    slot = c * shape.voxels + u  # channel * voxels + flat index of the lower endpoint
-    del c
-    order = _sweep_order(aff.data.reshape(-1)[slot])
+    slot = np.flatnonzero(~oob_edge_mask(shape))
+    slot = slot[_sweep_order(aff.data.reshape(-1)[slot])]  # ties stay in slot order
     # out-of-bounds slots keep no rank: no square has them as a side
-    rank = np.empty((3,) + shape.as_tuple(), dtype=index_dtype(len(order)))
-    rank.reshape(-1)[slot[order]] = np.arange(len(order), dtype=rank.dtype)
+    rank = np.empty((3,) + shape.as_tuple(), dtype=index_dtype(len(slot)))
+    rank.reshape(-1)[slot] = np.arange(len(slot), dtype=rank.dtype)
     last = np.zeros(rank.shape, dtype=bool)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         ranks = _square_sides(rank, a, b)
@@ -123,9 +121,9 @@ def _candidates_in_sweep_order(aff: AffinityVolume):
         for r, mark in zip(ranks, _square_sides(last, a, b)):
             mark |= r == top
     del rank
-    order = order[~last.reshape(-1)[slot[order]]]
+    slot = slot[~last.reshape(-1)[slot]]
     dtype = index_dtype(shape.voxels)
-    return slot[order], u[order].astype(dtype), v[order].astype(dtype)
+    return slot, *(end.astype(dtype) for end in slot_ends(slot, shape))
 
 
 def _merges(n: int, cand_u, cand_v):

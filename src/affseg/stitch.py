@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,13 @@ class BlockSpec:
 
 
 def _as_dims(v, what: str, minimum: int) -> tuple[int, int, int]:
-    dims = v.as_tuple() if isinstance(v, Shape3) else tuple(int(d) for d in v)
+    """Three integer extents, each taken whole: 2.7 is rejected, not truncated."""
+    try:
+        dims = v.as_tuple() if isinstance(v, Shape3) else tuple(map(operator.index, v))
+    except TypeError:
+        dims = ()
     if len(dims) != 3 or any(d < minimum for d in dims):
-        raise ValueError(f"{what} must be 3 values >= {minimum}, got {v!r}")
+        raise ValueError(f"{what} must be 3 integers >= {minimum}, got {v!r}")
     return dims
 
 

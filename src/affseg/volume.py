@@ -100,9 +100,6 @@ class Shape3:
         z = i // (self.x * self.y)
         return (z, y, x)
 
-    def contains(self, z: int, y: int, x: int) -> bool:
-        return 0 <= z < self.z and 0 <= y < self.y and 0 <= x < self.x
-
 
 def oob_edge_mask(shape: Shape3) -> np.ndarray:
     """Boolean (3, z, y, x) mask of affinity slots whose neighbour is out of bounds."""
@@ -125,7 +122,7 @@ def edge_ends(arr: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
 
     Slot (c, z, y, x) is the edge from its lower endpoint (z, y, x) to its
     upper endpoint, the +1 neighbour along axis c; this helper and
-    `edge_table` are the only places that spell that out.  `arr` is any
+    `slot_ends` spell that out for the rest of the package.  `arr` is any
     array whose last three axes are (z, y, x).  Both views have the same
     shape and line up edge by edge, so the lower view of an affinity
     channel, ``edge_ends(aff.data[c], c)[0]``, holds its edge weights.
@@ -134,15 +131,12 @@ def edge_ends(arr: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
     return arr[(..., slice(None, -1)) + tail], arr[(..., slice(1, None)) + tail]
 
 
-def edge_table(shape: Shape3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (channel, u, v) int64 arrays of every in-bounds edge, in slot order.
-
-    u and v are the flat voxel ids of the lower and upper endpoints; u is
-    also the edge's slot within its channel.  Slot order is the flat index
-    order of the (3, z, y, x) affinity array, i.e. (channel, z, y, x).
-    """
-    c, u = np.divmod(np.flatnonzero(~oob_edge_mask(shape)), shape.voxels)
-    return c, u, u + np.array([shape.y * shape.x, shape.x, 1])[c]
+def slot_ends(slots: np.ndarray, shape: Shape3) -> tuple[np.ndarray, np.ndarray]:
+    """Flat voxel ids (u, v) of the lower and upper endpoints of the
+    in-bounds edges at flat `slots` of a (3, z, y, x) affinity array; u is
+    also the edge's slot within its channel."""
+    c, u = np.divmod(slots, shape.voxels)
+    return u, u + np.array([shape.y * shape.x, shape.x, 1])[c]
 
 
 def boundary_edges(labels: np.ndarray, aff: np.ndarray):

@@ -189,8 +189,6 @@ def test_histogram_fractions_sum_to_one():
                     assert np.all(fv[c * 16 : (c + 1) * 16] == 0.0)
 
 
-# every storage block of a FeatureAccumulator
-BLOCKS = ("sums", "vmin", "vmax")
 SUBSETS = [("count", "s1"), ("vmax",), ("vmin",), ("hist",), ("s2", "s4"),
            ("count", "hist", "vmin"), ("s3", "hist", "vmax"), ()]
 
@@ -204,11 +202,9 @@ def test_subset_rag_columns_equal_full_rag(stats):
         for name in stats:
             assert np.array_equal(getattr(sub.table, name), getattr(full.table, name))
         # the table stores the declared statistics and nothing else
-        width = sum(HIST_BINS if name == "hist" else 1 for name in stats
-                    if name not in ("vmin", "vmax"))
-        held = [b for b in BLOCKS if hasattr(sub.table, b)]
-        assert held == [b for b in BLOCKS if (b == "sums" and width) or b in stats]
-        assert not width or sub.table.sums.shape == (len(full.edges), 3, width)
+        assert sorted(sub.table._held) == sorted(stats)
+        for name, field in sub.table._held.items():
+            assert field.shape == (len(full.edges), 3) + (HIST_BINS,) * (name == "hist")
 
 
 @pytest.mark.parametrize("stats", SUBSETS)
@@ -321,18 +317,22 @@ def test_accumulator_mergeability_exact_and_relative():
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
-def test_table_row_merge_equals_row_by_row_merges():
+@pytest.mark.parametrize("stats", SUBSETS + [STATS])
+def test_table_row_merge_equals_row_by_row_merges(stats):
     rng = np.random.default_rng(5)
-    table = FeatureAccumulator.table(8)
+    table = FeatureAccumulator.table(8, stats)
     for r in range(8):
         for c in range(3):
             table[r].push(c, grid_values(rng, int(rng.integers(0, 6))))  # row views
-    into, rows = [6, 0, 3], [1, 7, 2]
+    into, rows = [6, 0, 6], [1, 7, 2]  # row 6 takes two rows in one call
+    before = {name: np.copy(getattr(table, name)) for name in stats}
     want = table.copy()
     for i, r in zip(into, rows):
         want[i].merge(want[r])
+    for name in stats:  # the copy owns its arrays
+        assert np.array_equal(getattr(table, name), before[name])
     table.merge_rows(np.array(into), np.array(rows))
-    for name in STATS:
+    for name in stats:
         assert np.array_equal(getattr(table, name), getattr(want, name))
 
 

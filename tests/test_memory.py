@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from affseg.malis import maximin_affinity
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import Shape3, overlap_counts
 from affseg.zwatershed import WatershedParams, zwatershed
@@ -48,3 +49,12 @@ def test_overlap_counts_peak_per_voxel(volume):
     seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
     peak = traced_peak(overlap_counts, seg.data, gt.data)
     assert peak / SHAPE.voxels <= 48
+
+
+def test_maximin_peak_per_voxel(volume):
+    # the cycle filter's candidates are slots of the affinity array, with
+    # endpoints derived for the kept ones only (about 134 B/voxel);
+    # (channel, u, v) int64 arrays of every lattice edge would take about 151
+    _, aff = volume
+    peak = traced_peak(maximin_affinity, aff, (0, 0, 0), (15, 63, 63))
+    assert peak / SHAPE.voxels <= 140

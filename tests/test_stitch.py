@@ -41,6 +41,17 @@ def test_partition_rejects_zero_halo_on_split_axis():
         partition_blocks(Shape3(1, 1, 10), (1, 1, 5), (1, 1, 0))
 
 
+@pytest.mark.parametrize("block, halo, bad", [
+    ((2.7, 2, 2), (1, 1, 1), "block"),  # would tile with blocks of 2
+    ((2, 2, 2), (0.9, 1, 1), "halo"),  # would become halo 0 on a split axis
+    ((2, 2), (1, 1, 1), "block"),
+    ((0, 2, 2), (1, 1, 1), "block"),
+])
+def test_partition_rejects_extents_that_are_not_three_whole_numbers(block, halo, bad):
+    with pytest.raises(ValueError, match=f"{bad} must be 3 integers"):
+        partition_blocks(Shape3(4, 4, 4), block, halo)
+
+
 def test_partition_cores_tile_exactly():
     shape = Shape3(7, 9, 11)
     specs = partition_blocks(shape, (3, 4, 5), (1, 2, 1))

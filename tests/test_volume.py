@@ -12,10 +12,10 @@ from affseg.volume import (
     cooccurrence,
     dense_relabel,
     edge_ends,
-    edge_table,
     inbounds_edge_region,
     oob_edge_mask,
     read_volume,
+    slot_ends,
     unique_inverse,
     write_volume,
 )
@@ -187,8 +187,10 @@ def test_affinity_range_check_rejects_non_finite():
 def test_edge_helpers_match_inbounds_regions():
     shape = Shape3(2, 3, 4)
     ids = np.arange(shape.voxels).reshape(shape.as_tuple())
-    c, u, v = edge_table(shape)
-    assert np.array_equal(c * shape.voxels + u, np.flatnonzero(~oob_edge_mask(shape)))
+    slots = np.flatnonzero(~oob_edge_mask(shape))
+    c = slots // shape.voxels
+    u, v = slot_ends(slots, shape)
+    assert np.array_equal(c * shape.voxels + u, slots)
     for ch in range(3):
         lower, upper = edge_ends(ids, ch)
         region = inbounds_edge_region(ch, shape)
