@@ -7,19 +7,17 @@ reads (mean scorer: count and s1, rule (d): max, logistic scorer: all), one
 array per statistic, each merged by its own rule (add, min or max); one
 adjacency map takes each segment to {neighbour: row}.  A merge relinks the
 absorbed segment's rows to the survivor, or merges them into the survivor's
-rows to the same neighbours.  Scorers score one boundary or a whole table
-of them.  Agglomeration is a greedy best-first loop over a lazily
-invalidated priority queue: score every boundary once, pop the
-highest-scoring boundary, merge (the smaller label survives), re-score the
-boundaries whose score the merge can have changed, repeat until the best
-score drops below the threshold.  The mean scorer's loop keeps each row as
-Python numbers and re-scores only the rows that absorbed another; any other
-scorer's loop merges rows in the table, one array operation per statistic,
-and re-scores all of the survivor's boundaries in one call.  A heap entry
-(-score, a, b, row) is live while b is still a's neighbour and the entry's
-score is still its row's.  Every applied merge is recorded in a
-MergeTree that can be replayed later, at one threshold or, walking the
-merges once, at a whole decreasing series of them.
+rows to the same neighbours.  Agglomeration is one greedy best-first loop
+over a lazily invalidated heap: pop the best boundary, merge it (the
+smaller label survives), push the boundaries the merge changed, and stop
+once the best score is below the threshold.  A scorer has `score(table,
+size_a, size_b)`, optionally the statistics it `reads` (else all) and
+optionally a row store `rows(rag)` -> (score per row, merge(a, b) ->
+{neighbour: row to push}); the default, `_table_rows`, re-scores every
+boundary of the survivor, so its heap and time grow with the sum of the
+survivors' degrees.  Every applied merge is recorded in a MergeTree that
+can be replayed later, at one threshold or, walking the merges once, at a
+whole decreasing series of them.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -75,13 +73,16 @@ class FeatureAccumulator:
     boundaries, with a leading row axis; both hold only the `stats` named
     (by default `ALL_STATS`), each as one float64 array: `count`,
     `s1`..`s4`, `vmin` and `vmax` are (..., 3), `hist` is (..., 3, 10).
-    Reading a statistic not held raises AttributeError.  Every statistic
+    Naming a statistic outside `ALL_STATS`, or passing a string, raises
+    ValueError; reading one not held raises AttributeError.  Every statistic
     below reduces over the channel axis.
     """
 
     __slots__ = ("_held",)
 
     def __init__(self, stats=ALL_STATS):
+        if isinstance(stats, str) or not set(stats) <= set(ALL_STATS):
+            raise ValueError(f"stats must be a collection of names in {ALL_STATS}, got {stats!r}")
         empty = {"hist": np.zeros((3, HIST_BINS)), "vmin": np.full(3, np.inf),
                  "vmax": np.full(3, -np.inf)}
         self._held = {s: empty.get(s, np.zeros(3)) for s in ALL_STATS if s in stats}
@@ -202,6 +203,25 @@ class MeanAffinity:
         same float."""
         return (s1z + s1y + s1x) / max(n, 1)
 
+    def rows(self, rag: Rag):
+        """The mean scorer's row store: each row as Python numbers (total
+        count, per-channel s1); a merge folds each dropped row into its pair
+        and re-scores only those rows, with `scalar`."""
+        score = self.score(rag.table, None, None).tolist()
+        n, (sz, sy, sx) = rag.table.total_count.tolist(), rag.table.s1.T.tolist()
+
+        def merge(a: int, b: int) -> dict[int, int]:
+            touched, dropped, into = rag.relink(a, b)
+            for kept, row in zip(into, dropped[1:]):
+                n[kept] += n[row]
+                sz[kept] += sz[row]
+                sy[kept] += sy[row]
+                sx[kept] += sx[row]
+                score[kept] = self.scalar(n[kept], sz[kept], sy[kept], sx[kept])
+            return touched
+
+        return score, merge
+
 
 class Logistic:
     """Linear-logistic boundary scorer over the 51-value feature vector.
@@ -311,7 +331,8 @@ class Rag:
     {neighbour: row of `table`}, the boundary's statistics; `edges` is the
     same graph as {(lo, hi): row}.  `relink` and `merge_nodes` mutate the
     graph in place exactly the way watershed rule (d) and the agglomeration
-    loop do, so recomputation tests can drive them directly.
+    row stores (a scorer's `rows(rag)`, else `_table_rows`) do, so
+    recomputation tests can drive them directly.
     """
 
     labels: LabelVolume
@@ -464,6 +485,23 @@ def check_theta(theta: float) -> None:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
 
 
+def _table_rows(scorer, rag: Rag):
+    """The row store of a scorer without `rows`, over the RAG's table: the
+    scorer may read sizes, so a merge re-scores every boundary of the survivor."""
+    keys = list(rag.edges)  # rows in order: build_rag numbers them in (lo, hi) order
+    score = scorer.score(*rag.boundaries(keys)).tolist()
+
+    def merge(a: int, b: int) -> dict[int, int]:
+        rag.merge_nodes(a, b)
+        touched = dict(sorted(rag.adj[a].items()))  # one fixed batch order
+        keys = [(min(a, x), max(a, x)) for x in touched]
+        for row, sc in zip(touched.values(), scorer.score(*rag.boundaries(keys)).tolist()):
+            score[row] = sc
+        return touched
+
+    return score, merge
+
+
 def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
                 theta: float) -> tuple[LabelVolume, MergeTree]:
     """Greedy best-first agglomeration down to score threshold `theta`.
@@ -473,31 +511,18 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     reproduces the output exactly.
 
     The RAG holds the statistics the scorer `reads` (all if it declares
-    none), and every boundary is scored once from it.  Under `MeanAffinity`
-    the loop keeps each row as Python numbers (total count, per-channel s1)
-    and never reads the table again: a merge relinks the graph, folds each
-    dropped row into the row it pairs with and re-scores only those rows
-    with `MeanAffinity.scalar`.  Any other scorer may read segment sizes,
-    so a merge adds the paired rows in the table and re-scores all of the
-    survivor's boundaries in one call.  The survivor's changed boundaries
-    are pushed again; a relinked row keeps its statistics, so its score.
-    An entry (-score, a, b, row) is live while b is a's neighbour and
-    `score` is still its row's: a live boundary keeps its row, and every
-    score written is pushed, so a live entry is its row's latest push or a
-    twin of it, dead once that push's merge removes b.  A kept score is
-    the score a re-scoring would give, so the pop order is the same as
-    re-scoring every boundary.
+    none).  A heap entry (-score, a, b, row) is live while b is a's
+    neighbour and `score` is still its row's: a live boundary keeps its
+    row, and every score its row store writes is pushed, so a live entry is
+    its row's latest push or a twin of it, dead once that push's merge
+    removes b.  A kept score is the score a re-scoring would give, so the
+    pop order is the same as re-scoring every boundary.
     """
     check_theta(theta)
     rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
-    keys = list(rag.edges)  # rows in order: build_rag numbers them in (lo, hi) order
-    if scalar := isinstance(scorer, MeanAffinity):  # reads no sizes: score the table as is
-        score = scorer.score(rag.table, None, None).tolist()
-        n, (sz, sy, sx) = rag.table.total_count.tolist(), rag.table.s1.T.tolist()
-    else:
-        score = scorer.score(*rag.boundaries(keys)).tolist()
+    score, merge = scorer.rows(rag) if hasattr(scorer, "rows") else _table_rows(scorer, rag)
     merges = []
-    heap = [(-sc, a, b, row) for row, ((a, b), sc) in enumerate(zip(keys, score))]
+    heap = [(-score[r], a, b, r) for a, nbrs in rag.adj.items() for b, r in nbrs.items() if a < b]
     heapq.heapify(heap)
     while heap:
         neg, a, b, row = heapq.heappop(heap)
@@ -506,22 +531,7 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
         if -neg < theta:
             break
         merges.append((a, b, -neg))
-        if scalar:
-            touched, dropped, into = rag.relink(a, b)
-            for kept, row in zip(into, dropped[1:]):
-                n[kept] += n[row]
-                sz[kept] += sz[row]
-                sy[kept] += sy[row]
-                sx[kept] += sx[row]
-                score[kept] = MeanAffinity.scalar(n[kept], sz[kept], sy[kept], sx[kept])
-        else:
-            rag.merge_nodes(a, b)
-            touched = rag.adj[a]
-            nbrs = sorted(touched)
-            keys = [(min(a, x), max(a, x)) for x in nbrs]
-            for x, sc in zip(nbrs, scorer.score(*rag.boundaries(keys)).tolist()):
-                score[touched[x]] = sc
-        for x, row in touched.items():
+        for x, row in merge(a, b).items():
             heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row))
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 

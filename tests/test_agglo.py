@@ -220,6 +220,28 @@ def test_reading_an_undeclared_statistic_raises(stats):
         edge_feature_vector(FeatureAccumulator(("count", "s1")), 1, 1)
 
 
+@pytest.mark.parametrize("stats", [("count", "sl", "vmax"), ("mean",), "count", "vmax", ""])
+def test_unknown_statistic_names_and_strings_are_rejected(stats):
+    # a misspelt name would otherwise drop its statistic silently, and a
+    # string would be read as a collection of substrings ("" as no statistic)
+    _, aff, seg = noisy_instance(3)
+
+    class Misdeclared:
+        reads = stats
+
+        def score(self, acc, size_a, size_b):
+            return acc.pooled_mean()
+
+    with pytest.raises(ValueError, match="stats must be"):
+        FeatureAccumulator(stats)
+    with pytest.raises(ValueError, match="stats must be"):
+        FeatureAccumulator.table(4, stats)
+    with pytest.raises(ValueError, match="stats must be"):
+        build_rag(seg, aff, stats)
+    with pytest.raises(ValueError, match="stats must be"):
+        agglomerate(seg, aff, Misdeclared(), 0.5)
+
+
 def test_mean_scalar_score_equals_table_score_bit_for_bit():
     # non-grid s1 sums, channel counts from 0 to below 10**8 (total at least 1),
     # then rounds of disjoint row folds as one merge makes them, so that a
@@ -254,15 +276,52 @@ def test_mean_scalar_score_equals_table_score_bit_for_bit():
         assert_equal_scores()
 
 
+class MeanOnTheTable:
+    """`MeanAffinity`'s score and statistics without its row store, so
+    `agglomerate` runs it on the default store, `_table_rows`."""
+
+    reads = MeanAffinity.reads
+    score = MeanAffinity.score
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.5])
 def test_mean_agglomerate_on_its_lean_table_matches_rescoring_a_full_table(theta):
     # the last instance has 445 fragments and 953 boundaries, and its early
-    # survivors already have up to 97 neighbours
+    # survivors already have up to 97 neighbours; the mean scorer's own store
+    # and the default one must both pick the reference's merges and scores
     instances = [noisy_instance(seed, n_seeds=6) for seed in range(6)]
     for _, aff, seg in instances + [noisy_instance(0, Shape3(16, 64, 64), n_seeds=20)]:
-        _, tree = agglomerate(seg, aff, MeanAffinity(), theta)
-        assert tree.merges == greedy_rescoring_everything(seg, aff, MeanAffinity(), theta)
-        assert tree.merges
+        want = greedy_rescoring_everything(seg, aff, MeanAffinity(), theta)
+        assert want
+        for scorer in (MeanAffinity(), MeanOnTheTable()):
+            _, tree = agglomerate(seg, aff, scorer, theta)
+            assert tree.merges == want
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_agglomerate_merges_through_the_scorers_own_row_store(theta):
+    class CountingStore:
+        """No score of its own: only `MeanAffinity`'s row store, with each
+        of its merges counted."""
+
+        reads = MeanAffinity.reads
+        merges = 0
+
+        def rows(self, rag):
+            score, merge = MeanAffinity().rows(rag)
+
+            def counted(a, b):
+                self.merges += 1
+                return merge(a, b)
+
+            return score, counted
+
+    for seed in range(3):
+        _, aff, seg = noisy_instance(seed, n_seeds=6)
+        scorer = CountingStore()
+        _, tree = agglomerate(seg, aff, scorer, theta)
+        assert tree.merges == agglomerate(seg, aff, MeanAffinity(), theta)[1].merges
+        assert tree.merges and scorer.merges == len(tree.merges)
 
 
 def test_agglomerate_builds_the_table_its_scorer_declares():

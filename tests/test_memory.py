@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from affseg.agglo import MeanAffinity, agglomerate
 from affseg.malis import maximin_affinity
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import Shape3, overlap_counts
@@ -58,3 +59,12 @@ def test_maximin_peak_per_voxel(volume):
     _, aff = volume
     peak = traced_peak(maximin_affinity, aff, (0, 0, 0), (15, 63, 63))
     assert peak / SHAPE.voxels <= 140
+
+
+def test_mean_agglomerate_peak_per_voxel(volume):
+    # build_rag's sorted boundary edges set the peak, about 39 B/voxel; the
+    # mean row store's loop and the replay after it peak near 29
+    _, aff = volume
+    seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
+    peak = traced_peak(agglomerate, seg, aff, MeanAffinity(), 0.0)
+    assert peak / SHAPE.voxels <= 42
