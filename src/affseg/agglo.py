@@ -410,10 +410,13 @@ class Rag:
 
 
 def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
-    """Node sizes and boundary `stats` of every adjacent label pair: the
-    boundary edges are sorted into (boundary, channel) runs, each in slot
-    order, and all runs are folded into the rows of one table at once.
-    Raises ValueError unless the affinities are finite and in [0, 1]."""
+    """Node sizes and boundary `stats` of every adjacent label pair.  The
+    boundary edges come channel-major in slot order, so one stable sort by
+    (lo, hi) leaves them in (boundary, channel) runs, each in slot order:
+    one sort of packed (lo, hi, edge index) uint64 keys, or a lexsort where
+    the ids are too wide to pack.  All runs are folded into the rows of one
+    table at once.  Raises ValueError unless the affinities are finite and
+    in [0, 1]."""
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     lab = labels.data
@@ -421,7 +424,15 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     ids, sizes = ids[ids != 0], sizes[ids != 0]
 
     lo, hi, ch, val = boundary_edges(lab, aff.data)
-    order = np.lexsort((ch, hi, lo))
+    span, bits = int(hi.max(initial=0)) + 1, len(lo).bit_length()
+    if span * span << bits <= 2**64:
+        keys = (lo * np.uint64(span) + hi) << np.uint64(bits)
+        keys |= np.arange(len(lo), dtype=np.uint64)
+        keys.sort()
+        keys &= np.uint64(2**bits - 1)
+        order = keys.view(np.int64)
+    else:  # ids too wide to pack
+        order = np.lexsort((hi, lo))
     lo, hi, ch, val = lo[order], hi[order], ch[order], val[order]
 
     new_pair = np.ones(len(lo), dtype=bool)

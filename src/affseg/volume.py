@@ -165,8 +165,16 @@ def dense_relabel(labels: np.ndarray) -> np.ndarray:
 
 
 def unique_inverse(x: np.ndarray):
-    """``np.unique(x, return_inverse=True)``, the inverse in x's shape, from
-    one sort and a binary search where np.unique sorts stably."""
+    """``np.unique(x, return_inverse=True)``, the inverse in x's shape.
+
+    Integer ids in [0, x.size], such as dense labels, are counted in O(n):
+    a table of the ids present, ranked by a cumulative sum no larger than
+    the inverse.  Any other array (wide uint64 ids, negatives, floats) takes
+    one sort and a binary search.  Both give np.unique's result."""
+    if x.size and x.dtype.kind in "ui" and x.min() >= 0 and (top := int(x.max())) <= x.size:
+        present = np.zeros(top + 1, dtype=bool)
+        present[x] = True
+        return np.flatnonzero(present).astype(x.dtype), (np.cumsum(present) - 1)[x]
     s = np.sort(x, axis=None)
     first = np.ones(len(s), dtype=bool)
     first[1:] = s[1:] != s[:-1]

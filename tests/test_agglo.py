@@ -145,6 +145,29 @@ def test_build_rag_rejects_non_finite_or_out_of_range_affinities(bad, at):
             agglomerate(labels, aff, scorer, 0.5)
 
 
+@pytest.mark.parametrize("shift", [2**40, 2**64 - 2**20], ids=["2**40", "2**64-2**20"])
+def test_build_rag_packed_sort_equals_lexsort_of_wide_ids(shift, monkeypatch):
+    # labels as they are pack their (lo, hi, edge) sort keys into uint64;
+    # shifted, they do not, and build_rag falls back to a lexsort
+    _, aff, seg = noisy_instance(5, Shape3(8, 24, 24), 8)
+    labels = LabelVolume(np.where(seg.data % 3 == 0, 0, seg.data))  # with background
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    rag, tree = build_rag(labels, aff), agglomerate(labels, aff, MeanAffinity(), 0.0)[1]
+    assert not sorts and rag.n_edges > 50
+    lab = labels.data
+    wide = LabelVolume(np.where(lab != 0, lab + np.uint64(shift), lab))
+    got, got_tree = build_rag(wide, aff), agglomerate(wide, aff, MeanAffinity(), 0.0)[1]
+    assert sorts
+    for name in STATS:
+        assert np.array_equal(getattr(got.table, name), getattr(rag.table, name))
+    assert {a - shift: n for a, n in got.nodes.items()} == rag.nodes
+    assert {a - shift: {b - shift: row for b, row in nb.items()}
+            for a, nb in got.adj.items()} == rag.adj
+    assert [(a - shift, b - shift, sc) for a, b, sc in got_tree.merges] == tree.merges
+
+
 # ------------------------------------------------------------ edge features
 
 

@@ -9,10 +9,11 @@ import tracemalloc
 
 import pytest
 
-from affseg.agglo import MeanAffinity, agglomerate
+from affseg.agglo import MeanAffinity, agglomerate, apply_threshold, build_rag
 from affseg.malis import maximin_affinity
+from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import Shape3, overlap_counts
+from affseg.volume import Shape3, overlap_counts, unique_inverse
 from affseg.zwatershed import WatershedParams, zwatershed
 
 SHAPE = Shape3(16, 64, 64)
@@ -33,6 +34,14 @@ def traced_peak(f, *args):
 def volume():
     gt = synth_labels(SHAPE, SynthParams(n_seeds=40, anisotropy=2.0, rng_seed=3))
     return gt, synth_affinities(gt, NoiseParams(flip_sigma=0.2, rng_seed=3))
+
+
+@pytest.fixture(scope="module")
+def fragments(volume):
+    """The fixture's watershed labels and their mean merge tree."""
+    _, aff = volume
+    ws, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
+    return ws, agglomerate(ws, aff, MeanAffinity(), 0.0)[1]
 
 
 def test_watershed_peak_per_voxel(volume):
@@ -62,9 +71,44 @@ def test_maximin_peak_per_voxel(volume):
 
 
 def test_mean_agglomerate_peak_per_voxel(volume):
-    # build_rag's sorted boundary edges set the peak, about 39 B/voxel; the
-    # mean row store's loop and the replay after it peak near 29
+    # build_rag's boundary edges set the peak, about 39 B/voxel; the mean
+    # row store's loop and the replay after it peak near 29
     _, aff = volume
     seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
     peak = traced_peak(agglomerate, seg, aff, MeanAffinity(), 0.0)
     assert peak / SHAPE.voxels <= 42
+
+
+def test_unique_inverse_peak_per_voxel(fragments):
+    # dense labels are counted: the inverse and a rank table no longer than
+    # it take about 9.2 B/voxel; a sort and a binary search take about 17
+    ws, _ = fragments
+    assert traced_peak(unique_inverse, ws.data) / SHAPE.voxels <= 10
+
+
+def test_build_rag_peak_per_voxel(fragments, volume):
+    # boundary_edges' per-channel endpoint labels and masks set the peak,
+    # about 39.1 B/voxel; reordering the boundary edges after it (0.32 per
+    # voxel, held twice while reordered) takes about 20
+    ws, _ = fragments
+    peak = traced_peak(build_rag, ws, volume[1], ("count", "s1"))
+    assert peak / SHAPE.voxels <= 40.5
+
+
+def test_apply_threshold_peak_per_voxel(fragments):
+    # the replay's inverse, its relabeled array and LabelVolume's private
+    # copy of it take about 24.1 B/voxel
+    ws, tree = fragments
+    assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 25
+
+
+@pytest.mark.parametrize("curve", [False, True], ids=["split_vi", "vi_curve"])
+def test_split_vi_peak_per_voxel(fragments, volume, curve):
+    # overlap_counts' sort of the pair keys sets both peaks, about 43.1 B/voxel
+    ws, tree = fragments
+    gt, _ = volume
+    if curve:
+        peak = traced_peak(vi_curve, tree, ws, gt, [1 - i / 20 for i in range(21)])
+    else:
+        peak = traced_peak(split_vi, apply_threshold(tree, ws, 0.5), gt)
+    assert peak / SHAPE.voxels <= 44.5

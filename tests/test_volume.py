@@ -282,14 +282,42 @@ ID_SETS = [
 ]
 
 
-@pytest.mark.parametrize("values", ID_SETS)
-def test_unique_inverse_equals_np_unique(values):
-    x = np.array(values, dtype=np.uint64)
+def assert_unique_inverse_equals_np_unique(x):
     uniq, inv = unique_inverse(x)
     want_uniq, want_inv = np.unique(x, return_inverse=True)
-    assert uniq.dtype == np.uint64 and np.array_equal(uniq, want_uniq)
+    assert uniq.dtype == x.dtype and np.array_equal(uniq, want_uniq)
     assert inv.shape == x.shape and np.array_equal(inv.ravel(), want_inv.ravel())
     assert np.array_equal(uniq[inv], x)
+
+
+@pytest.mark.parametrize("values", ID_SETS)
+def test_unique_inverse_equals_np_unique(values):
+    assert_unique_inverse_equals_np_unique(np.array(values, dtype=np.uint64))
+
+
+# (ids, whether unique_inverse counts them): ids in [0, size] are counted,
+# any other array is sorted
+NARROW_IDS = {
+    "dense-with-0": (np.array([3, 0, 2, 3, 1, 0, 2], dtype=np.uint64), True),
+    "dense-without-0": (np.array([4, 2, 2, 5, 3, 5], dtype=np.uint64), True),
+    "max-is-size-1": (np.array([4, 0, 4, 1, 2], dtype=np.uint64), True),
+    "max-is-size": (np.array([5, 1, 5, 3, 2], dtype=np.uint64), True),
+    "max-is-size+1": (np.array([6, 1, 6, 3, 2], dtype=np.uint64), False),
+    "int32": (np.array([3, 0, 3, 1], dtype=np.int32), True),
+    "int32-negative": (np.array([3, -2, 0, 3, -7], dtype=np.int32), False),
+    "int64-negative": (np.array([-1, 4, -1, 2, 0, 4], dtype=np.int64), False),
+    "3d": (np.random.default_rng(10).integers(1, 50, (3, 4, 5)).astype(np.uint64), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NARROW_IDS))
+def test_unique_inverse_counts_narrow_ids_and_sorts_the_rest(case, monkeypatch):
+    x, counted = NARROW_IDS[case]
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a: searches.append(1) or search(*a))
+    assert_unique_inverse_equals_np_unique(x)
+    assert not searches if counted else searches
 
 
 @pytest.mark.parametrize("values", ID_SETS)
