@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from affseg.unionfind import jump
 from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, cooccurrence,
                            overlap_counts, require_affinity_range, require_same_shape,
                            unique_inverse)
@@ -467,8 +468,8 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
     """For each of the strictly decreasing `thetas`, the label that each
     base label of `ids` takes when the longest prefix of the (survivor,
     absorbed, score) `merges` whose scores are all >= theta is replayed:
-    absorbed -> survivor links followed to their end.  Each prefix extends
-    the previous one, so the merges are walked once."""
+    absorbed -> survivor links followed to their roots by `jump`.  Each
+    prefix extends the previous one, so the merges are walked once."""
     ends = np.array([m[:2] for m in merges], dtype=np.uint64).reshape(-1, 2)
     names, idx = unique_inverse(np.concatenate([ids, ends[:, 0], ends[:, 1]]))
     start, survivor, absorbed = np.split(idx, [len(ids), len(ids) + len(ends)])
@@ -478,10 +479,7 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
         while k < len(merges) and merges[k][2] >= theta:
             parent[absorbed[k]] = survivor[k]
             k += 1
-        at = start
-        while not np.array_equal(parent[at], at):
-            at = parent[at]
-        yield names[at]
+        yield names[jump(parent)[start]]
 
 
 def _replay(labels: LabelVolume, merges, theta: float) -> LabelVolume:

@@ -8,8 +8,9 @@ agree, to the negative channel when they differ.  Maximin edges are exactly
 the edges of the maximum spanning forest (Turaga et al. 2009): a Kruskal
 loop in decreasing affinity, behind a cycle filter, decides the forest and
 records which root absorbed which, and array passes over those merge records
-count the pairs (`malis_edge_counts`).  A maximin query reads the same
-merge records: the latest merge between its two voxels (`maximin_affinity`).
+count the pairs on the n - 1 merged slots (`_pair_counts`), which both
+`malis_edge_counts` and `malis_gradient` read.  A maximin query reads the
+latest merge between its two voxels (`maximin_affinity`).
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -213,8 +214,8 @@ def _leaf_order(aff: AffinityVolume):
     return slots, at, mid - kept_size, mid, mid + size[gone], closes
 
 
-def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
-    """Attribute every labeled voxel pair to its maximin edge.
+def _pair_counts(aff: AffinityVolume, gt: LabelVolume):
+    """Labeled pairs per maximin edge: (slots, pos, neg) over the n - 1 merges.
 
     The lattice is connected, so the maximum spanning forest is one tree,
     and the k-th merge of the Kruskal loop over the cycle filter's
@@ -229,8 +230,7 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
       found by `searchsorted` in the (label, position) keys; this credits
       each label of each merge once.  Negative pairs are the rest.
     """
-    shape = require_same_shape(aff, gt)
-    n = shape.voxels
+    n = require_same_shape(aff, gt).voxels
     slots, at, lo, mid, end, closes = _leaf_order(aff)
 
     flat = gt.data.ravel()
@@ -249,13 +249,16 @@ def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
     right = np.searchsorted(keys, first[t] + end[k]) - t - 1
     pos_at = np.zeros(n - 1, dtype=np.int64)
     np.add.at(pos_at, k, left * right)
+    return slots, pos_at, labeled_pairs - pos_at
 
-    # each merged slot is written once
-    pos = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
-    neg = np.zeros((3,) + shape.as_tuple(), dtype=np.uint64)
-    pos.reshape(-1)[slots] = pos_at
-    neg.reshape(-1)[slots] = labeled_pairs - pos_at
-    return PairCounts(pos=pos, neg=neg)
+
+def malis_edge_counts(aff: AffinityVolume, gt: LabelVolume) -> PairCounts:
+    """`_pair_counts` scattered into two volumes; slots off the forest hold 0."""
+    slots, *counts = _pair_counts(aff, gt)
+    volumes = [np.zeros(aff.data.shape, dtype=np.uint64) for _ in counts]
+    for volume, count in zip(volumes, counts):
+        volume.reshape(-1)[slots] = count
+    return PairCounts(*volumes)
 
 
 def malis_gradient(aff: AffinityVolume, gt: LabelVolume, normalize: bool = False) -> MalisResult:
@@ -264,24 +267,24 @@ def malis_gradient(aff: AffinityVolume, gt: LabelVolume, normalize: bool = False
     loss = sum_e pos(e) * (a_e - 1)^2 + neg(e) * a_e^2
     grad_e = 2 * pos(e) * (a_e - 1) + 2 * neg(e) * a_e
 
-    With ``normalize`` both are divided by the total pair count;
-    a volume with no labeled pairs has loss 0 and a zero gradient.
+    Both are computed in float64 on the forest's n - 1 edges, the merged
+    slots of `_pair_counts`, and are 0 elsewhere; each sum runs over a
+    dense row of all slots, so it rounds as one over the whole volume.
+    With ``normalize`` both are divided by the total pair count; a volume
+    with no labeled pairs has loss 0 and a zero gradient.
     """
-    counts = malis_edge_counts(aff, gt)
-    a = aff.data.astype(np.float64)
-    pos = counts.pos.astype(np.float64)
-    neg = counts.neg.astype(np.float64)
-    loss = float(np.sum(pos * (a - 1.0) ** 2) + np.sum(neg * a**2))
+    slots, *counts = _pair_counts(aff, gt)
+    total = sum(int(count.sum()) for count in counts)
+    pos, neg = (count.astype(np.float64) for count in counts)
+    a = aff.data.reshape(-1)[slots].astype(np.float64)
+    terms = np.zeros((2, aff.data.size))
+    terms[0, slots] = pos * (a - 1.0) ** 2
+    terms[1, slots] = neg * a**2
+    loss = float(np.sum(terms[0]) + np.sum(terms[1]))
     grad = 2.0 * pos * (a - 1.0) + 2.0 * neg * a
-    if normalize:
-        total = counts.total_pairs
-        if total == 0:
-            loss = 0.0
-            grad = np.zeros_like(grad)
-        else:
-            loss /= total
-            grad /= total
-    return MalisResult(
-        loss=loss,
-        gradient=AffinityVolume(grad.astype(np.float32), check_range=False),
-    )
+    if normalize and total:
+        loss /= total
+        grad /= total
+    gradient = np.zeros(aff.data.shape, dtype=np.float32)
+    gradient.reshape(-1)[slots] = grad
+    return MalisResult(loss=loss, gradient=AffinityVolume(gradient, check_range=False))

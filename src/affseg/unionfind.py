@@ -1,9 +1,9 @@
 """Connected components of integer-id graphs.
 
-Offline array code only: `jump` finds the roots of a forest of parent
-pointers (watershed ascent trees), `components` groups ids when every edge
-is known before any lookup (basins, stitch classes).  The MALIS Kruskal
-loop, which must find an edge's two roots first, keeps a list union-find.
+Offline array code only: `jump` finds the roots of parent pointers
+(watershed ascent trees, `agglo.threshold_lookups`), `components` groups
+ids when every edge is known first (basins, stitch classes).  The MALIS
+Kruskal loop, which needs an edge's roots first, keeps a list union-find.
 """
 
 from __future__ import annotations

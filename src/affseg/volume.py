@@ -121,11 +121,11 @@ def edge_ends(arr: np.ndarray, channel: int) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) endpoint views of one channel's in-bounds edges.
 
     Slot (c, z, y, x) is the edge from its lower endpoint (z, y, x) to its
-    upper endpoint, the +1 neighbour along axis c; this helper and
-    `slot_ends` spell that out for the rest of the package.  `arr` is any
-    array whose last three axes are (z, y, x).  Both views have the same
-    shape and line up edge by edge, so the lower view of an affinity
-    channel, ``edge_ends(aff.data[c], c)[0]``, holds its edge weights.
+    upper endpoint, the +1 neighbour along axis c; `slot_ends` names the
+    same edges by flat slot.  `arr` is any array whose last three axes are
+    (z, y, x).  Both views line up edge by edge, so the lower view of an
+    affinity channel, ``edge_ends(aff.data[c], c)[0]``, holds its edge
+    weights, and that of an affinity-shaped mask marks edges by slot.
     """
     tail = (slice(None),) * (2 - channel)
     return arr[(..., slice(None, -1)) + tail], arr[(..., slice(1, None)) + tail]
@@ -142,14 +142,18 @@ def slot_ends(slots: np.ndarray, shape: Shape3) -> tuple[np.ndarray, np.ndarray]
 def boundary_edges(labels: np.ndarray, aff: np.ndarray):
     """Flat (lo label, hi label, channel, affinity) arrays of every lattice
     edge between two different nonzero labels of a (z, y, x) label array,
-    `aff` being the matching (3, z, y, x) array; in slot order."""
-    cols = []
+    `aff` being the matching (3, z, y, x) array; in slot order, as the set
+    slots of a cut mask filled through each channel's lower-end view."""
+    cut = np.zeros(aff.shape, dtype=bool)
     for c in range(3):
-        la, lb = (e.ravel() for e in edge_ends(labels, c))
-        m = (la != lb) & (la != 0) & (lb != 0)
-        cols.append((np.minimum(la[m], lb[m]), np.maximum(la[m], lb[m]),
-                     np.full(np.count_nonzero(m), c), edge_ends(aff[c], c)[0].ravel()[m]))
-    return tuple(np.concatenate(col) for col in zip(*cols))
+        la, lb = edge_ends(labels, c)
+        mark = edge_ends(cut[c], c)[0]
+        np.not_equal(la, lb, out=mark)
+        mark &= (la != 0) & (lb != 0)
+    slots = np.flatnonzero(cut)
+    del cut
+    la, lb = (labels.reshape(-1)[end] for end in slot_ends(slots, Shape3(*labels.shape)))
+    return np.minimum(la, lb), np.maximum(la, lb), slots // labels.size, aff.reshape(-1)[slots]
 
 
 def dense_relabel(labels: np.ndarray) -> np.ndarray:

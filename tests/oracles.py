@@ -73,6 +73,18 @@ def all_edges(aff):
     return out
 
 
+def boundary_edges_reference(labels, aff):
+    """(lo label, hi label, channel, affinity) arrays of the in-bounds edges
+    between two different nonzero labels, visited in slot order (c, z, y, x)."""
+    flat = labels.data.ravel().tolist()
+    rows = [(min(flat[u], flat[v]), max(flat[u], flat[v]), c, a)
+            for c, _, _, _, a, u, v in sorted(all_edges(aff))
+            if flat[u] != flat[v] and flat[u] and flat[v]]
+    cols = list(zip(*rows)) or [(), (), (), ()]
+    return tuple(np.array(col, dtype=dtype)
+                 for col, dtype in zip(cols, (np.uint64, np.uint64, np.int64, np.float32)))
+
+
 def sweep_sorted(edges):
     """The canonical processing order: affinity desc, then channel, z, y, x."""
     return sorted(edges, key=lambda e: (-e[4], e[0], e[1], e[2], e[3]))

@@ -17,12 +17,14 @@ from affseg.agglo import (
     build_rag,
     edge_feature_vector,
     edge_features,
+    threshold_lookups,
     train_scorer,
 )
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, cooccurrence, overlap_counts
 
-from oracles import agglomerate_reference, boundary_stats, boundary_values, dominant_reference
+from oracles import (agglomerate_reference, boundary_stats, boundary_values, dominant_reference,
+                     replay_reference)
 
 # every named statistic of a FeatureAccumulator, whatever its storage
 STATS = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
@@ -618,6 +620,23 @@ def test_apply_threshold_rejects_theta_outside_unit_interval(theta):
     _, tree = agglomerate(labels, aff, MeanAffinity(), 0.0)
     with pytest.raises(ValueError, match="theta must be in"):
         apply_threshold(tree, labels, theta)
+
+
+def test_replay_follows_a_chain_of_100_merges():
+    # each merge's survivor is absorbed by the next one, so at theta 0 the
+    # first label's absorbed -> survivor links run 100 deep
+    rng = np.random.default_rng(24)
+    order = rng.permutation(101) + 1
+    labels = LabelVolume(order.astype(np.uint64).reshape(1, 1, -1))
+    merges = [(int(order[k + 1]), int(order[k]), 1.0 - k / 128) for k in range(100)]
+    tree = MergeTree(merges, labels)
+    thetas = [1.0, 0.9, 0.5, 0.3, 0.0]
+    ids = np.arange(1, 102, dtype=np.uint64)
+    for theta, lut in zip(thetas, threshold_lookups(merges, ids, thetas)):
+        want = replay_reference(labels, merges, theta)
+        assert np.array_equal(lut[labels.data - 1], want)
+        assert np.array_equal(apply_threshold(tree, labels, theta).data, want)
+    assert len(np.unique(want)) == 1
 
 
 def test_replay_equals_fresh_run_mean_scorer():

@@ -396,6 +396,56 @@ def test_normalized_gradient_scales():
     assert np.allclose(norm.gradient.data, raw.gradient.data / 3.0, atol=1e-7)
 
 
+def dense_closed_form(aff, gt, normalize):
+    """Loss and float32 gradient of the quadratic pair loss, computed in
+    float64 over every slot of the count volumes."""
+    counts = malis_edge_counts(aff, gt)
+    a = aff.data.astype(np.float64)
+    pos = counts.pos.astype(np.float64)
+    neg = counts.neg.astype(np.float64)
+    loss = float(np.sum(pos * (a - 1.0) ** 2) + np.sum(neg * a**2))
+    grad = 2.0 * pos * (a - 1.0) + 2.0 * neg * a
+    if normalize and counts.total_pairs:
+        loss /= counts.total_pairs
+        grad /= counts.total_pairs
+    return loss, grad.astype(np.float32)
+
+
+def sparse_sum_loss(aff, gt):
+    """The unnormalized loss summed over the nonzero count slots only."""
+    counts = malis_edge_counts(aff, gt)
+    at = (counts.pos != 0) | (counts.neg != 0)
+    a = aff.data[at].astype(np.float64)
+    pos, neg = counts.pos[at].astype(np.float64), counts.neg[at].astype(np.float64)
+    return float(np.sum(pos * (a - 1.0) ** 2) + np.sum(neg * a**2))
+
+
+def gradient_cases():
+    rng = np.random.default_rng(23)
+    for seed in (0, 5, 9):  # patches where sparse_sum_loss rounds differently
+        yield jittered_patch(seed)
+    for _ in range(10):
+        yield random_instance(rng, max_dim=4)
+    aff, _ = jittered_patch(2)
+    yield aff, LabelVolume(np.zeros(aff.shape3.as_tuple(), dtype=np.uint64))
+    for labels in ([0], [4], [0, 9], [9, 9], [9, 8]):
+        yield (chain_volume([0.3] if len(labels) == 2 else []),
+               LabelVolume(np.array(labels, dtype=np.uint64).reshape(1, 1, -1)))
+
+
+def test_gradient_equals_dense_closed_form_bit_for_bit():
+    cases = list(gradient_cases())
+    for aff, gt in cases:
+        for normalize in (False, True):
+            res = malis_gradient(aff, gt, normalize=normalize)
+            loss, grad = dense_closed_form(aff, gt, normalize)
+            assert res.loss == loss
+            assert res.gradient.data.tobytes() == grad.tobytes()
+    # a loss summed over the nonzero terms alone would round differently
+    assert all(sparse_sum_loss(aff, gt) != dense_closed_form(aff, gt, False)[0]
+               for aff, gt in cases[:3])
+
+
 def tie_free_instance(rng, shape=(2, 3, 3)):
     """Distinct affinities with gaps comfortably above the FD step."""
     n_edges = 3 * shape[0] * shape[1] * shape[2]

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from affseg.agglo import MeanAffinity, agglomerate, apply_threshold, build_rag
-from affseg.malis import maximin_affinity
+from affseg.malis import malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import Shape3, overlap_counts, unique_inverse
@@ -52,6 +52,15 @@ def test_watershed_peak_per_voxel(volume):
     assert peak / SHAPE.voxels <= 64
 
 
+def test_size_filtered_watershed_peak_per_voxel(volume):
+    # rule (d)'s closing dense_relabel, with the watershed's arrays still
+    # alive, sets the peak, about 62.4 B/voxel, and its build_rag peaks near
+    # 48; ravel-copying its endpoint labels per channel takes that to 66.4
+    _, aff = volume
+    peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 25, 0.3))
+    assert peak / SHAPE.voxels <= 65
+
+
 def test_overlap_counts_peak_per_voxel(volume):
     # one sort of the pair keys takes about 43 B/voxel; an inverse of the
     # keys and a bincount take about 58
@@ -70,13 +79,24 @@ def test_maximin_peak_per_voxel(volume):
     assert peak / SHAPE.voxels <= 140
 
 
+@pytest.mark.parametrize("call", [malis_edge_counts, malis_gradient],
+                         ids=["malis_edge_counts", "malis_gradient"])
+def test_malis_peak_per_voxel(volume, call):
+    # _leaf_order sets both peaks, about 134.3 B/voxel: counts and gradient
+    # go to their volumes after the counting's temporaries are freed; float64
+    # arithmetic over every slot of dense count volumes takes about 171
+    gt, aff = volume
+    assert traced_peak(call, aff, gt) / SHAPE.voxels <= 140
+
+
 def test_mean_agglomerate_peak_per_voxel(volume):
-    # build_rag's boundary edges set the peak, about 39 B/voxel; the mean
-    # row store's loop and the replay after it peak near 29
+    # the replay at the end sets the peak, about 31.1 B/voxel:
+    # apply_threshold's 24.1 above the RAG and merge lists still alive;
+    # build_rag peaks near 20.7, or 39 if it ravel-copies endpoint labels
     _, aff = volume
     seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
     peak = traced_peak(agglomerate, seg, aff, MeanAffinity(), 0.0)
-    assert peak / SHAPE.voxels <= 42
+    assert peak / SHAPE.voxels <= 32
 
 
 def test_unique_inverse_peak_per_voxel(fragments):
@@ -87,12 +107,13 @@ def test_unique_inverse_peak_per_voxel(fragments):
 
 
 def test_build_rag_peak_per_voxel(fragments, volume):
-    # boundary_edges' per-channel endpoint labels and masks set the peak,
-    # about 39.1 B/voxel; reordering the boundary edges after it (0.32 per
-    # voxel, held twice while reordered) takes about 20
+    # reordering the boundary edges (0.32 per voxel, 9.2 B/voxel, held
+    # twice while reordered) sets the peak, about 20.7 B/voxel;
+    # boundary_edges peaks near 19.9, or 39 if it ravel-copies endpoint
+    # labels per channel
     ws, _ = fragments
     peak = traced_peak(build_rag, ws, volume[1], ("count", "s1"))
-    assert peak / SHAPE.voxels <= 40.5
+    assert peak / SHAPE.voxels <= 22
 
 
 def test_apply_threshold_peak_per_voxel(fragments):

@@ -9,6 +9,7 @@ from affseg.volume import (
     TruncatedPayload,
     UnknownDtype,
     VolumeError,
+    boundary_edges,
     cooccurrence,
     dense_relabel,
     edge_ends,
@@ -20,7 +21,7 @@ from affseg.volume import (
     write_volume,
 )
 
-from oracles import cooccurrence_reference, dense_relabel_reference
+from oracles import boundary_edges_reference, cooccurrence_reference, dense_relabel_reference
 
 
 def random_labels(rng, shape):
@@ -350,3 +351,37 @@ def test_dense_relabel_matches_first_occurrence_loop(values):
     got = dense_relabel(x)
     assert got.dtype == np.uint64 and got.shape == x.shape
     assert np.array_equal(got, dense_relabel_reference(x))
+
+
+def wrap_layouts():
+    """Label volumes constant along x whose rows differ, and constant in
+    each (y, x) plane whose planes differ: neighbours in flat order differ
+    across a row or plane wrap but never along the wrapped axis, so a flat
+    shift of the labels would see boundaries that the lattice does not have."""
+    for z, y, x in [(2, 4, 3), (3, 2, 4), (2, 3, 1), (3, 1, 5)]:
+        yield np.broadcast_to(np.arange(1, z * y + 1, dtype=np.uint64).reshape(z, y, 1), (z, y, x))
+        yield np.broadcast_to(np.arange(1, z + 1, dtype=np.uint64).reshape(z, 1, 1), (z, y, x))
+
+
+def boundary_edge_cases():
+    rng = np.random.default_rng(21)
+    shapes = [(4, 5, 6), (1, 6, 7), (5, 1, 4), (3, 4, 1), (1, 1, 9), (1, 8, 1), (7, 1, 1),
+              (1, 1, 1), (2, 2, 2)]
+    for shape in shapes:
+        for n_labels in (2, 6):
+            yield rng.integers(0, n_labels + 1, shape).astype(np.uint64)
+        yield rng.integers(0, 3, shape).astype(np.uint64) * np.uint64(TOP // 2)
+        yield np.full(shape, 5, dtype=np.uint64)  # one label
+        yield np.zeros(shape, dtype=np.uint64)  # background only
+    yield from wrap_layouts()
+
+
+def test_boundary_edges_match_lattice_loop():
+    rng = np.random.default_rng(22)
+    for labels in boundary_edge_cases():
+        labels = LabelVolume(labels)
+        aff = random_affinities(rng, labels.shape3)
+        got = boundary_edges(labels.data, aff.data)
+        want = boundary_edges_reference(labels, aff)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all()
