@@ -14,10 +14,10 @@ once the best score is below the threshold.  A scorer has `score(table,
 size_a, size_b)`, optionally the statistics it `reads` (else all) and
 optionally a row store `rows(rag)` -> (score per row, merge(a, b) ->
 {neighbour: row to push}); the default, `_table_rows`, re-scores every
-boundary of the survivor, so its heap and time grow with the sum of the
-survivors' degrees.  Every applied merge is recorded in a MergeTree that
-can be replayed later, at one threshold or, walking the merges once, at a
-whole decreasing series of them.
+boundary of the survivor, so its time grows with the sum of the survivors'
+degrees; the heap is rebuilt from its live entries each time it doubles.
+Every applied merge is recorded in a MergeTree that can be replayed later,
+at one threshold or, walking the merges once, at a whole decreasing series.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -485,7 +485,8 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
 def _replay(labels: LabelVolume, merges, theta: float) -> LabelVolume:
     """Replay the longest prefix of `merges` scoring >= theta over a labeling."""
     uniq, inv = unique_inverse(labels.data)
-    return LabelVolume(next(threshold_lookups(merges, uniq, [theta]))[inv])
+    inv = next(threshold_lookups(merges, uniq, [theta]))[inv]  # drops the int64 inverse
+    return LabelVolume(inv)
 
 
 def check_theta(theta: float) -> None:
@@ -511,6 +512,34 @@ def _table_rows(scorer, rag: Rag):
     return score, merge
 
 
+def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: float):
+    """`agglomerate`'s merges, on a RAG that is freed when they are done."""
+    rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
+    score, merge = scorer.rows(rag) if hasattr(scorer, "rows") else _table_rows(scorer, rag)
+
+    def live(neg: float, a: int, b: int, row: int) -> bool:
+        return b in rag.adj.get(a, ()) and score[row] == -neg
+
+    merges = []
+    heap = [(-score[r], a, b, r) for a, nbrs in rag.adj.items() for b, r in nbrs.items() if a < b]
+    heapq.heapify(heap)
+    limit = 2 * len(heap)
+    while heap:
+        neg, a, b, row = heapq.heappop(heap)
+        if not live(neg, a, b, row):
+            continue
+        if -neg < theta:
+            break
+        merges.append((a, b, -neg))
+        for x, row in merge(a, b).items():
+            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row))
+        if len(heap) > limit:  # doubled since the last rebuild
+            heap = list({e for e in heap if live(*e)})
+            heapq.heapify(heap)
+            limit = 2 * len(heap)
+    return merges
+
+
 def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
                 theta: float) -> tuple[LabelVolume, MergeTree]:
     """Greedy best-first agglomeration down to score threshold `theta`.
@@ -525,23 +554,12 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     row, and every score its row store writes is pushed, so a live entry is
     its row's latest push or a twin of it, dead once that push's merge
     removes b.  A kept score is the score a re-scoring would give, so the
-    pop order is the same as re-scoring every boundary.
-    """
+    pop order is the same as re-scoring every boundary.  A heap that has
+    doubled since its last rebuild is rebuilt from one copy of each live
+    entry (a twin pops dead), so it stays within twice the live boundaries
+    plus one merge's pushes.  The RAG is freed before the replay."""
     check_theta(theta)
-    rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
-    score, merge = scorer.rows(rag) if hasattr(scorer, "rows") else _table_rows(scorer, rag)
-    merges = []
-    heap = [(-score[r], a, b, r) for a, nbrs in rag.adj.items() for b, r in nbrs.items() if a < b]
-    heapq.heapify(heap)
-    while heap:
-        neg, a, b, row = heapq.heappop(heap)
-        if b not in rag.adj.get(a, ()) or score[row] != -neg:
-            continue
-        if -neg < theta:
-            break
-        merges.append((a, b, -neg))
-        for x, row in merge(a, b).items():
-            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row))
+    merges = _greedy_merges(labels, aff, scorer, theta)
     return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
 
 

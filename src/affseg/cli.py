@@ -10,12 +10,14 @@ like the flags, which becomes the subcommand's defaults, so flags beat
 config values and config values beat defaults.  Required options and
 ``--threads`` (from either source) are checked before any input is read.
 
-Exit codes: 0 success, 2 usage or validation error (a malformed config file,
-merge tree, manifest, model or volume file, volumes whose shapes differ, or
-a ground truth with no labeled voxel outside `malis-grad`), 1 runtime error
-such as a missing input file.  All subcommands are deterministic: identical
-inputs give byte-identical outputs, regardless of ``--threads`` (a cap on
-internal parallelism; the current implementation is single-threaded).
+Exit codes: 0 success, 2 usage or validation error (any ValueError: a bad
+parameter, a malformed config file, merge tree, manifest, model or volume
+file, volumes whose shapes differ, a ground truth with no labeled voxel
+outside `malis-grad`, a `malis-grad` input past 2**32 edges, a `train` fit
+with non-finite weights), 1 runtime error such as a missing input file.
+All subcommands are deterministic: identical inputs give byte-identical
+outputs, regardless of ``--threads`` (a cap on internal parallelism; the
+current implementation is single-threaded).
 """
 
 from __future__ import annotations
@@ -69,14 +71,6 @@ def _read_affinities(path) -> AffinityVolume:
     return vol
 
 
-def _checked(fn, *args, **kwargs):
-    """Call a library function whose ValueError means a bad parameter (exit 2)."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as e:
-        raise CliError(str(e)) from e
-
-
 def _config_value(where: str, action: argparse.Action, value):
     """Convert a config value with the type, arity and choices of its flag."""
     if action.nargs == 0:  # a switch such as --normalize
@@ -128,20 +122,17 @@ def _scorer_from(args) -> object:
         return agglo.MeanAffinity()
     if args.model is None:
         raise _missing("model")
-    return _checked(agglo.Logistic.load, args.model)
+    return agglo.Logistic.load(args.model)
 
 
 def _watershed_params(args) -> WatershedParams:
-    return _checked(WatershedParams, t_high=args.t_high, t_low=args.t_low,
-                    size_min=args.size_min, t_merge=args.t_merge)
+    return WatershedParams(args.t_high, args.t_low, args.size_min, args.t_merge)
 
 
 def _cmd_synth(args) -> int:
-    sp = _checked(synthdata.SynthParams, n_seeds=args.seeds, anisotropy=args.anisotropy,
-                  rng_seed=args.rng_seed)
-    npar = _checked(synthdata.NoiseParams, flip_sigma=args.sigma, jitter_prob=args.jitter,
-                    rng_seed=args.rng_seed)
-    gt = _checked(synthdata.synth_labels, _checked(Shape3, *args.shape), sp)
+    sp = synthdata.SynthParams(args.seeds, args.anisotropy, args.rng_seed)
+    npar = synthdata.NoiseParams(args.sigma, args.jitter, args.rng_seed)
+    gt = synthdata.synth_labels(Shape3(*args.shape), sp)
     aff = synthdata.synth_affinities(gt, npar)
     write_volume(gt, args.gt_out)
     write_volume(aff, args.aff_out)
@@ -168,7 +159,7 @@ def _cmd_watershed(args) -> int:
 def _cmd_size_filter(args) -> int:
     labels = _read_labels(args.labels)
     aff = _read_affinities(args.aff)
-    write_volume(_checked(size_filter, labels, aff, args.size_min, args.t_merge), args.out)
+    write_volume(size_filter(labels, aff, args.size_min, args.t_merge), args.out)
     return 0
 
 
@@ -193,7 +184,7 @@ def _cmd_agglomerate(args) -> int:
     scorer = _scorer_from(args)
     labels = _read_labels(args.labels)
     aff = _read_affinities(args.aff)
-    seg, tree = _checked(agglo.agglomerate, labels, aff, scorer, args.theta)
+    seg, tree = agglo.agglomerate(labels, aff, scorer, args.theta)
     write_volume(seg, args.out)
     if args.tree_out:
         tree.write(args.tree_out)
@@ -202,8 +193,8 @@ def _cmd_agglomerate(args) -> int:
 
 def _cmd_apply_threshold(args) -> int:
     base = _read_labels(args.base)
-    tree = _checked(agglo.MergeTree.read, args.tree, base)
-    write_volume(_checked(agglo.apply_threshold, tree, base, args.theta), args.out)
+    tree = agglo.MergeTree.read(args.tree, base)
+    write_volume(agglo.apply_threshold(tree, base, args.theta), args.out)
     return 0
 
 
@@ -216,8 +207,8 @@ def _cmd_eval(args) -> int:
 def _cmd_curve(args) -> int:
     base = _read_labels(args.base)
     gt = _read_gt(args.gt)
-    tree = _checked(agglo.MergeTree.read, args.tree, base)
-    curve = _checked(metrics.vi_curve, tree, base, gt, args.thetas)
+    tree = agglo.MergeTree.read(args.tree, base)
+    curve = metrics.vi_curve(tree, base, gt, args.thetas)
     with open(args.out, "w") as f:
         f.write("theta,vi_under,vi_over\n")
         for theta, score in curve:
@@ -226,25 +217,24 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    specs = _checked(partition_blocks, _checked(Shape3, *args.shape), args.block, args.halo)
+    specs = partition_blocks(Shape3(*args.shape), args.block, args.halo)
     paths = [f"{args.prefix}_{i:04d}.volb" for i in range(len(specs))]
     write_manifest(specs, paths, args.out)
     return 0
 
 
 def _cmd_stitch(args) -> int:
-    specs, paths = _checked(read_manifest, args.manifest)
-    _checked(tiled_shape, specs)
+    specs, paths = read_manifest(args.manifest)
+    tiled_shape(specs)
     labelings = [_read_labels(p) for p in paths]
-    merged = _checked(stitch, specs, labelings,
-                      min_ratio=args.min_ratio, min_voxels=args.min_voxels)
+    merged = stitch(specs, labelings, min_ratio=args.min_ratio, min_voxels=args.min_voxels)
     write_volume(merged, args.out)
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     params = _watershed_params(args)
-    _checked(agglo.check_theta, args.theta)
+    agglo.check_theta(args.theta)
     scorer = _scorer_from(args)
     aff = _read_affinities(args.aff)
     gt = _read_gt(args.gt)
@@ -369,7 +359,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except SystemExit as e:  # argparse: usage error or --help
         return int(e.code) if e.code else 0
-    except (CliError, VolumeError) as e:
+    except (CliError, VolumeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 -- boundary of the program

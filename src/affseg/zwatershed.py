@@ -14,7 +14,8 @@ The segmentation is built in four fixed stages:
       boundary affinity (ties: smaller label first); the merged basin keeps
       the neighbour's label and the stronger of the two boundaries to each
       third basin (`Rag.relink`); leftovers below size_min with no
-      qualifying neighbour drop to background.
+      qualifying neighbour drop to background.  The heap holds one entry per
+      boundary side, live while that side is small and borders the other.
 
 Stages (a)-(c) are computed as ascent trees.  A voxel of (b) links to the
 far end of its strongest edge, whose own strongest edge is no weaker, so
@@ -104,48 +105,39 @@ def _ascent_trees(aff: AffinityVolume, t_low: float):
 def _size_filter(labels: LabelVolume, aff: AffinityVolume,
                  size_min: int, t_merge: float) -> LabelVolume:
     """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
-    lattice edge; `dense_relabel` numbers the result 1..K by first voxel."""
+    lattice edge; `dense_relabel` numbers the result 1..K by first voxel.
+    A heap entry (-weight, i, j) is a boundary >= t_merge seen from its side
+    i below size_min, live while i is still below size_min and borders j:
+    labels never return and sizes and weights only grow, so a dead entry
+    stays dead and a boundary's newest entry pops first, with its weight."""
     rag = build_rag(labels, aff, ("vmax",))
-    weight = rag.table.vmax.max(-1).tolist()
-    sizes = rag.nodes
-
-    def best_neighbour(i):
-        """Strongest boundary of i; ties go to the smaller neighbour label."""
-        bv, bj = -1.0, -1
-        for j, row in rag.adj[i].items():
-            v = weight[row]
-            if v > bv or (v == bv and j < bj):
-                bv, bj = v, j
-        return bv, bj
-
-    heap = [(-bv, i) for i in sizes if sizes[i] < size_min
-            for bv, bj in [best_neighbour(i)] if bj >= 0 and bv >= t_merge]
+    weight, sizes = rag.table.vmax.max(-1).tolist(), rag.nodes
+    heap = [(-weight[row], i, j) for i, nbrs in rag.adj.items() if sizes[i] < size_min
+            for j, row in nbrs.items() if weight[row] >= t_merge]
     heapq.heapify(heap)
     merges = []
     while heap:
-        negv, i = heapq.heappop(heap)
-        if sizes.get(i, size_min) >= size_min:
-            continue  # absorbed, or grown big enough
-        bv, bj = best_neighbour(i)
-        if bj < 0 or bv < t_merge:
-            continue
-        if -negv != bv:
-            heapq.heappush(heap, (-bv, i))
-            continue
-        # bj absorbs i and keeps the stronger boundary to each third basin
-        merges.append((bj, i, bv))
-        _, dropped, into = rag.relink(bj, i)
+        negw, i, j = heapq.heappop(heap)
+        if sizes.get(i, size_min) >= size_min or j not in rag.adj[i]:
+            continue  # absorbed, grown big enough, or j absorbed
+        # j absorbs i and keeps the stronger boundary to each third basin
+        merges.append((j, i, -negw))
+        touched, dropped, into = rag.relink(j, i)
         for kept, row in zip(into, dropped[1:]):
             weight[kept] = max(weight[kept], weight[row])
-        # a still small bj has best <= bv (or it would have gone before i),
-        # so this entry pops no later than bj's turn and re-weighs it then
-        heapq.heappush(heap, (negv, bj))
+        for x, row in touched.items():
+            w = weight[row]
+            if w >= t_merge and sizes[j] < size_min:
+                heapq.heappush(heap, (-w, j, x))
+            if w >= t_merge and sizes[x] < size_min:
+                heapq.heappush(heap, (-w, x, j))
 
     # survivors below size_min had no qualifying neighbour: background
     uniq, inv = unique_inverse(labels.data)
     final = next(threshold_lookups(merges, uniq, [t_merge]))
     final[[sizes.get(l, 0) < size_min for l in final.tolist()]] = 0
-    return LabelVolume(dense_relabel(final[inv]))
+    inv = final[inv]  # drops the int64 inverse before the relabel
+    return LabelVolume(dense_relabel(inv))
 
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,
@@ -161,7 +153,7 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     if size_min == 0:
-        return LabelVolume(labels.data.copy())
+        return LabelVolume(labels.data)
     return _size_filter(labels, aff, size_min, t_merge)
 
 

@@ -7,9 +7,11 @@ a call allocates, its result included, above what was live before it.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from affseg.agglo import MeanAffinity, agglomerate, apply_threshold, build_rag
+from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply_threshold,
+                          build_rag)
 from affseg.malis import malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
@@ -54,11 +56,12 @@ def test_watershed_peak_per_voxel(volume):
 
 def test_size_filtered_watershed_peak_per_voxel(volume):
     # rule (d)'s closing dense_relabel, with the watershed's arrays still
-    # alive, sets the peak, about 62.4 B/voxel, and its build_rag peaks near
-    # 48; ravel-copying its endpoint labels per channel takes that to 66.4
+    # alive, sets the peak, about 54.8 B/voxel, and its build_rag peaks near
+    # 48; keeping the int64 inverse alive through the relabel takes 62.4,
+    # and ravel-copying endpoint labels per channel in build_rag 66.4
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 25, 0.3))
-    assert peak / SHAPE.voxels <= 65
+    assert peak / SHAPE.voxels <= 57
 
 
 def test_overlap_counts_peak_per_voxel(volume):
@@ -90,13 +93,31 @@ def test_malis_peak_per_voxel(volume, call):
 
 
 def test_mean_agglomerate_peak_per_voxel(volume):
-    # the replay at the end sets the peak, about 31.1 B/voxel:
-    # apply_threshold's 24.1 above the RAG and merge lists still alive;
-    # build_rag peaks near 20.7, or 39 if it ravel-copies endpoint labels
+    # build_rag sets the peak, about 20.7 B/voxel (39 if it ravel-copies
+    # endpoint labels); the closing replay takes apply_threshold's 16.1 above
+    # the merge list, or about 23.1 with the RAG and heap still alive, and
+    # 29-31 if it also keeps its int64 inverse alive through the copy
     _, aff = volume
     seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
     peak = traced_peak(agglomerate, seg, aff, MeanAffinity(), 0.0)
-    assert peak / SHAPE.voxels <= 32
+    assert peak / SHAPE.voxels <= 22.5
+
+
+@pytest.mark.parametrize("bias,seed", [(0.0, 0), (40.0, None)],
+                         ids=["random_weights", "saturated"])
+def test_logistic_agglomerate_peak_per_voxel(fragments, volume, bias, seed):
+    # scores that stay above theta as segments grow let one survivor absorb
+    # everything, and each merge pushes all of its boundaries again; with the
+    # heap rebuilt from one copy of each live entry whenever it doubles,
+    # build_rag's all-statistics table sets the peak, about 41 B/voxel.
+    # Without rebuilds the heap takes about 126 (random weights) and 79
+    # (saturated: every score is 1 - 1e-13, so each merge pushes twins of
+    # the survivor's live entries, and a rebuild keeping twins reads 78)
+    ws, _ = fragments
+    weights = np.zeros(N_FEATURES) if seed is None else \
+        np.random.default_rng(seed).normal(0.0, 0.1, N_FEATURES)
+    peak = traced_peak(agglomerate, ws, volume[1], Logistic(weights, bias), 0.5)
+    assert peak / SHAPE.voxels <= 45
 
 
 def test_unique_inverse_peak_per_voxel(fragments):
@@ -117,10 +138,10 @@ def test_build_rag_peak_per_voxel(fragments, volume):
 
 
 def test_apply_threshold_peak_per_voxel(fragments):
-    # the replay's inverse, its relabeled array and LabelVolume's private
-    # copy of it take about 24.1 B/voxel
+    # the replay's relabeled array and LabelVolume's private copy of it take
+    # about 16.1 B/voxel, or 24.1 with the int64 inverse still alive
     ws, tree = fragments
-    assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 25
+    assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 17
 
 
 @pytest.mark.parametrize("curve", [False, True], ids=["split_vi", "vi_curve"])

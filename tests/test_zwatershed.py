@@ -86,6 +86,16 @@ def test_size_filter_requires_qualifying_boundary():
     assert np.all(out.data == 0)
 
 
+def test_size_filter_ignores_weak_boundaries_a_merge_relinks():
+    # 1 joins 2 over 0.9 and inherits 1's boundary of 0.1 to 3, below
+    # t_merge: 2 and 3 stay small and both drop, they do not merge
+    a = np.zeros((3, 1, 1, 4), dtype=np.float32)
+    a[2, 0, 0, :3] = [0.9, 0.1, 1.0]
+    labels = LabelVolume(np.array([[[2, 1, 3, 3]]], dtype=np.uint64))
+    out = size_filter(labels, AffinityVolume(a), 3, 0.3)
+    assert np.all(out.data == 0)
+
+
 def test_size_filter_shape_mismatch():
     aff = chain4()
     labels = LabelVolume(np.zeros((1, 1, 5), dtype=np.uint64))
@@ -283,3 +293,34 @@ def test_zwatershed_size_min_matches_rule_d_oracle(case):
         expected = size_filter_reference(basins, aff, size_min, t_merge)
         assert np.array_equal(seg.data, expected), (t_high, t_low, size_min, t_merge)
         assert stats.background == int(np.count_nonzero(expected == 0))
+
+
+THIN_CASES = [f"{kind}_{dims}" for kind in ("equal", "grid")
+              for dims in ("1x1x1", "1x1x7", "1x6x6", "7x1x1", "6x1x6", "3x4x5")]
+
+
+@pytest.mark.parametrize("case", THIN_CASES)
+def test_size_filter_matches_rule_d_oracle_on_ties_and_thin_shapes(case):
+    # equal weights tie every boundary, so the label tie rules decide each
+    # merge; thin shapes give basins with few neighbours along whole axes.
+    # The labels are the grid volume's basins (all-equal affinities ascend
+    # into one basin) and random ids, which need not be connected
+    aff = tie_volume(case)
+    grid = tie_volume("grid_" + case.split("_")[1])
+    rng = np.random.default_rng(len(case))
+    labelings = [zwatershed(grid, WatershedParams(t_high, t_low, 0, t_low))[0]
+                 for t_high, t_low in ((0.99, 0.3), (0.75, 0.5), (0.5, 0.25), (1.0, 0.0))]
+    labelings.append(LabelVolume(rng.integers(0, 6, aff.data.shape[1:]).astype(np.uint64)))
+    removed = 0
+    for basins in labelings:
+        n = int(basins.data.max())
+        ids = np.concatenate([np.zeros(1, np.uint64),
+                              rng.permutation(n).astype(np.uint64) * 5 + 3])
+        for labels in (basins, LabelVolume(ids[basins.data])):
+            for size_min in range(1, 6):
+                for t_merge in (0.0, 0.25, 0.5):
+                    got = size_filter(labels, aff, size_min, t_merge)
+                    expected = size_filter_reference(labels, aff, size_min, t_merge)
+                    assert np.array_equal(got.data, expected), (n, size_min, t_merge)
+                    removed += n - int(expected.max())
+    assert removed > 0 or aff.data[0].size == 1  # rule (d) really ran
