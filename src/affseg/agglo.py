@@ -58,11 +58,11 @@ class MissingEdge(Exception):
     """The requested label pair shares no boundary in this RAG."""
 
 
-class DegenerateTraining(Exception):
+class DegenerateTraining(ValueError):
     """Training produced no decisions, or decisions of only one class."""
 
 
-class TreeBaseMismatch(Exception):
+class TreeBaseMismatch(ValueError):
     """A merge tree was replayed against a different base labeling."""
 
 
@@ -482,11 +482,10 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
         yield names[jump(parent)[start]]
 
 
-def _replay(labels: LabelVolume, merges, theta: float) -> LabelVolume:
-    """Replay the longest prefix of `merges` scoring >= theta over a labeling."""
+def _replay(labels: LabelVolume, merges, theta: float) -> np.ndarray:
+    """The array of `labels` after the longest prefix of `merges` scoring >= theta."""
     uniq, inv = unique_inverse(labels.data)
-    inv = next(threshold_lookups(merges, uniq, [theta]))[inv]  # drops the int64 inverse
-    return LabelVolume(inv)
+    return next(threshold_lookups(merges, uniq, [theta]))[inv]
 
 
 def check_theta(theta: float) -> None:
@@ -560,7 +559,7 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     plus one merge's pushes.  The RAG is freed before the replay."""
     check_theta(theta)
     merges = _greedy_merges(labels, aff, scorer, theta)
-    return _replay(labels, merges, theta), MergeTree(merges=merges, base=labels)
+    return LabelVolume(_replay(labels, merges, theta)), MergeTree(merges=merges, base=labels)
 
 
 def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVolume:
@@ -571,7 +570,7 @@ def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVo
     """
     check_theta(theta)
     check_base(tree, base)
-    return _replay(base, tree.merges, theta)
+    return LabelVolume(_replay(base, tree.merges, theta))
 
 
 def check_base(tree: MergeTree, base: LabelVolume) -> None:

@@ -10,11 +10,10 @@ like the flags, which becomes the subcommand's defaults, so flags beat
 config values and config values beat defaults.  Required options and
 ``--threads`` (from either source) are checked before any input is read.
 
-Exit codes: 0 success, 2 usage or validation error (any ValueError: a bad
-parameter, a malformed config file, merge tree, manifest, model or volume
-file, volumes whose shapes differ, a ground truth with no labeled voxel
-outside `malis-grad`, a `malis-grad` input past 2**32 edges, a `train` fit
-with non-finite weights), 1 runtime error such as a missing input file.
+Exit codes: 0 success; 2 for any ValueError, which every bad-input error of
+the package is (a bad parameter, a malformed config, tree, model or volume
+file, a ground truth `train` cannot learn from); 1 for anything else, such
+as a missing input file.
 All subcommands are deterministic: identical inputs give byte-identical
 outputs, regardless of ``--threads`` (a cap on internal parallelism; the
 current implementation is single-threaded).
@@ -30,7 +29,7 @@ import sys
 from affseg import agglo, metrics, synthdata
 from affseg.malis import malis_gradient
 from affseg.stitch import partition_blocks, read_manifest, stitch, tiled_shape, write_manifest
-from affseg.volume import (AffinityVolume, LabelVolume, Shape3, VolumeError, read_volume,
+from affseg.volume import (AffinityVolume, LabelVolume, Shape3, read_volume,
                            require_affinity_range, require_same_shape, write_volume)
 from affseg.zwatershed import WatershedParams, size_filter, zwatershed
 
@@ -38,36 +37,32 @@ REQUIRED = object()
 """Default of a flag that must be given, on the command line or in the config."""
 
 
-class CliError(Exception):
-    """Validation problem: reported on stderr, exit code 2."""
-
-
-def _missing(flag: str) -> CliError:
-    return CliError(f"missing required option --{flag} (or config key {flag!r})")
+def _missing(flag: str) -> ValueError:
+    return ValueError(f"missing required option --{flag} (or config key {flag!r})")
 
 
 def _read_labels(path) -> LabelVolume:
     vol = read_volume(path)
     if not isinstance(vol, LabelVolume):
-        raise CliError(f"{path}: expected a label volume")
+        raise ValueError(f"{path}: expected a label volume")
     return vol
 
 
 def _read_gt(path) -> LabelVolume:
     gt = _read_labels(path)
     if not gt.data.any():
-        raise CliError(f"{path}: ground truth has no labeled voxel")
+        raise ValueError(f"{path}: ground truth has no labeled voxel")
     return gt
 
 
 def _read_affinities(path) -> AffinityVolume:
     vol = read_volume(path)
     if not isinstance(vol, AffinityVolume):
-        raise CliError(f"{path}: expected an affinity volume")
+        raise ValueError(f"{path}: expected an affinity volume")
     try:
         require_affinity_range(vol.data)  # read_volume skips the range check
     except ValueError as e:
-        raise CliError(f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
     return vol
 
 
@@ -75,12 +70,12 @@ def _config_value(where: str, action: argparse.Action, value):
     """Convert a config value with the type, arity and choices of its flag."""
     if action.nargs == 0:  # a switch such as --normalize
         if not isinstance(value, bool):
-            raise CliError(f"{where}: expected true or false, got {value!r}")
+            raise ValueError(f"{where}: expected true or false, got {value!r}")
         return value
     many = action.nargs is not None
     items = value if many and isinstance(value, list) else [value]
     if many != isinstance(value, list) or not items or action.nargs not in (None, "+", len(items)):
-        raise CliError(f"{where}: expected {action.nargs or 1} value(s), got {value!r}")
+        raise ValueError(f"{where}: expected {action.nargs or 1} value(s), got {value!r}")
     out = []
     for v in items:
         try:
@@ -90,7 +85,7 @@ def _config_value(where: str, action: argparse.Action, value):
             if action.choices is not None and out[-1] not in action.choices:
                 raise ValueError
         except ValueError:
-            raise CliError(f"{where}: invalid value {v!r}") from None
+            raise ValueError(f"{where}: invalid value {v!r}") from None
     return out if many else out[0]
 
 
@@ -102,17 +97,17 @@ def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
         try:
             cfg = json.load(f)
         except ValueError as e:
-            raise CliError(f"{path}: malformed config: {e}") from e
+            raise ValueError(f"{path}: malformed config: {e}") from e
     if not isinstance(cfg, dict):
-        raise CliError(f"{path}: config root must be a JSON object")
+        raise ValueError(f"{path}: config root must be a JSON object")
     sec = cfg.get(command, {})
     if not isinstance(sec, dict):
-        raise CliError(f"{path}: section {command!r} must be a JSON object")
+        raise ValueError(f"{path}: section {command!r} must be a JSON object")
     out = {}
     for key, value in sec.items():
         action = parser._option_string_actions.get(f"--{key}")
         if action is None or key in ("config", "help"):
-            raise CliError(f"{path}: unknown key {key!r} in section {command!r}")
+            raise ValueError(f"{path}: unknown key {key!r} in section {command!r}")
         out[action.dest] = _config_value(f"{path}: {command}.{key}", action, value)
     return out
 
@@ -352,14 +347,14 @@ def main(argv=None) -> int:
         sp.set_defaults(**_load_config(args.config, args.command, sp))
         args = parser.parse_args(argv)
         if args.threads < 1:
-            raise CliError(f"--threads must be >= 1, got {args.threads}")
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         for action in sp._actions:
             if getattr(args, action.dest, None) is REQUIRED:
                 raise _missing(action.option_strings[0][2:])
         return args.handler(args)
     except SystemExit as e:  # argparse: usage error or --help
         return int(e.code) if e.code else 0
-    except (CliError, VolumeError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 -- boundary of the program

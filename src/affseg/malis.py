@@ -33,7 +33,7 @@ from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, oob_edge_mask
                            require_same_shape, slot_ends, unique_inverse)
 
 
-class OutOfBounds(Exception):
+class OutOfBounds(ValueError):
     """A voxel coordinate lies outside the volume (or a degenerate pair was given)."""
 
 

@@ -25,7 +25,7 @@ from affseg.volume import (LabelVolume, cooccurrence, overlap_counts, require_sa
                            unique_inverse)
 
 
-class EmptyOverlap(Exception):
+class EmptyOverlap(ValueError):
     """No voxel carries a nonzero ground-truth label."""
 
 

@@ -43,7 +43,7 @@ HEADER_SIZE = 40
 _HEADER = struct.Struct("<4sIBB6sQQQ")
 
 
-class VolumeError(Exception):
+class VolumeError(ValueError):
     """Base class for volume container and file format errors."""
 
 

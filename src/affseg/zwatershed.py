@@ -13,9 +13,10 @@ The segmentation is built in four fixed stages:
       is >= t_merge, processed to a fixpoint in decreasing order of that
       boundary affinity (ties: smaller label first); the merged basin keeps
       the neighbour's label and the stronger of the two boundaries to each
-      third basin (`Rag.relink`); leftovers below size_min with no
-      qualifying neighbour drop to background.  The heap holds one entry per
-      boundary side, live while that side is small and borders the other.
+      third basin (`Rag.relink`); leftovers below size_min with no qualifying
+      neighbour merge into background (0).  The heap holds one entry per
+      boundary side, live while that side is small and borders the other; the
+      merges are relabeled by agglomeration's replay.
 
 Stages (a)-(c) are computed as ascent trees.  A voxel of (b) links to the
 far end of its strongest edge, whose own strongest edge is no weaker, so
@@ -37,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.agglo import build_rag, threshold_lookups
+from affseg.agglo import _replay, build_rag
 from affseg.unionfind import components, index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, dense_relabel, edge_ends,
-                           require_affinity_range, require_same_shape, unique_inverse)
+                           require_affinity_range, require_same_shape)
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,10 @@ def _ascent_trees(aff: AffinityVolume, t_low: float):
 def _size_filter(labels: LabelVolume, aff: AffinityVolume,
                  size_min: int, t_merge: float) -> LabelVolume:
     """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
-    lattice edge; `dense_relabel` numbers the result 1..K by first voxel.
-    A heap entry (-weight, i, j) is a boundary >= t_merge seen from its side
-    i below size_min, live while i is still below size_min and borders j:
-    labels never return and sizes and weights only grow, so a dead entry
+    lattice edge; `_replay` and `dense_relabel` (1..K by first voxel) apply its
+    merges.  A heap entry (-weight, i, j) is a boundary >= t_merge seen from
+    its side i below size_min, live while i is still below size_min and borders
+    j: labels never return and sizes and weights only grow, so a dead entry
     stays dead and a boundary's newest entry pops first, with its weight."""
     rag = build_rag(labels, aff, ("vmax",))
     weight, sizes = rag.table.vmax.max(-1).tolist(), rag.nodes
@@ -132,12 +133,9 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
             if w >= t_merge and sizes[x] < size_min:
                 heapq.heappush(heap, (-w, x, j))
 
-    # survivors below size_min had no qualifying neighbour: background
-    uniq, inv = unique_inverse(labels.data)
-    final = next(threshold_lookups(merges, uniq, [t_merge]))
-    final[[sizes.get(l, 0) < size_min for l in final.tolist()]] = 0
-    inv = final[inv]  # drops the int64 inverse before the relabel
-    return LabelVolume(dense_relabel(inv))
+    # survivors below size_min had no qualifying neighbour: merged into 0 at the replay's t_merge
+    merges += [(0, l, t_merge) for l, n in sizes.items() if n < size_min]
+    return LabelVolume(dense_relabel(_replay(labels, merges, t_merge)))
 
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,

@@ -506,6 +506,18 @@ def test_ground_truth_without_labels_is_usage_error_naming_file(replay_inputs, c
     assert sorted(replay_inputs.iterdir()) == before  # pipeline made no workdir
 
 
+def test_train_on_one_label_ground_truth_is_usage_error(workdir):
+    # every boundary joins two fragments of the one label: one decision class
+    one = workdir / "one_gt.volb"
+    write_volume(LabelVolume(np.ones((6, 12, 12), dtype=np.uint64)), one)
+    before = sorted(workdir.iterdir())
+    code, out, err = run(_required_argv(workdir, "train") + ["--gt", str(one)])
+    assert code == 2, err
+    assert err == "error: boundary decisions contain a single class only\n"
+    assert out == ""
+    assert sorted(workdir.iterdir()) == before  # no model file
+
+
 def test_malis_grad_accepts_ground_truth_without_labels(workdir):
     empty = workdir / "empty_gt.volb"
     write_volume(LabelVolume(np.zeros((6, 12, 12), dtype=np.uint64)), empty)

@@ -96,6 +96,25 @@ def test_size_filter_ignores_weak_boundaries_a_merge_relinks():
     assert np.all(out.data == 0)
 
 
+@pytest.mark.parametrize("offset", [0, 2**64 - 2**12], ids=["dense", "near-2**64"])
+def test_size_filter_drops_every_basin_of_a_volume_without_background(offset):
+    # t_low 0 grows every voxel, so there is no background before rule (d);
+    # the three pairs are below size_min and meet over 0.1 < t_merge, so all
+    # drop and 0 first appears as the drops' survivor.  Ids near 2**64 make
+    # the replay's lookup sort its ids rather than count them
+    a = np.zeros((3, 1, 1, 6), dtype=np.float32)
+    a[2, 0, 0, :5] = [0.9, 0.1, 0.9, 0.1, 0.9]
+    aff = AffinityVolume(a)
+    basins, stats = zwatershed(aff, WatershedParams(0.95, 0.0, 0, 0.2))
+    assert stats.background == 0 and stats.n_segments == 3
+    labels = LabelVolume(basins.data + np.uint64(offset))
+    out = size_filter(labels, aff, 3, 0.2)
+    assert np.array_equal(out.data, size_filter_reference(labels, aff, 3, 0.2))
+    assert not out.data.any()
+    seg, stats = zwatershed(aff, WatershedParams(0.95, 0.0, 3, 0.2))
+    assert not seg.data.any() and stats.background == 6
+
+
 def test_size_filter_shape_mismatch():
     aff = chain4()
     labels = LabelVolume(np.zeros((1, 1, 5), dtype=np.uint64))
