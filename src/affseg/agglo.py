@@ -239,7 +239,7 @@ class Logistic:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (N_FEATURES,):
             raise ValueError(f"expected {N_FEATURES} weights, got shape {w.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(bias)):
+        if not (np.isfinite(w).all() and np.isfinite(float(bias))):
             raise ValueError("weights and bias must be finite")
         self.weights = w
         self.bias = float(bias)

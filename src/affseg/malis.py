@@ -5,12 +5,13 @@ the maximum over all connecting paths of the minimum edge affinity along the
 path.  Every ordered-once pair of ground-truth-labeled voxels contributes one
 count to its unique maximin edge -- to the positive channel when the labels
 agree, to the negative channel when they differ.  Maximin edges are exactly
-the edges of the maximum spanning forest (Turaga et al. 2009): a Kruskal
-loop in decreasing affinity, behind a cycle filter, decides the forest and
-records which root absorbed which, and array passes over those merge records
-count the pairs on the n - 1 merged slots (`_pair_counts`), which both
-`malis_edge_counts` and `malis_gradient` read.  A maximin query reads the
-latest merge between its two voxels (`maximin_affinity`).
+the edges of the maximum spanning forest (Turaga et al. 2009).  Behind a
+cycle filter, Borůvka contraction (1926) lays the voxels out so that every
+cluster of the Kruskal sweep in decreasing affinity is a run, with no loop
+per voxel or per edge; array passes over that layout count the pairs on the
+n - 1 merged slots (`_pair_counts`), which both `malis_edge_counts` and
+`malis_gradient` read.  A maximin query reads the latest merge between its
+two voxels (`maximin_affinity`).
 
 Ties are broken by processing edges in affinity descending, then slot
 ascending (= channel, z, y, x) order, which pins down the maximin edge of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import index_dtype
+from affseg.unionfind import index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, oob_edge_mask,
                            require_same_shape, slot_ends, unique_inverse)
 
@@ -106,8 +107,8 @@ def _candidates_in_sweep_order(aff: AffinityVolume):
 
     The last-swept side of a unit square joins two voxels its other three
     sides have joined already, so (cycle property) it never merges; dropping
-    it in every (z, y), (z, x) and (y, x) square halves the merge loop.  A
-    function of its own frees the whole-lattice arrays before that loop.
+    it in every (z, y), (z, x) and (y, x) square halves the edges to lay
+    out.  A function of its own frees the whole-lattice arrays first.
     """
     shape = aff.shape3
     slot = np.flatnonzero(~oob_edge_mask(shape))
@@ -127,100 +128,139 @@ def _candidates_in_sweep_order(aff: AffinityVolume):
     return slot, *(end.astype(dtype) for end in slot_ends(slot, shape))
 
 
-def _merges(n: int, cand_u, cand_v):
-    """Kruskal over the candidates in sweep order: union-find by size with
-    path halving that skips an edge whose ends already share a root.
-
-    Returns the mask of the candidates that merged; per merge the kept root,
-    the absorbed root and the kept size before the merge; and every voxel's
-    final component size (an absorbed root's size when absorbed).
-    """
-    parent = list(range(n))
-    size = [1] * n
-    kept, gone, kept_size = [], [], []
-    merged = bytearray(len(cand_u))
-    # memoryviews yield Python ints one at a time, where tolist() would
-    # hold all of them at once
-    for i, (a, b) in enumerate(zip(memoryview(cand_u), memoryview(cand_v))):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            continue
-        sa, sb = size[a], size[b]
-        if sa < sb:
-            a, b, sa, sb = b, a, sb, sa
-        parent[b] = a
-        size[a] = sa + sb
-        kept.append(a)
-        gone.append(b)
-        kept_size.append(sa)
-        merged[i] = 1
-    dtype = index_dtype(n)
-    return (np.frombuffer(merged, dtype=bool),
-            *(np.fromiter(x, dtype, count=len(x)) for x in (kept, gone, kept_size, size)))
+def _running_maxima(values: np.ndarray, levels: int):
+    """Levels 0..levels-1 of a sparse table over `values` (Bender &
+    Farach-Colton 2000), one at a time: level t holds the maxima of the runs
+    values[i:i + 2**t], and level t + 1 is two overlapping views of it."""
+    table = values
+    for t in range(levels):
+        if t:
+            table = np.maximum(table[:-(1 << t - 1)], table[1 << t - 1:])
+        yield table
 
 
 def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(values[lo[q]:hi[q]]) for every query q, where lo < hi.
-
-    A sparse table (Bender & Farach-Colton 2000), built one level at a
-    time: level t holds the maxima of runs of 2**t, and a query whose
-    length lies in [2**t, 2**(t+1)) is the larger of two overlapping runs.
-    Only one level is alive at a time, so memory stays O(len(values)).
-    """
+    """max(values[lo[q]:hi[q]]) for every query q, where lo < hi: a query
+    whose length lies in [2**t, 2**(t+1)) is the larger of two overlapping
+    runs of level t, and only one level is alive at a time."""
     level = np.frexp(hi - lo)[1] - 1  # floor(log2(length))
     out = np.empty(len(lo), dtype=values.dtype)
-    table = values
-    for t in range(int(level.max(initial=-1)) + 1):
-        run = 1 << t
-        if t:
-            table = np.maximum(table[:-(run >> 1)], table[run >> 1:])
+    for t, table in enumerate(_running_maxima(values, int(level.max(initial=-1)) + 1)):
         q = np.flatnonzero(level == t)
-        out[q] = np.maximum(table[lo[q]], table[hi[q] - run])
+        out[q] = np.maximum(table[lo[q]], table[hi[q] - (1 << t)])
     return out
 
 
-def _leaf_order(aff: AffinityVolume):
-    """The Kruskal loop's merges over a leaf order in which each merge puts
-    the absorbed component after the kept one, so every component is a run
-    headed by its root: (slots, at, lo, mid, end, closes), merge k by the
-    edge at slots[k] covering [lo[k], end[k]) split at mid[k], voxel v at
-    position at[v], and closes[p - 1] the merge joining positions p - 1, p.
-    A position sums the kept sizes along the voxel's chain of absorptions
-    (pointer doubling: union by size keeps chains under log2 n long)."""
-    n = aff.shape3.voxels
-    cand_slots, cand_u, cand_v = _candidates_in_sweep_order(aff)
-    merged, kept, gone, kept_size, size = _merges(n, cand_u, cand_v)
-    slots = cand_slots[merged]
-    del cand_slots, cand_u, cand_v
+def _nearest_greater(closes: np.ndarray, at: np.ndarray, bound: np.ndarray):
+    """Per query q, the run [lo, end) around position at[q] whose gaps all
+    close below bound[q]: lo - 1 and end - 1 are the nearest gaps before and
+    from at[q] that close above it, else the ends of the order.  A binary
+    descent over every level of the sparse table steps over each run of
+    2**t gaps that closes below the bound, the longest runs first."""
+    n = len(closes)
+    lo, hi = at.copy(), at.copy()
+    for t, table in reversed(list(enumerate(_running_maxima(closes, n.bit_length())))):
+        run = 1 << t
+        hi += run * ((hi <= n - run) & (table[np.minimum(hi, n - run)] < bound))
+        lo -= run * ((lo >= run) & (table[np.maximum(lo - run, 0)] < bound))
+    return lo, hi + 1
 
-    # leaf positions: the tree's root sits at 0, every absorbed root at its
-    # keeper's position plus the keeper's size at the merge
-    up = np.arange(n, dtype=kept.dtype)
-    up[gone] = kept
-    at = np.zeros(n, dtype=kept.dtype)
-    at[gone] = kept_size
-    while True:
-        upup = up[up]
-        if np.array_equal(upup, up):
-            break
-        at += at[up]
-        up = upup
-    mid = at[gone]
-    closes = np.empty(n - 1, dtype=kept.dtype)
-    closes[mid - 1] = np.arange(n - 1, dtype=kept.dtype)
-    return slots, at, mid - kept_size, mid, mid + size[gone], closes
+
+def _contract(m: int, u, v, rank):
+    """One Borůvka step over nodes 0..m-1 of a connected graph, edges (u, v)
+    ranked by `rank` (ascending, distinct): ((tree, r, root), (u, v, rank)
+    of the edges between trees).  A node's lowest-ranked edge, its first
+    edge (rank r), is where the sweep first reaches it, so it is a forest
+    edge; each tree of first edges holds one mutual pair, whose smaller node
+    is the root, and tree numbers the trees in the order of their roots."""
+    node = np.arange(m)
+    first = np.full(m, len(u))
+    np.minimum.at(first, u, np.arange(len(u)))
+    np.minimum.at(first, v, np.arange(len(u)))
+    head = u[first] ^ v[first] ^ node  # the first edge's other end
+    r = rank[first]
+    del first
+    root = (head[head] == node) & (node < head)
+    tree = np.empty(m, dtype=np.intp)
+    tree[root] = np.arange(np.count_nonzero(root))
+    tree = tree[jump(np.where(root, node, head))]
+    del head, node
+    u, v = tree[u], tree[v]
+    keep = u != v
+    return (tree, r, root), (u[keep], v[keep], rank[keep])
+
+
+def _expand(tree, r, root, at, closes, lo, end, bound: int):
+    """A level's leaf order from its contraction's (`_contract`), every
+    cluster of the sweep a run: (at, closes, lo, end), node x at position
+    at[x], and the merge of positions g and g + 1 ranked closes[g] (below
+    `bound`), covering [lo[g], end[g]) split at g + 1.  A node goes to the
+    end of the contracted run [start, stop) that held its tree just before
+    its first edge: the keys (stop, r), a root before its pair, are sorted
+    once.  That run is the tree alone unless the tree's first contracted
+    merge came earlier; only then is `closes` searched."""
+    start = at[tree]
+    first_merge = np.minimum(np.append(closes, bound), np.insert(closes, 0, bound))[start]
+    late = np.flatnonzero(r > first_merge)
+    stop = start + 1
+    start[late], stop[late] = _nearest_greater(closes, start[late], r[late])
+    del first_merge, late
+    key = (stop * bound + r) * 2 + ~root
+    order = np.argsort(key)
+    key = key[order]
+    startpos = np.cumsum(np.bincount(stop, minlength=len(at) + 1))  # keys with stop <= p
+    merges = tuple(np.empty(len(tree) - 1, dtype=np.intp) for _ in range(3))
+    g = startpos[1:len(at)] - 1  # a contracted merge joins two runs
+    for out, value in zip(merges, (closes, startpos[lo],
+                                   np.searchsorted(key, (end * bound + closes) * 2))):
+        out[g] = value
+    del key, stop, g
+    at = np.empty(len(tree), dtype=np.intp)
+    at[order] = np.arange(len(tree))
+    del order
+    x = np.flatnonzero(~root)  # a node joins the run before it
+    for out, value in zip(merges, (r[x], startpos[start[x]], at[x] + 1)):
+        out[at[x] - 1] = value
+    return (at, *merges)
+
+
+def _leaf_order(aff: AffinityVolume):
+    """The sweep's merges over a leaf order in which every cluster is a
+    run: (slots, at, lo, mid, end, closes), merge k by the edge at slots[k]
+    covering [lo[k], end[k]) split at mid[k], voxel v at position at[v],
+    and closes[p - 1] the merge joining positions p - 1, p.  The cycle
+    filter's candidates are contracted (`_contract`) until one node is
+    left, the order expanded back level by level (`_expand`), and the
+    merges sorted once."""
+    n = aff.shape3.voxels
+    slots, u, v = _candidates_in_sweep_order(aff)
+    bound = len(slots)
+    rank = np.arange(bound)
+    levels, m = [], n
+    while m > 1:
+        level, (u, v, rank) = _contract(m, u, v, rank)
+        levels.append(level)
+        m = np.count_nonzero(level[2])
+    at, merges = np.zeros(1, dtype=np.intp), [np.empty(0, dtype=np.intp)] * 3
+    while levels:
+        at, *merges = _expand(*levels.pop(), at, *merges, bound)
+    rank, lo, end = merges
+    order = np.argsort(rank)  # merge k closes gap order[k]
+    dtype = index_dtype(n)
+    closes = np.empty(n - 1, dtype=dtype)
+    closes[order] = np.arange(n - 1, dtype=dtype)
+    return (slots[rank[order]], at.astype(dtype), lo[order].astype(dtype),
+            (order + 1).astype(dtype), end[order].astype(dtype), closes)
 
 
 def _pair_counts(aff: AffinityVolume, gt: LabelVolume):
     """Labeled pairs per maximin edge: (slots, pos, neg) over the n - 1 merges.
 
     The lattice is connected, so the maximum spanning forest is one tree,
-    and the k-th merge of the Kruskal loop over the cycle filter's
-    candidates in sweep order is the maximin edge of exactly the pairs it
-    joins.  From the merges, laid out in the leaf order of `_leaf_order`:
+    and the k-th merge of the sweep over the cycle filter's candidates is
+    the maximin edge of exactly the pairs it joins.  Any leaf order in
+    which every cluster is a run gives the same counts; from the merges,
+    laid out in the Borůvka order of `_leaf_order`:
 
     - **Labeled pairs** n_left * n_right come from one prefix sum.
     - **Positive pairs.**  Consecutive same-label voxels of the

@@ -41,7 +41,7 @@ class SynthParams:
     def __post_init__(self):
         if not self.n_seeds >= 1:
             raise ValueError(f"n_seeds must be positive, got {self.n_seeds}")
-        if not (np.isfinite(self.anisotropy) and self.anisotropy >= 1.0):
+        if not (np.isfinite(float(self.anisotropy)) and self.anisotropy >= 1.0):
             raise ValueError(f"anisotropy must be finite and >= 1, got {self.anisotropy}")
 
 
@@ -52,7 +52,7 @@ class NoiseParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.flip_sigma) and self.flip_sigma >= 0.0):
+        if not (np.isfinite(float(self.flip_sigma)) and self.flip_sigma >= 0.0):
             raise ValueError(f"flip_sigma must be finite and >= 0, got {self.flip_sigma}")
         if not 0.0 <= self.jitter_prob <= 1.0:
             raise ValueError(f"jitter_prob must be in [0, 1], got {self.jitter_prob}")

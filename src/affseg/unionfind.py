@@ -1,9 +1,9 @@
 """Connected components of integer-id graphs.
 
 Offline array code only: `jump` finds the roots of parent pointers
-(watershed ascent trees, `agglo.threshold_lookups`), `components` groups
-ids when every edge is known first (basins, stitch classes).  The MALIS
-Kruskal loop, which needs an edge's roots first, keeps a list union-find.
+(watershed ascent trees, `agglo.threshold_lookups`, the trees of first
+edges in each Borůvka step of MALIS), `components` groups ids when every
+edge is known first (basins, stitch classes).
 """
 
 from __future__ import annotations

@@ -218,6 +218,8 @@ class _Volume:
 
     def __init__(self, data, check_range: bool = True):
         noun, _, dtype, lead = _CODECS[type(self)]
+        data = np.asarray(data)
+        self._admit(data)
         arr = np.array(data, dtype=dtype, order="C")
         if arr.ndim != len(lead) + 3 or arr.shape[:len(lead)] != lead:
             axes = ", ".join([*map(str, lead), "z", "y", "x"])
@@ -225,6 +227,9 @@ class _Volume:
         self._settle(arr, check_range)
         arr.flags.writeable = False
         self.data = arr
+
+    def _admit(self, data: np.ndarray) -> None:
+        """Check the caller's values before they are cast to the kind's dtype."""
 
     def _settle(self, arr: np.ndarray, check_range: bool) -> None:
         """Fix up or check the private copy before it is frozen."""
@@ -243,9 +248,19 @@ class _Volume:
 
 
 class LabelVolume(_Volume):
-    """Dense uint64 segment ids over a (z, y, x) grid; 0 = background."""
+    """Dense uint64 segment ids over a (z, y, x) grid; 0 = background.
+
+    Ids are checked, never cast: bool and integer arrays are accepted, and
+    signed ones only without negative values.
+    """
 
     __slots__ = ()
+
+    def _admit(self, data: np.ndarray) -> None:
+        if data.dtype.kind not in "biu":
+            raise ValueError(f"label ids must be integers, got dtype {data.dtype}")
+        if data.dtype.kind == "i" and data.size and (low := data.min()) < 0:
+            raise ValueError(f"label ids must be >= 0, got {low}")
 
     def label_at(self, z: int, y: int, x: int) -> int:
         return int(self.data[z, y, x])

@@ -817,6 +817,13 @@ def test_trained_scorer_in_unit_interval():
         assert 0.0 <= s <= 1.0
 
 
+def test_logistic_bias_too_large_for_int64_is_checked_as_a_float():
+    assert Logistic(np.zeros(N_FEATURES), 10**30).bias == 1e30
+    for bad in (float("inf"), float("nan"), "x"):
+        with pytest.raises(ValueError):
+            Logistic(np.zeros(N_FEATURES), bad)
+
+
 def test_logistic_model_file_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     scorer = Logistic(rng.normal(size=N_FEATURES), -0.75)

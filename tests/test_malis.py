@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from affseg import malis
 from affseg.malis import (
     OutOfBounds,
     _candidates_in_sweep_order,
+    _leaf_order,
     _sweep_order,
     malis_edge_counts,
     malis_gradient,
@@ -313,6 +315,70 @@ def test_counts_for_same_label_pairs_at_every_leaf_distance():
             labels[gap // 2 + 1: gap] = 3  # other labels between, and after
             labels[gap + 1:] = 5
             assert_counts_match_oracles(aff, LabelVolume(labels.reshape(1, 1, n)))
+
+
+@pytest.mark.parametrize("kind,steps", [("increasing", 1), ("decreasing", 1), ("equal", 1),
+                                        ("balanced", 11)])
+def test_counts_on_long_chains_match_full_sweep(kind, steps, monkeypatch):
+    # one Borůvka step finds the whole tree of a monotone or all-equal chain,
+    # every voxel's first edge leading to its neighbour; the balanced chain
+    # only pairs its nodes at each step, so 2048 voxels take 11 levels
+    n = 2048
+    calls = []
+    contract = malis._contract
+    monkeypatch.setattr(malis, "_contract", lambda m, *edges: calls.append(m) or contract(m, *edges))
+    rng = np.random.default_rng(24)
+    labels = rng.integers(1, 4, n).astype(np.uint64)
+    labels[rng.random(n) < 0.3] = 0
+    assert_counts_match_oracles(chain_volume(chain_affinities(n, kind)),
+                                LabelVolume(labels.reshape(1, 1, n)))
+    assert len(calls) == steps and calls[0] == n
+
+
+def kruskal_clusters(aff):
+    """Per merge of a Kruskal sweep over every lattice edge (`kruskal_forest`),
+    in order: its slot and the voxel sets of the two clusters it joins."""
+    n = aff.shape3.voxels
+    edges = sweep_sorted(all_edges(aff))
+    if not edges:
+        return
+    c, _z, _y, _x, _a, u, v = map(np.array, zip(*edges))
+    forest = kruskal_forest(n, u, v)
+    owner = list(range(n))
+    members = {x: {x} for x in range(n)}
+    for slot, a, b in zip((c * n + u)[forest], u[forest], v[forest]):
+        left, right = members.pop(owner[a]), members.pop(owner[b])
+        yield slot, left, right
+        for x in right:
+            owner[x] = owner[a]
+        members[owner[a]] = left | right
+
+
+def layout_cases():
+    """Random volumes with sides 1-5 (continuous, 0.25 and 0.5 grids), one-
+    and two-voxel volumes, a balanced chain and a jittered patch."""
+    rng = np.random.default_rng(25)
+    for i in range(45):
+        a = rng.random((3,) + tuple(rng.integers(1, 6, 3).tolist()))
+        grid = (None, 4, 2)[i % 3]
+        yield AffinityVolume((a if grid is None else np.round(a * grid) / grid).astype(np.float32))
+    yield chain_volume([])
+    yield chain_volume([0.3])
+    yield chain_volume(chain_affinities(64, "balanced"))
+    yield jittered_patch(26, (3, 10, 10))[0]
+
+
+def test_every_merge_covers_exactly_its_kruskal_cluster():
+    for aff in layout_cases():
+        n = aff.shape3.voxels
+        slots, at, lo, mid, end, closes = _leaf_order(aff)
+        assert sorted(at.tolist()) == list(range(n))
+        merges = list(kruskal_clusters(aff))
+        assert len(merges) == len(slots) == n - 1
+        for k, (slot, a, b) in enumerate(merges):
+            assert slots[k] == slot and closes[mid[k] - 1] == k
+            runs = {frozenset(range(lo[k], mid[k])), frozenset(range(mid[k], end[k]))}
+            assert runs == {frozenset(at[list(a)].tolist()), frozenset(at[list(b)].tolist())}
 
 
 @pytest.mark.parametrize("labels", [[0], [4], [0, 0], [0, 9], [9, 9], [9, 8]])

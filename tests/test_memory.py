@@ -12,7 +12,7 @@ import pytest
 
 from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply_threshold,
                           build_rag)
-from affseg.malis import malis_edge_counts, malis_gradient, maximin_affinity
+from affseg.malis import _leaf_order, malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import Shape3, overlap_counts, unique_inverse
@@ -73,10 +73,19 @@ def test_overlap_counts_peak_per_voxel(volume):
     assert peak / SHAPE.voxels <= 48
 
 
+def test_leaf_order_peak_per_voxel(volume):
+    # expanding the Borůvka layout's first level sets the peak, about 109.4
+    # B/voxel: the candidates' slots, every level's (tree, first-edge rank,
+    # root), the sort keys and three per-gap merge arrays; recursing with each
+    # level's edge arrays alive took about 152
+    _, aff = volume
+    assert traced_peak(_leaf_order, aff) / SHAPE.voxels <= 113
+
+
 def test_maximin_peak_per_voxel(volume):
-    # the cycle filter's candidates are slots of the affinity array, with
-    # endpoints derived for the kept ones only (about 134 B/voxel);
-    # (channel, u, v) int64 arrays of every lattice edge would take about 151
+    # _leaf_order sets the peak, about 109.3 B/voxel; the cycle filter's
+    # candidates are slots of the affinity array, with endpoints derived for
+    # the kept ones only
     _, aff = volume
     peak = traced_peak(maximin_affinity, aff, (0, 0, 0), (15, 63, 63))
     assert peak / SHAPE.voxels <= 140
@@ -85,9 +94,10 @@ def test_maximin_peak_per_voxel(volume):
 @pytest.mark.parametrize("call", [malis_edge_counts, malis_gradient],
                          ids=["malis_edge_counts", "malis_gradient"])
 def test_malis_peak_per_voxel(volume, call):
-    # _leaf_order sets both peaks, about 134.3 B/voxel: counts and gradient
-    # go to their volumes after the counting's temporaries are freed; float64
-    # arithmetic over every slot of dense count volumes takes about 171
+    # the counting passes of _pair_counts set both peaks, about 132.1 B/voxel
+    # (_leaf_order alone about 109.4): counts and gradient go to their volumes
+    # after the counting's temporaries are freed; float64 arithmetic over
+    # every slot of dense count volumes takes about 171
     gt, aff = volume
     assert traced_peak(call, aff, gt) / SHAPE.voxels <= 140
 

@@ -92,6 +92,15 @@ def test_nan_seed_count_is_rejected():
         SynthParams(n_seeds=float("nan"))
 
 
+def test_parameters_too_large_for_int64_are_checked_as_floats():
+    assert SynthParams(3, 10**30, 0).anisotropy == 10**30
+    assert NoiseParams(10**30).flip_sigma == 10**30
+    for make in (lambda x: SynthParams(3, x), lambda x: NoiseParams(x)):
+        for bad in (float("inf"), float("nan"), "x"):
+            with pytest.raises(ValueError):
+                make(bad)
+
+
 def test_noiseless_is_exact_encoding():
     gt = synth_labels(Shape3(4, 6, 6), SynthParams(n_seeds=3, rng_seed=2))
     aff = synth_affinities(gt, NoiseParams())

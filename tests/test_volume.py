@@ -238,12 +238,45 @@ def test_no_construction_path_shares_memory_with_its_source(kind, dtype, shape, 
     readonly.flags.writeable = False
     sources = {"array": arr, "strided view": np.repeat(arr, 2, axis=-1)[..., ::2],
                "read-only": readonly, "buffer": np.frombuffer(arr.tobytes(), dtype).reshape(shape),
-               "other dtype": arr.astype(np.float64), "list": arr.tolist()}
+               # labels are integers: their other dtype is a signed one
+               "other dtype": arr.astype(np.int64 if kind is LabelVolume else np.float64),
+               "list": arr.tolist()}
     for name, data in sources.items():
         vol = kind(data)
         assert not np.shares_memory(vol.data, data), name
         assert vol.data.flags.c_contiguous and not vol.data.flags.writeable, name
     assert np.all(arr == fill)  # out-of-bounds slots are zeroed in the copy only
+
+
+@pytest.mark.parametrize("data,expected", [
+    (np.array([[[True, False]]]), [1, 0]),
+    (np.array([[[0, 7]]], dtype=np.int8), [0, 7]),
+    (np.array([[[0, 2**63 - 1]]], dtype=np.int64), [0, 2**63 - 1]),
+    (np.array([[[2**64 - 1, 3]]], dtype=np.uint64), [2**64 - 1, 3]),
+    (np.zeros((1, 1, 0), dtype=np.int64).reshape(1, 0, 1), []),
+    ([[[2**63 - 1, 0]]], [2**63 - 1, 0]),
+], ids=["bool", "int8", "int64", "uint64", "empty_int64", "list"])
+def test_label_volume_takes_bool_and_nonnegative_integer_ids(data, expected):
+    vol = LabelVolume(data)
+    assert vol.data.dtype == np.uint64 and vol.data.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("data,message", [
+    (np.array([[[-1, 2]]]), "label ids must be >= 0, got -1"),
+    (np.array([[[3, -2**63]]], dtype=np.int64), f"got {-2**63}"),
+    (np.array([[[1.7, 2.0]]]), "must be integers, got dtype float64"),
+    (np.array([[[1.0, 2.0]]], dtype=np.float32), "got dtype float32"),
+    (np.array([[[np.nan, 1.0]]]), "got dtype float64"),
+    (np.array([[[2**70, 1]]], dtype=object), "got dtype object"),
+    ([[[-1, 2**64 - 1]]], "must be integers"),  # numpy makes this list float64
+    ([[["1", "2"]]], "got dtype <U1"),
+], ids=["minus_one", "int64_min", "fraction", "float32", "nan", "object_2**70", "mixed_list",
+        "strings"])
+def test_label_volume_rejects_ids_a_cast_would_change(data, message):
+    # an unsafe cast stored -1 as 2**64 - 1 and 1.7 as 1: one more segment,
+    # or a different one, in every metric and training signal
+    with pytest.raises(ValueError, match=message.replace("*", r"\*")):
+        LabelVolume(data)
 
 
 def test_nonzero_oob_slots_in_a_file_read_back_zeroed(tmp_path):
