@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import jump
-from affseg.volume import (AffinityVolume, LabelVolume, boundary_edges, cooccurrence,
-                           overlap_counts, require_affinity_range, require_same_shape,
-                           unique_inverse)
+from affseg.volume import (AffinityVolume, LabelVolume, as_real, boundary_edges,
+                           cooccurrence, overlap_counts, require_affinity_range,
+                           require_same_shape, unique_inverse)
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -212,8 +212,8 @@ class MeanAffinity:
         n, (sz, sy, sx) = rag.table.total_count.tolist(), rag.table.s1.T.tolist()
 
         def merge(a: int, b: int) -> dict[int, int]:
-            touched, dropped, into = rag.relink(a, b)
-            for kept, row in zip(into, dropped[1:]):
+            touched, pairs = rag.relink(a, b)
+            for kept, row in pairs:
                 n[kept] += n[row]
                 sz[kept] += sz[row]
                 sy[kept] += sy[row]
@@ -239,7 +239,7 @@ class Logistic:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (N_FEATURES,):
             raise ValueError(f"expected {N_FEATURES} weights, got shape {w.shape}")
-        if not (np.isfinite(w).all() and np.isfinite(float(bias))):
+        if not (np.isfinite(w).all() and np.isfinite(as_real(bias))):
             raise ValueError("weights and bias must be finite")
         self.weights = w
         self.bias = float(bias)
@@ -333,7 +333,8 @@ class Rag:
     same graph as {(lo, hi): row}.  `relink` and `merge_nodes` mutate the
     graph in place exactly the way watershed rule (d) and the agglomeration
     row stores (a scorer's `rows(rag)`, else `_table_rows`) do, so
-    recomputation tests can drive them directly.
+    recomputation tests can drive them directly.  Both hand back the
+    (kept, dropped) row pairs of the merge, which a row store folds.
     """
 
     labels: LabelVolume
@@ -378,36 +379,33 @@ class Rag:
         """Merge neighbour b's node into a's in the graph alone; a may be the
         larger label.  The table is left as it was.
 
-        The shared boundary's row is dropped.  Each other boundary row of b
+        The shared boundary's row is deleted.  Each other boundary row of b
         is dropped where a has a row to the same neighbour, or else relinked
         to a.  Returns ({neighbour x: row} of the boundaries of a this
-        changed, [rows dropped, the shared row first], [for each later
-        dropped row, the row of a it pairs with]).
+        changed, [(row of a, dropped row of b) for each neighbour both
+        border]).
         """
         self.nodes[a] += self.nodes.pop(b)
         mine, theirs = self.adj[a], self.adj.pop(b)
-        dropped = [mine.pop(b)]
-        del theirs[a]
-        into = []
+        del mine[b], theirs[a]
+        pairs = []
         for x, row in theirs.items():
             other = self.adj[x]
             del other[b]
             if x in mine:
-                into.append(mine[x])
-                dropped.append(row)
+                pairs.append((mine[x], row))
             else:
                 mine[x] = other[a] = row
-        return {x: mine[x] for x in theirs}, dropped, into
+        return {x: mine[x] for x in theirs}, pairs
 
     def merge_nodes(self, a: int, b: int):
         """Merge neighbour b's node into a's: `relink`, then add each dropped
-        row of b into the row of a it pairs with.  Returns ({neighbour x:
-        row} of the boundaries of a this changed, [rows dropped]).
+        row of b into the row of a it pairs with.  Returns what `relink` does.
         """
-        touched, dropped, into = self.relink(a, b)
-        if into:
-            self.table.merge_rows(np.array(into), np.array(dropped[1:]))
-        return touched, dropped
+        touched, pairs = self.relink(a, b)
+        if pairs:
+            self.table.merge_rows(*np.array(pairs).T)
+        return touched, pairs
 
 
 def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
@@ -490,7 +488,7 @@ def _replay(labels: LabelVolume, merges, theta: float) -> np.ndarray:
 
 def check_theta(theta: float) -> None:
     """Raise ValueError unless `theta` is a score threshold in [0, 1]; NaN is not."""
-    if not 0.0 <= theta <= 1.0:
+    if not 0.0 <= as_real(theta) <= 1.0:
         raise ValueError(f"theta must be in [0, 1], got {theta}")
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import components
-from affseg.volume import LabelVolume, Shape3, VolumeError, cooccurrence, dense_relabel
+from affseg.volume import LabelVolume, Shape3, VolumeError, as_real, cooccurrence, dense_relabel
 
 
 class InvalidPartition(ValueError):
@@ -169,9 +169,9 @@ def build_stitch_graph(specs: list[BlockSpec],
 def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
            min_ratio: float = 0.5, min_voxels: int = 2) -> LabelVolume:
     """Merge per-block labelings, cores tiling the volume, via halo-overlap matching."""
-    if not 0.0 < min_ratio <= 1.0:
+    if not 0.0 < as_real(min_ratio) <= 1.0:
         raise ValueError(f"min_ratio must be in (0, 1], got {min_ratio}")
-    if not min_voxels >= 1:
+    if not as_real(min_voxels) >= 1:
         raise ValueError(f"min_voxels must be positive, got {min_voxels}")
     shape = tiled_shape(specs)
     g = build_stitch_graph(specs, block_labelings)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.volume import AffinityVolume, LabelVolume, Shape3, edge_ends
+from affseg.volume import AffinityVolume, LabelVolume, Shape3, as_real, edge_ends
 
 
 class TooManySeeds(ValueError):
@@ -39,9 +39,9 @@ class SynthParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.n_seeds >= 1:
+        if not as_real(self.n_seeds) >= 1:
             raise ValueError(f"n_seeds must be positive, got {self.n_seeds}")
-        if not (np.isfinite(float(self.anisotropy)) and self.anisotropy >= 1.0):
+        if not 1.0 <= as_real(self.anisotropy) < np.inf:
             raise ValueError(f"anisotropy must be finite and >= 1, got {self.anisotropy}")
 
 
@@ -52,9 +52,9 @@ class NoiseParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(float(self.flip_sigma)) and self.flip_sigma >= 0.0):
+        if not 0.0 <= as_real(self.flip_sigma) < np.inf:
             raise ValueError(f"flip_sigma must be finite and >= 0, got {self.flip_sigma}")
-        if not 0.0 <= self.jitter_prob <= 1.0:
+        if not 0.0 <= as_real(self.jitter_prob) <= 1.0:
             raise ValueError(f"jitter_prob must be in [0, 1], got {self.jitter_prob}")
 
 

@@ -31,6 +31,7 @@ Writes are deterministic: equal volumes produce byte-identical files.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -195,6 +196,7 @@ def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
     bu, bi = unique_inverse(b)
     key *= len(bu)
     key += bi
+    del bi  # freed before the key sort
     keys, sums = np.unique(key, return_counts=True)  # one sort, no inverse
     if weights is not None:
         sums = np.bincount(np.searchsorted(keys, key), weights)
@@ -286,6 +288,18 @@ def require_affinity_range(data: np.ndarray) -> None:
     """Raise ValueError unless every value is finite and lies in [0, 1]."""
     if not ((data >= 0.0) & (data <= 1.0)).all():
         raise ValueError("affinities must be finite and lie in [0, 1]")
+
+
+def as_real(value) -> float:
+    """A parameter as a float for its range check: NaN unless it is a real
+    number (a string or None is not), and +-inf beyond the float range, so a
+    bad value fails the check with the caller's ValueError."""
+    if not isinstance(value, numbers.Real):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 # The VOLB codec, one row per kind: its noun, dtype code (header byte 8),

@@ -40,7 +40,7 @@ import numpy as np
 
 from affseg.agglo import _replay, build_rag
 from affseg.unionfind import components, index_dtype, jump
-from affseg.volume import (AffinityVolume, LabelVolume, dense_relabel, edge_ends,
+from affseg.volume import (AffinityVolume, LabelVolume, as_real, dense_relabel, edge_ends,
                            require_affinity_range, require_same_shape)
 
 
@@ -54,14 +54,14 @@ class WatershedParams:
     def __post_init__(self):
         for name in ("t_high", "t_low", "t_merge"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= as_real(v) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if not self.t_low <= self.t_merge <= self.t_high:
             raise ValueError(
                 f"need t_low <= t_merge <= t_high, got "
                 f"{self.t_low}, {self.t_merge}, {self.t_high}"
             )
-        if not self.size_min >= 0:
+        if not as_real(self.size_min) >= 0:
             raise ValueError(f"size_min must be >= 0, got {self.size_min}")
 
 
@@ -123,8 +123,8 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
             continue  # absorbed, grown big enough, or j absorbed
         # j absorbs i and keeps the stronger boundary to each third basin
         merges.append((j, i, -negw))
-        touched, dropped, into = rag.relink(j, i)
-        for kept, row in zip(into, dropped[1:]):
+        touched, pairs = rag.relink(j, i)
+        for kept, row in pairs:
             weight[kept] = max(weight[kept], weight[row])
         for x, row in touched.items():
             w = weight[row]
@@ -142,12 +142,10 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
                 size_min: int, t_merge: float) -> LabelVolume:
     """Re-apply the size filter (rules d/e) to an existing labeling.
 
-    size_min == 0 is a no-op and returns the input labels unchanged.
+    size_min == 0 is a no-op and returns the input labels unchanged.  Both
+    parameters are checked as `WatershedParams` checks them (ValueError).
     """
-    if not size_min >= 0:
-        raise ValueError(f"size_min must be >= 0, got {size_min}")
-    if not 0.0 <= t_merge <= 1.0:
-        raise ValueError(f"t_merge must be in [0, 1], got {t_merge}")
+    WatershedParams(1.0, 0.0, size_min, t_merge)
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     if size_min == 0:

@@ -740,6 +740,26 @@ def test_features_equal_fresh_rebuild_after_merges():
             assert rag.nodes == fresh.nodes
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_relink_pairs_the_rows_of_each_common_neighbour(seed):
+    # merging b into a hands back (a's row to x, b's former row to x) for
+    # every neighbour x of both, and no row twice
+    rng = np.random.default_rng(seed)
+    _, aff, seg = noisy_instance(seed)
+    rag = build_rag(seg, aff, ("count",))
+    common = 0
+    while rag.n_edges:
+        a = int(rng.choice([l for l, nbrs in rag.adj.items() if nbrs]))
+        b = int(rng.choice(list(rag.adj[a])))
+        mine, theirs = dict(rag.adj[a]), dict(rag.adj[b])
+        _, pairs = rag.relink(a, b)
+        assert sorted(pairs) == sorted((mine[x], theirs[x]) for x in mine.keys() & theirs.keys())
+        rows = [row for pair in pairs for row in pair]
+        assert len(rows) == len(set(rows))
+        common += len(pairs)
+    assert common > 0  # the merges did pair rows
+
+
 # ----------------------------------------------------------------- training
 
 
