@@ -466,17 +466,17 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
     """For each of the strictly decreasing `thetas`, the label that each
     base label of `ids` takes when the longest prefix of the (survivor,
     absorbed, score) `merges` whose scores are all >= theta is replayed:
-    absorbed -> survivor links followed to their roots by `jump`.  Each
-    prefix extends the previous one, so the merges are walked once."""
+    absorbed -> survivor links followed to their roots by `jump`.  Each prefix
+    ends where the scores' running minimum drops below theta and is linked in
+    one slice, as no merge list absorbs a label twice."""
     ends = np.array([m[:2] for m in merges], dtype=np.uint64).reshape(-1, 2)
     names, idx = unique_inverse(np.concatenate([ids, ends[:, 0], ends[:, 1]]))
     start, survivor, absorbed = np.split(idx, [len(ids), len(ids) + len(ends)])
     parent = np.arange(len(names))
-    k = 0
+    floor = np.minimum.accumulate(np.array([m[2] for m in merges], dtype=np.float64))
     for theta in thetas:
-        while k < len(merges) and merges[k][2] >= theta:
-            parent[absorbed[k]] = survivor[k]
-            k += 1
+        k = np.count_nonzero(floor >= theta)
+        parent[absorbed[:k]] = survivor[:k]
         yield names[jump(parent)[start]]
 
 

@@ -159,12 +159,12 @@ def _cmd_size_filter(args) -> int:
 
 
 def _cmd_build_rag(args) -> int:
-    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff), ("count", "s1"))
-    keys = list(rag.edges)  # row order, which is (lo, hi) order
-    counts, means = rag.table.total_count.tolist(), rag.table.pooled_mean().tolist()
+    scorer = agglo.MeanAffinity()
+    rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff), scorer.reads)
+    counts, means = rag.table.total_count.tolist(), scorer.score(rag.table, None, None).tolist()
     with open(args.out, "w") as f:
-        f.write("label_a,label_b,boundary_count,mean_affinity\n")
-        f.writelines(f"{a},{b},{n},{m:.6f}\n" for (a, b), n, m in zip(keys, counts, means))
+        f.write("label_a,label_b,boundary_count,mean_affinity\n")  # edges in row (lo, hi) order
+        f.writelines(f"{a},{b},{n},{m:.6f}\n" for (a, b), n, m in zip(rag.edges, counts, means))
     print(f"nodes={rag.n_nodes} edges={rag.n_edges}", file=sys.stderr)
     return 0
 

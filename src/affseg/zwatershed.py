@@ -111,6 +111,8 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
     its side i below size_min, live while i is still below size_min and borders
     j: labels never return and sizes and weights only grow, so a dead entry
     stays dead and a boundary's newest entry pops first, with its weight."""
+    if size_min == 0:
+        return labels
     rag = build_rag(labels, aff, ("vmax",))
     weight, sizes = rag.table.vmax.max(-1).tolist(), rag.nodes
     heap = [(-weight[row], i, j) for i, nbrs in rag.adj.items() if sizes[i] < size_min
@@ -142,14 +144,12 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
                 size_min: int, t_merge: float) -> LabelVolume:
     """Re-apply the size filter (rules d/e) to an existing labeling.
 
-    size_min == 0 is a no-op and returns the input labels unchanged.  Both
+    size_min == 0 is a no-op that returns `labels` itself.  Both
     parameters are checked as `WatershedParams` checks them (ValueError).
     """
     WatershedParams(1.0, 0.0, size_min, t_merge)
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
-    if size_min == 0:
-        return LabelVolume(labels.data)
     return _size_filter(labels, aff, size_min, t_merge)
 
 
@@ -167,9 +167,9 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     basin = components(root.size, *map(np.concatenate, zip(*ends)))[root]
 
     vol = LabelVolume(dense_relabel(np.where(grow, basin + 1, 0)))  # (c): 0 if not grown
+    del grow, root, basin, ends  # (d) builds its RAG with only the stage-(c) labels alive
 
     # (d)/(e) size filtering, renumbered by first voxel
-    if params.size_min > 0:
-        vol = _size_filter(vol, aff, params.size_min, params.t_merge)
+    vol = _size_filter(vol, aff, params.size_min, params.t_merge)
     cnts = np.bincount(vol.data.ravel().astype(np.intp), minlength=1).tolist()
     return vol, BasinStats(sizes=dict(enumerate(cnts[1:], 1)), background=cnts[0])

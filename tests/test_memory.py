@@ -59,13 +59,12 @@ def test_watershed_peak_per_voxel(volume):
 
 
 def test_size_filtered_watershed_peak_per_voxel(volume):
-    # rule (d)'s closing dense_relabel, with the watershed's arrays still
-    # alive, sets the peak, about 54.8 B/voxel, and its build_rag peaks near
-    # 48; keeping the int64 inverse alive through the relabel takes 62.4,
-    # and ravel-copying endpoint labels per channel in build_rag 66.4
+    # the ascent trees set the peak, about 45.3 B/voxel as at size_min 0:
+    # rule (d) runs with only the stage-(c) labels alive; with stages
+    # (a)-(c)'s arrays kept alive its closing dense_relabel takes about 55.3
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 25, 0.3))
-    assert peak / SHAPE.voxels <= 57
+    assert peak / SHAPE.voxels <= 47
 
 
 def test_overlap_counts_peak_per_voxel(volume):
@@ -172,13 +171,13 @@ def test_split_vi_peak_per_voxel(fragments, volume, curve):
     assert peak / SHAPE.voxels <= 37
 
 
-@pytest.mark.parametrize("size_min,bound", [(0, 77), (25, 79)],
+@pytest.mark.parametrize("size_min,bound", [(0, 77), (25, 76)],
                          ids=["size_min_0", "size_min_25"])
 def test_cli_pipeline_peak_and_leftovers(volume, tmp_path, size_min, bound):
-    # with both input volumes read, the closing split_vi sets the peak at
-    # size_min 0, about 76.0 B/voxel (78.4 if the merge tree keeps the RAG
-    # alive), and rule (d)'s closing relabel inside zwatershed at size_min 25,
-    # about 77.2, where split_vi reaches about 74.1.  After the call about
+    # with both input volumes read, the closing split_vi sets the peak: about
+    # 76.0 B/voxel at size_min 0 (78.4 if the merge tree keeps the RAG alive)
+    # and 74.1 at size_min 25 (77.2 if zwatershed keeps stages (a)-(c)'s
+    # arrays alive through rule (d)'s closing relabel).  After the call about
     # 5 KB stay traced, or 55-690 KB if the RAG outlives the call.  The first
     # call in a process also fills import and locale caches (about 170 KB),
     # so the traced call is the second

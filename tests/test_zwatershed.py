@@ -115,14 +115,16 @@ def test_size_filter_drops_every_basin_of_a_volume_without_background(offset):
     assert not seg.data.any() and stats.background == 6
 
 
-def test_size_filter_shape_mismatch():
+@pytest.mark.parametrize("size_min", [0, 2])
+def test_size_filter_shape_mismatch(size_min):
+    # the size_min 0 no-op still checks its inputs
     aff = chain4()
     labels = LabelVolume(np.zeros((1, 1, 5), dtype=np.uint64))
     with pytest.raises(ShapeMismatch):
-        size_filter(labels, aff, 2, 0.3)
+        size_filter(labels, aff, size_min, 0.3)
 
 
-@pytest.mark.parametrize("size_min,t_merge", [(-5, 0.3), (3, 3.0), (3, float("nan")),
+@pytest.mark.parametrize("size_min,t_merge", [(-5, 0.3), (3, 3.0), (0, 3.0), (3, float("nan")),
                                               (float("nan"), 0.3)])
 def test_size_filter_rejects_bad_parameters(size_min, t_merge):
     aff = chain4()
