@@ -22,20 +22,19 @@ def components(n: int, u, v) -> np.ndarray:
     Array hooking plus pointer jumping (Shiloach & Vishkin 1982): each round
     hooks every root onto the smallest root it shares an edge with, then
     jumps pointers until every id points at its root, so that the next
-    round again re-points roots only.  parent[i] <= i throughout, so the
-    surviving root is the component's smallest id.
+    round again re-points roots only.  Each edge is carried as the pair of
+    its ends' current roots and dropped once they meet.  parent[i] <= i
+    throughout, so the surviving root is the component's smallest id.
     """
     dtype = index_dtype(n)
     parent = np.arange(n, dtype=dtype)
     u, v = np.asarray(u, dtype=dtype), np.asarray(v, dtype=dtype)
-    while True:
-        pu, pv = parent[u], parent[v]
-        live = pu != pv
-        if not live.any():
-            return parent
-        u, v, pu, pv = u[live], v[live], pu[live], pv[live]
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+    while (live := u != v).any():
+        u, v = u[live], v[live]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
         parent = jump(parent)
+        u, v = parent[u], parent[v]
+    return parent
 
 
 def jump(parent: np.ndarray) -> np.ndarray:

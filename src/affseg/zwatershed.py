@@ -18,14 +18,16 @@ The segmentation is built in four fixed stages:
       boundary side, live while that side is small and borders the other; the
       merges are relabeled by agglomeration's replay.
 
-Stages (a)-(c) are computed as ascent trees.  A voxel of (b) links to the
+Stages (a)-(c) are computed on ascent trees.  A voxel of (b) links to the
 far end of its strongest edge, whose own strongest edge is no weaker, so
 chains of links end in cycles of links of one weight.  No cycle is longer
 than 2: if i -> j moves minus along the lowest axis c of a cycle, j's move
 back has that weight too, so by the tie rule j moves back or minus along c
 again, and a longer cycle could never close.  Mutual pairs are rooted at
-their smaller voxel, `unionfind.jump` finds each voxel's root, and only
-edges >= t_high between different trees go to `unionfind.components`.
+their smaller voxel, `unionfind.jump` finds each voxel's root, a cumulative
+sum ranks the growing trees 1..k, and `unionfind.components` hooks the
+ranks at the ends of slots >= t_high over those k ids, not the n voxels.
+Thresholds are compared as float32 ceilings: exactly as in float64.
 
 Output labels are densified to 1..K in order of each segment's first voxel
 (flat index, x fastest), so identical inputs give identical volumes.
@@ -81,11 +83,17 @@ class BasinStats:
         return len(self.sizes)
 
 
+def _float32_ceil(t: float) -> np.float32:
+    """The smallest float32 >= t: float32 values x have x >= it iff x >= t."""
+    c = np.float32(t)  # the nearest float32, which may lie below t
+    return np.nextafter(c, np.float32(np.inf)) if float(c) < t else c
+
+
 def _ascent_trees(aff: AffinityVolume, t_low: float):
-    """Stage (b): per voxel, whether it grows (strongest edge >= t_low, in
-    float64) and the flat index of its ascent tree's root.  Neighbours are
-    visited in tie-rule order, channel ascending, minus before plus; a later
-    one wins only when strictly stronger."""
+    """Stages (b)-(c): per voxel the rank 1..k of its ascent tree, in order of
+    the tree's root, or 0 if it does not grow (strongest edge below t_low);
+    and k.  Neighbours are visited in tie-rule order, channel ascending, minus
+    before plus; a later one wins only when strictly stronger."""
     Z, Y, X = aff.data.shape[1:]
     best = np.full((Z, Y, X), -1.0, dtype=np.float32)
     link = np.zeros((Z, Y, X), dtype=index_dtype(best.size))
@@ -96,11 +104,27 @@ def _ascent_trees(aff: AffinityVolume, t_low: float):
             take = w > b
             np.copyto(b, w, where=take)
             np.copyto(edge_ends(link, c)[end], s, where=take)
-    grow = best >= np.float64(t_low)
-    ids = np.arange(best.size, dtype=link.dtype)
-    link = ids + link.ravel() * grow.ravel()  # voxels that do not grow: roots
+    grow = (best >= _float32_ceil(t_low)).ravel()
+    ids = np.arange(grow.size, dtype=link.dtype)
+    link = ids + link.ravel() * grow  # voxels that do not grow: roots
     np.minimum(link, ids, out=link, where=link[link] == ids)  # mutual pairs
-    return grow, jump(link).reshape(grow.shape)
+    link = jump(link)  # each voxel's root
+    rank = np.cumsum(grow & (link == ids), dtype=link.dtype)  # of the growing roots
+    rank *= grow  # a voxel that does not grow is its own root, of rank 0
+    return rank[link].reshape(Z, Y, X), int(rank.max())
+
+
+def _tree_edges(tree: np.ndarray, aff: AffinityVolume, t_high: float):
+    """Stage (a): the tree ranks (u, v) at the ends of edges >= t_high joining two trees."""
+    _, Y, X = tree.shape
+    tree, ends, t_high = tree.ravel(), [], _float32_ceil(t_high)
+    for c, stride in enumerate((Y * X, X, 1)):
+        strong = aff.data[c] >= t_high
+        strong[(slice(None),) * c + (-1,)] = False  # out-of-bounds plane
+        slot = np.flatnonzero(strong)
+        u, v = tree[slot], tree[slot + stride]
+        ends.append((u[u != v], v[u != v]))
+    return tuple(map(np.concatenate, zip(*ends)))
 
 
 def _size_filter(labels: LabelVolume, aff: AffinityVolume,
@@ -156,18 +180,10 @@ def size_filter(labels: LabelVolume, aff: AffinityVolume,
 def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolume, BasinStats]:
     """Run the four-stage watershed on finite affinities in [0, 1] (else ValueError)."""
     require_affinity_range(aff.data)
-    grow, root = _ascent_trees(aff, params.t_low)  # frees its temporaries
-
-    # (a) edges >= t_high (compared in float64) join the trees they connect
-    ends = []
-    for c in range(3):
-        strong = edge_ends(aff.data[c], c)[0] >= np.float64(params.t_high)
-        lo, hi = (e[strong] for e in edge_ends(root, c))
-        ends.append((lo[lo != hi], hi[lo != hi]))
-    basin = components(root.size, *map(np.concatenate, zip(*ends)))[root]
-
-    vol = LabelVolume(dense_relabel(np.where(grow, basin + 1, 0)))  # (c): 0 if not grown
-    del grow, root, basin, ends  # (d) builds its RAG with only the stage-(c) labels alive
+    tree, k = _ascent_trees(aff, params.t_low)  # (b)-(c); frees its temporaries
+    vol = LabelVolume(dense_relabel(
+        components(k + 1, *_tree_edges(tree, aff, params.t_high))[tree]))
+    del tree  # (d) builds its RAG with only the stage-(c) labels alive
 
     # (d)/(e) size filtering, renumbered by first voxel
     vol = _size_filter(vol, aff, params.size_min, params.t_merge)

@@ -51,9 +51,25 @@ def shuffled_path(seed, n=500):
     return n, p[:-1], p[1:]
 
 
+def repeated_reversed(seed):
+    """Every edge three times, a random half of the copies reversed."""
+    n, u, v = random_edges(seed)
+    u, v = np.tile(u, 3), np.tile(v, 3)
+    flip = np.random.default_rng(seed).random(len(u)) < 0.5
+    return n, np.where(flip, v, u), np.where(flip, u, v)
+
+
+def roots_joined(n=60):
+    """Edges from each component's smallest id, which stays a root: a star
+    on 0 and pairs (i, i + 1) above it, so one round of hooking finishes."""
+    return n, np.r_[np.zeros(19, int), np.arange(20, n, 2)], np.r_[1:20, 21:n:2]
+
+
 CASES = {
     **{f"random{s}": random_edges(s) for s in range(8)},
     **{f"shuffled_path{s}": shuffled_path(s) for s in range(2)},
+    **{f"repeated_reversed{s}": repeated_reversed(s) for s in range(3)},
+    "roots_joined": roots_joined(),
     "no_edges": (5, [], []),
     "self_loops": (4, [0, 2, 3], [0, 2, 1]),
     "single_id": (1, [0], [0]),

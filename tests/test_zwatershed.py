@@ -3,7 +3,7 @@ import pytest
 
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, ShapeMismatch
-from affseg.zwatershed import BasinStats, WatershedParams, size_filter, zwatershed
+from affseg.zwatershed import BasinStats, WatershedParams, _float32_ceil, size_filter, zwatershed
 
 from oracles import connected_components, partitions_equal, size_filter_reference, watershed_basins
 
@@ -207,6 +207,19 @@ def test_float32_threshold_compared_in_float64():
     assert seg.data.ravel().tolist() == [1, 1, 2, 2]
 
 
+def test_float32_ceil_is_the_smallest_float32_at_or_above_t():
+    # float32 values x have x >= c iff x >= t in float64; round to nearest
+    # would go below t for about half the doubles
+    rng = np.random.default_rng(0)
+    f = rng.random(300).astype(np.float32).astype(np.float64)
+    ts = [*rng.random(3000), 0.0, 1.0, 0.1, 0.3, 0.7, 0.99,
+          *f, *np.nextafter(f, 2.0), *np.nextafter(f, -1.0)]
+    for t in ts:
+        c = _float32_ceil(t)
+        assert c.dtype == np.float32
+        assert np.float64(c) >= t > np.float64(np.nextafter(c, np.float32(-np.inf))), t
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25, 1.5])
 def test_non_finite_or_out_of_range_affinities_are_rejected(bad):
     # read_volume skips the range check; an argmax takes a NaN as the
@@ -261,8 +274,9 @@ TIE_CASES = [f"{kind}_{dims}" for kind in ("equal", "grid")
 @pytest.mark.parametrize("case", TIE_CASES)
 def test_basins_match_bfs_oracle_on_ties_and_thin_shapes(case):
     # every voxel ties with a neighbour (mutual-pair roots), all-equal rows
-    # ascend step by step (long jump chains), thin shapes lack whole axes
-    extra = ((0.75, 0.5), (0.5, 0.5), (0.5, 0.25), (1.0, 0.0))
+    # ascend step by step (long jump chains), thin shapes lack whole axes;
+    # at t_high 0 every slot is strong, the out-of-bounds ones included
+    extra = ((0.75, 0.5), (0.5, 0.5), (0.5, 0.25), (1.0, 0.0), (0.0, 0.0))
     assert_basins_match_bfs(tie_volume(case), BFS_THRESHOLDS + extra)
 
 
