@@ -38,8 +38,8 @@ import numpy as np
 
 from affseg.unionfind import jump
 from affseg.volume import (AffinityVolume, LabelVolume, as_real, boundary_edges,
-                           cooccurrence, overlap_counts, require_affinity_range,
-                           require_same_shape, unique_inverse)
+                           cooccurrence, label_index, label_sizes, overlap_counts,
+                           require_affinity_range, require_same_shape)
 
 N_FEATURES = 51
 HIST_BINS = 10
@@ -298,7 +298,7 @@ class MergeTree:
         writes no such line, a cycle would never end in replay, and a
         missing label would replay as a silent no-op."""
         merges, absorbed = [], set()
-        present = set(np.unique(base.data).tolist()) - {0}
+        present = set(label_sizes(base.data)[0].tolist())
         with open(path) as f:
             for n, line in enumerate(f, 1):
                 line = line.strip()
@@ -419,8 +419,7 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     lab = labels.data
-    ids, sizes = np.unique(lab, return_counts=True)
-    ids, sizes = ids[ids != 0], sizes[ids != 0]
+    ids, sizes = label_sizes(lab)
 
     lo, hi, ch, val = boundary_edges(lab, aff.data)
     span, bits = int(hi.max(initial=0)) + 1, len(lo).bit_length()
@@ -470,7 +469,7 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
     ends where the scores' running minimum drops below theta and is linked in
     one slice, as no merge list absorbs a label twice."""
     ends = np.array([m[:2] for m in merges], dtype=np.uint64).reshape(-1, 2)
-    names, idx = unique_inverse(np.concatenate([ids, ends[:, 0], ends[:, 1]]))
+    names, idx = label_index(np.concatenate([ids, ends[:, 0], ends[:, 1]]))
     start, survivor, absorbed = np.split(idx, [len(ids), len(ids) + len(ends)])
     parent = np.arange(len(names))
     floor = np.minimum.accumulate(np.array([m[2] for m in merges], dtype=np.float64))
@@ -482,8 +481,8 @@ def threshold_lookups(merges, ids: np.ndarray, thetas):
 
 def _replay(labels: LabelVolume, merges, theta: float) -> np.ndarray:
     """The array of `labels` after the longest prefix of `merges` scoring >= theta."""
-    uniq, inv = unique_inverse(labels.data)
-    return next(threshold_lookups(merges, uniq, [theta]))[inv]
+    ids, idx = label_index(labels.data)
+    return next(threshold_lookups(merges, ids, [theta]))[idx]
 
 
 def check_theta(theta: float) -> None:

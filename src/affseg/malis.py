@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import index_dtype, jump
-from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, oob_edge_mask,
-                           require_same_shape, slot_ends, unique_inverse)
+from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, label_index,
+                           oob_edge_mask, require_same_shape, slot_ends)
 
 
 class OutOfBounds(ValueError):
@@ -280,7 +280,7 @@ def _pair_counts(aff: AffinityVolume, gt: LabelVolume):
     np.cumsum(in_order, out=in_order)  # labeled voxels before each position
     labeled_pairs = (in_order[mid] - in_order[lo]) * (in_order[end] - in_order[mid])
 
-    label_rank = unique_inverse(flat[labeled])[1]
+    label_rank = label_index(flat[labeled])[1]
     keys = np.sort(label_rank * n + at[labeled])
     first = keys // n * n  # key of position 0 of the key's label
     t = np.flatnonzero(first[1:] == first[:-1])

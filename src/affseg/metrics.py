@@ -8,10 +8,13 @@ entropies in bits over the contingency table of label co-occurrence.
 Voxels with ground-truth label 0 are excluded from all counts.  Segmentation
 label 0 on an included voxel is kept as one extra segment id.
 
-Both are computed from a table of (segment, GT label, voxel count).  A
-threshold sweep counts the base fragments' table once and, at each
-threshold, relabels its fragments by that threshold's merge prefix and
-scores the small relabelled table; it never replays the volume.
+Both are computed from a table of (segment, GT label, voxel count),
+counted from one packed key per voxel with a nonzero GT label: dense label
+ids index their id tables directly (`volume.label_index`), so neither label
+array is copied or ranked.  A threshold sweep counts the base fragments'
+table once and, at each threshold, relabels its fragments by that
+threshold's merge prefix and scores the small relabelled table; it never
+replays the volume.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.agglo import MergeTree, check_base, check_theta, threshold_lookups
-from affseg.volume import (LabelVolume, cooccurrence, overlap_counts, require_same_shape,
-                           unique_inverse)
+from affseg.volume import (LabelVolume, cooccurrence, label_index, overlap_counts,
+                           require_same_shape)
 
 
 class EmptyOverlap(ValueError):
@@ -52,7 +55,7 @@ def _vi(seg_ids: np.ndarray, gt_ids: np.ndarray, counts: np.ndarray) -> ViScore:
         raise EmptyOverlap("ground truth has no labeled voxels")
     seg_ids, gt_ids, joint = cooccurrence(seg_ids, gt_ids, counts)
     n = joint.sum()
-    si, gi = (unique_inverse(ids)[1] for ids in (seg_ids, gt_ids))
+    si, gi = (label_index(ids)[1] for ids in (seg_ids, gt_ids))
     seg_n, gt_n = (np.bincount(i, joint)[i] for i in (si, gi))
     vi_under = float(np.sum(joint / n * np.log2(seg_n / joint)))
     vi_over = float(np.sum(joint / n * np.log2(gt_n / joint)))

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import components
-from affseg.volume import LabelVolume, Shape3, VolumeError, as_real, cooccurrence, dense_relabel
+from affseg.volume import (LabelVolume, Shape3, VolumeError, as_real, cooccurrence, dense_relabel,
+                           label_index)
 
 
 class InvalidPartition(ValueError):
@@ -144,26 +145,34 @@ def _check_coverage(specs, block_labelings):
 def build_stitch_graph(specs: list[BlockSpec],
                        block_labelings: list[LabelVolume]) -> StitchGraph:
     """Count label overlaps over every pair of intersecting halo regions."""
+    return _stitch_graph(specs, block_labelings)[0]
+
+
+def _stitch_graph(specs, block_labelings):
+    """The graph, and per block its labeling's `label_index` idx and node
+    table: per table entry, 1 + the node id of that label, 0 for background
+    and for ids that do not occur."""
     _check_coverage(specs, block_labelings)
-    labels = [u[u != 0] for u in (np.unique(lv.data) for lv in block_labelings)]
-    offset = np.cumsum([0] + [len(u) for u in labels])
+    tables = [label_index(lv.data) for lv in block_labelings]
+    held = [(np.bincount(idx.ravel(), minlength=len(ids)) != 0) & (ids != 0)
+            for ids, idx in tables]  # per table entry, whether it is a label of the block
+    offset = np.cumsum([0] + [np.count_nonzero(h) for h in held])
+    node_of = [np.where(h, o + np.cumsum(h), 0) for h, o in zip(held, offset)]
     halos = np.array([spec.halo for spec in specs], dtype=np.int64).reshape(-1, 3, 2)
     h0 = halos[:, :, 0]
     rows = [np.empty((0, 5), dtype=np.int64)]  # a, b, overlap, count_a, count_b
     for i, j, lo, hi in _overlaps(halos):
-        vi, vj = (block_labelings[k].data[tuple(map(slice, lo - h0[k], hi - h0[k]))]
-                  for k in (i, j))
-        la, lb, n = cooccurrence(vi.ravel(), vj.ravel())
-        # 1 + each label's rank among its block's labels; 0 for background
-        ra, rb = np.searchsorted(labels[i], la, "right"), np.searchsorted(labels[j], lb, "right")
+        ti, tj = (tables[k][1][tuple(map(slice, lo - h0[k], hi - h0[k]))] for k in (i, j))
+        ia, ib, n = cooccurrence(ti, tj)
+        na, nb = node_of[i][ia], node_of[j][ib]
         # each side's voxels per label in the region, background partners included
-        counts = [np.bincount(r, n).astype(np.int64)[r] for r in (ra, rb)]
-        rows.append(np.column_stack([offset[i] + ra - 1, offset[j] + rb - 1, n, *counts])
-                    [(ra != 0) & (rb != 0)])
+        counts = [np.bincount(t, n).astype(np.int64)[t] for t in (ia, ib)]
+        rows.append(np.column_stack([na - 1, nb - 1, n, *counts])[(na != 0) & (nb != 0)])
     e = np.concatenate(rows)
-    block = np.repeat(np.arange(len(labels), dtype=np.uint64), np.diff(offset))
+    block = np.repeat(np.arange(len(specs), dtype=np.uint64), np.diff(offset))
+    labels = [ids[h] for (ids, _), h in zip(tables, held)]
     nodes = np.column_stack([block, np.concatenate([np.empty(0, np.uint64), *labels])])
-    return StitchGraph(nodes, e[:, 0], e[:, 1], e[:, 2:])
+    return StitchGraph(nodes, e[:, 0], e[:, 1], e[:, 2:]), [idx for _, idx in tables], node_of
 
 
 def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
@@ -174,19 +183,16 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     if not as_real(min_voxels) >= 1:
         raise ValueError(f"min_voxels must be positive, got {min_voxels}")
     shape = tiled_shape(specs)
-    g = build_stitch_graph(specs, block_labelings)
+    g, idxs, node_of = _stitch_graph(specs, block_labelings)
     ov, ca, cb = g.weights.T
     accept = (ov >= min_voxels) & (ov >= min_ratio * np.minimum(ca, cb))
     # class of node k at k + 1, as 1 + its class's smallest node id; 0 is background
     cls = np.r_[0, components(len(g.nodes), g.a[accept], g.b[accept]) + 1]
-    offset = np.searchsorted(g.nodes[:, 0], np.arange(len(specs) + 1, dtype=np.uint64))
 
-    out = np.zeros(shape, dtype=np.uint64)
+    out = np.zeros(shape, dtype=np.intp)
     walk = []
-    for bi, (spec, lv) in enumerate(zip(specs, block_labelings)):
-        rank = np.searchsorted(g.nodes[offset[bi]:offset[bi + 1], 1],
-                               lv.data[spec.core_slices_local()], "right")
-        walk.append(cls[np.where(rank != 0, offset[bi] + rank, 0)])
+    for spec, idx, node in zip(specs, idxs, node_of):
+        walk.append(cls[node][idx[spec.core_slices_local()]])
         out[tuple(slice(a, b) for a, b in spec.core)] = walk[-1]
     # global labels 1..K in order of first appearance, block by block
     walk = np.concatenate([w.ravel() for w in walk])

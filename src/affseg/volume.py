@@ -15,6 +15,11 @@ included, makes exactly one private C-contiguous copy of its input and
 freezes it read-only, so a volume never aliases the array it was built
 from and can be shared freely between threads.
 
+Per-label tables (sizes, lookups, pair counts) are indexed through
+`label_index`.  Dense ids, as the watershed and stitching produce them,
+are their own table indices: the index it returns is a view of the label
+array, so a caller builds new arrays from it and never writes through it.
+
 Both are serialized to a single little-endian container format ("VOLB"):
 
     bytes  0..3   magic b"VOLB"
@@ -160,43 +165,50 @@ def boundary_edges(labels: np.ndarray, aff: np.ndarray):
 def dense_relabel(labels: np.ndarray) -> np.ndarray:
     """Map the nonzero labels of an array of any shape to uint64 1..K by
     order of first occurrence in flat order; 0 stays 0.  Keeps the shape."""
-    uniq, inv = unique_inverse(labels)
-    first = np.full(len(uniq), labels.size)
-    np.minimum.at(first, inv.ravel(), np.arange(labels.size))
-    first[uniq == 0] = -1  # 0, if present, ranks first and maps to 0
-    new_ids = np.empty(len(uniq), dtype=np.uint64)
-    new_ids[np.argsort(first)] = np.arange(len(uniq)) + (uniq[:1] != 0)
-    return new_ids[inv]
+    ids, idx = label_index(labels)
+    first = np.full(len(ids), labels.size)  # ids that do not occur rank last
+    np.minimum.at(first, idx.ravel(), np.arange(labels.size))
+    first[ids == 0] = -1  # 0, if listed, ranks first and maps to 0
+    new_ids = np.empty(len(ids), dtype=np.uint64)
+    new_ids[np.argsort(first)] = np.arange(len(ids)) + (ids[:1] != 0)
+    return new_ids[idx]
 
 
-def unique_inverse(x: np.ndarray):
-    """``np.unique(x, return_inverse=True)``, the inverse in x's shape.
+def label_index(x: np.ndarray):
+    """(ids, idx): a sorted table `ids` of distinct values that covers every
+    value of `x`, and idx in x's shape with ``ids[idx] == x``.
 
-    Integer ids in [0, x.size], such as dense labels, are counted in O(n):
-    a table of the ids present, ranked by a cumulative sum no larger than
-    the inverse.  Any other array (wide uint64 ids, negatives, floats) takes
-    one sort and a binary search.  Both give np.unique's result."""
+    Integer ids in [0, x.size], such as dense labels, index the table
+    directly: ids is ``arange(max + 1)``, which may list ids that do not
+    occur, and idx is x itself, an int64 view for uint64 input, so no array
+    of x's size is made.  Any other array (wide uint64 ids, negatives,
+    floats) takes one sort and a binary search, and gives np.unique's
+    result: the values that occur and the inverse."""
     if x.size and x.dtype.kind in "ui" and x.min() >= 0 and (top := int(x.max())) <= x.size:
-        present = np.zeros(top + 1, dtype=bool)
-        present[x] = True
-        return np.flatnonzero(present).astype(x.dtype), (np.cumsum(present) - 1)[x]
-    s = np.sort(x, axis=None)
-    first = np.ones(len(s), dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    uniq = s[first]
+        return np.arange(top + 1, dtype=x.dtype), x.view(np.int64) if x.dtype == np.uint64 else x
+    uniq = np.unique(x)
     return uniq, np.searchsorted(uniq, x)
 
 
-def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
-    """The distinct pairs (a[i], b[i]) of two parallel id arrays, sorted by
-    (a, b), as (a ids, b ids, how often each occurs or the sum of its
-    `weights`).  Pairs are packed as dense indices, so ids of any uint64
-    value cannot overflow the key."""
-    au, key = unique_inverse(a)
-    bu, bi = unique_inverse(b)
-    key *= len(bu)
-    key += bi
-    del bi  # freed before the key sort
+def label_sizes(x: np.ndarray):
+    """The nonzero ids that occur in `x`, ascending, and how often each does."""
+    ids, idx = label_index(x)
+    sizes = np.bincount(idx.ravel(), minlength=len(ids))
+    keep = (sizes != 0) & (ids != 0)
+    return ids[keep], sizes[keep]
+
+
+def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None, where=slice(None)):
+    """The distinct pairs (a[i], b[i]) of two id arrays of one shape at the
+    flat positions i that `where` selects, a boolean mask or a slice (all of
+    them), sorted by (a, b), as (a ids, b ids, how often each occurs or the
+    sum of its `weights`, one per selected position).  Pairs are packed as
+    table indices, so ids of any uint64 value cannot overflow the key."""
+    au, ai = label_index(a)
+    bu, bi = label_index(b)
+    key = np.multiply(ai.ravel()[where], len(bu), dtype=np.int64)  # new: ai may be `a` itself
+    key += bi.ravel()[where]
+    del ai, bi  # freed before the key sort
     keys, sums = np.unique(key, return_counts=True)  # one sort, no inverse
     if weights is not None:
         sums = np.bincount(np.searchsorted(keys, key), weights)
@@ -207,9 +219,7 @@ def cooccurrence(a: np.ndarray, b: np.ndarray, weights=None):
 def overlap_counts(seg: np.ndarray, gt: np.ndarray):
     """(seg ids, gt ids, voxel counts) of every label pair of two arrays of
     one shape that shares a voxel where gt is nonzero, sorted by (seg, gt)."""
-    g = gt.ravel()
-    m = g != 0
-    return cooccurrence(seg.ravel()[m], g[m])
+    return cooccurrence(seg, gt, where=gt.ravel() != 0)
 
 
 class _Volume:
@@ -279,7 +289,7 @@ class AffinityVolume(_Volume):
     __slots__ = ()
 
     def _settle(self, arr: np.ndarray, check_range: bool) -> None:
-        arr[oob_edge_mask(Shape3(*arr.shape[1:]))] = 0.0
+        arr[0, -1] = arr[1, :, -1] = arr[2, :, :, -1] = 0.0  # the out-of-bounds slots
         if check_range:
             require_affinity_range(arr)
 

@@ -43,7 +43,7 @@ import numpy as np
 from affseg.agglo import _replay, build_rag
 from affseg.unionfind import components, index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, as_real, dense_relabel, edge_ends,
-                           require_affinity_range, require_same_shape)
+                           label_index, require_affinity_range, require_same_shape)
 
 
 @dataclass(frozen=True)
@@ -187,5 +187,5 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
 
     # (d)/(e) size filtering, renumbered by first voxel
     vol = _size_filter(vol, aff, params.size_min, params.t_merge)
-    cnts = np.bincount(vol.data.ravel().astype(np.intp), minlength=1).tolist()
+    cnts = np.bincount(label_index(vol.data)[1].ravel(), minlength=1).tolist()  # ids 0..K
     return vol, BasinStats(sizes=dict(enumerate(cnts[1:], 1)), background=cnts[0])

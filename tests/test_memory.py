@@ -19,7 +19,7 @@ from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply
 from affseg.malis import _leaf_order, malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import Shape3, overlap_counts, unique_inverse, write_volume
+from affseg.volume import Shape3, label_index, overlap_counts, write_volume
 from affseg.zwatershed import WatershedParams, zwatershed
 
 SHAPE = Shape3(16, 64, 64)
@@ -51,31 +51,37 @@ def fragments(volume):
 
 
 def test_watershed_peak_per_voxel(volume):
-    # stage (a)'s hooking in `components` sets the peak, about 24.2 B/voxel:
-    # the tree ranks, the edge pairs between trees and their first live
-    # copies; float64 compares and strided gathers over voxel ids took 45.3
+    # stage (a) sets the peak, about 23.5 B/voxel: the tree ranks and the
+    # edge pairs between trees, gathered per channel and joined (hooking
+    # them in `components` takes 23.3); the closing dense_relabel took 24.2
+    # when it ranked the ids into an int64 inverse, and float64 compares and
+    # strided gathers over voxel ids took 45.3
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 0, 0.3))
-    assert peak / SHAPE.voxels <= 26
+    assert peak / SHAPE.voxels <= 25
 
 
 def test_size_filtered_watershed_peak_per_voxel(volume):
-    # rule (d)'s closing dense_relabel of the replayed labels sets the peak,
-    # about 36.0 B/voxel with the stage-(c) labels alive; stage (a) takes
-    # 24.2 as at size_min 0, and took 45.3 over voxel ids
+    # rule (d)'s build_rag sets the peak, about 28.7 B/voxel with the
+    # stage-(c) labels alive, and its closing replay and relabel reach 28.2;
+    # that relabel took 36.0 when the replay and dense_relabel each made an
+    # int64 inverse.  Stage (a) takes 23.5 as at size_min 0, and took 45.3
+    # over voxel ids
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 25, 0.3))
-    assert peak / SHAPE.voxels <= 38
+    assert peak / SHAPE.voxels <= 30
 
 
 def test_overlap_counts_peak_per_voxel(volume):
-    # one sort of the pair keys takes about 35 B/voxel, or 43 with the second
-    # label array's inverse still alive; an inverse of the keys and a
-    # bincount take about 58
+    # the packed keys of the gt != 0 voxels, built in one masked pass over
+    # both arrays' own ids, and np.unique's sorted copy of them set the
+    # peak, about 19.1 B/voxel; masked uint64 copies of both arrays and
+    # their int64 inverses took 35.1 (43.1 with the second inverse alive
+    # through the sort), and an inverse of the keys and a bincount about 58
     gt, aff = volume
     seg, _ = zwatershed(aff, WatershedParams(0.99, 0.3, 0, 0.3))
     peak = traced_peak(overlap_counts, seg.data, gt.data)
-    assert peak / SHAPE.voxels <= 37
+    assert peak / SHAPE.voxels <= 20
 
 
 def test_leaf_order_peak_per_voxel(volume):
@@ -136,10 +142,12 @@ def test_logistic_agglomerate_peak_per_voxel(fragments, volume, bias, seed):
 
 
 def test_unique_inverse_peak_per_voxel(fragments):
-    # dense labels are counted: the inverse and a rank table no longer than
-    # it take about 9.2 B/voxel; a sort and a binary search take about 17
+    # dense labels index their table directly: idx is a view of the labels
+    # and the table has one entry per id, about 0.04 B/voxel; counting the
+    # ids present and ranking them took about 9.2, a sort and a binary
+    # search about 17
     ws, _ = fragments
-    assert traced_peak(unique_inverse, ws.data) / SHAPE.voxels <= 10
+    assert traced_peak(label_index, ws.data) / SHAPE.voxels <= 1
 
 
 def test_build_rag_peak_per_voxel(fragments, volume):
@@ -161,24 +169,24 @@ def test_apply_threshold_peak_per_voxel(fragments):
 
 @pytest.mark.parametrize("curve", [False, True], ids=["split_vi", "vi_curve"])
 def test_split_vi_peak_per_voxel(fragments, volume, curve):
-    # overlap_counts' sort of the pair keys sets both peaks, about 35.1 B/voxel,
-    # or 43.1 with the ground truth's inverse alive through the sort
+    # overlap_counts' sort of the pair keys sets both peaks, about 19.1
+    # B/voxel; masked copies of both arrays and their inverses took 35.1
     ws, tree = fragments
     gt, _ = volume
     if curve:
         peak = traced_peak(vi_curve, tree, ws, gt, [1 - i / 20 for i in range(21)])
     else:
         peak = traced_peak(split_vi, apply_threshold(tree, ws, 0.5), gt)
-    assert peak / SHAPE.voxels <= 37
+    assert peak / SHAPE.voxels <= 20
 
 
-@pytest.mark.parametrize("size_min,bound", [(0, 77), (25, 76)],
+@pytest.mark.parametrize("size_min,bound", [(0, 61), (25, 60)],
                          ids=["size_min_0", "size_min_25"])
 def test_cli_pipeline_peak_and_leftovers(volume, tmp_path, size_min, bound):
     # with both input volumes read, the closing split_vi sets the peak: about
-    # 76.0 B/voxel at size_min 0 (78.4 if the merge tree keeps the RAG alive)
-    # and 74.1 at size_min 25 (77.2 if zwatershed keeps stages (a)-(c)'s
-    # arrays alive through rule (d)'s closing relabel).  After the call about
+    # 60.0 B/voxel at size_min 0 and 58.1 at size_min 25 (76.0 and 74.1 when
+    # overlap_counts made masked copies and inverses); a merge tree that
+    # keeps the RAG alive adds about 2.4 at size_min 0.  After the call about
     # 5 KB stay traced, or 55-690 KB if the RAG outlives the call.  The first
     # call in a process also fills import and locale caches (about 170 KB),
     # so the traced call is the second

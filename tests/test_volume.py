@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affseg.agglo import _replay
 from affseg.volume import (
     AffinityVolume,
     BadMagic,
@@ -14,10 +15,11 @@ from affseg.volume import (
     dense_relabel,
     edge_ends,
     inbounds_edge_region,
+    label_index,
     oob_edge_mask,
+    overlap_counts,
     read_volume,
     slot_ends,
-    unique_inverse,
     write_volume,
 )
 
@@ -160,11 +162,12 @@ def test_flat_index_layout():
 
 def test_oob_slots_zeroed_on_construction():
     rng = np.random.default_rng(4)
-    raw = rng.random((3, 2, 3, 4), dtype=np.float32)  # nonzero everywhere
-    vol = AffinityVolume(raw)
-    mask = oob_edge_mask(vol.shape3)
-    assert np.all(vol.data[mask] == 0.0)
-    assert np.array_equal(vol.data[~mask], raw[~mask])
+    for shape in [(2, 3, 4), (1, 3, 4), (2, 1, 4), (2, 3, 1), (1, 1, 1)]:
+        raw = rng.random((3,) + shape, dtype=np.float32)  # nonzero everywhere
+        vol = AffinityVolume(raw)
+        mask = oob_edge_mask(vol.shape3)
+        assert np.all(vol.data[mask] == 0.0)
+        assert np.array_equal(vol.data[~mask], raw[~mask])
 
 
 def test_affinity_range_check():
@@ -316,20 +319,34 @@ ID_SETS = [
 ]
 
 
-def assert_unique_inverse_equals_np_unique(x):
-    uniq, inv = unique_inverse(x)
-    want_uniq, want_inv = np.unique(x, return_inverse=True)
-    assert uniq.dtype == x.dtype and np.array_equal(uniq, want_uniq)
-    assert inv.shape == x.shape and np.array_equal(inv.ravel(), want_inv.ravel())
-    assert np.array_equal(uniq[inv], x)
+def assert_label_index_matches_oracle(x, direct, monkeypatch):
+    """Ids in [0, size] index the table directly: ids is arange(max + 1) and
+    idx is x's own memory, with no binary search; any other array gives
+    np.unique's ids and inverse."""
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a: searches.append(1) or search(*a))
+    ids, idx = label_index(x)
+    monkeypatch.undo()
+    assert ids.dtype == x.dtype and idx.shape == x.shape
+    assert (ids[1:] > ids[:-1]).all()  # sorted and unique
+    assert np.array_equal(ids[idx], x)
+    if direct:
+        assert np.array_equal(ids, np.arange(int(x.max()) + 1))
+        assert np.array_equal(idx, x) and np.shares_memory(idx, x) and not searches
+    else:
+        want_ids, want_inv = np.unique(x, return_inverse=True)
+        assert np.array_equal(ids, want_ids) and np.array_equal(idx.ravel(), want_inv.ravel())
+        assert searches
 
 
 @pytest.mark.parametrize("values", ID_SETS)
-def test_unique_inverse_equals_np_unique(values):
-    assert_unique_inverse_equals_np_unique(np.array(values, dtype=np.uint64))
+def test_unique_inverse_equals_np_unique(values, monkeypatch):
+    # wide, single and empty id sets take label_index's sort branch
+    assert_label_index_matches_oracle(np.array(values, dtype=np.uint64), False, monkeypatch)
 
 
-# (ids, whether unique_inverse counts them): ids in [0, size] are counted,
+# (ids, whether label_index indexes them directly): ids in [0, size] are,
 # any other array is sorted
 NARROW_IDS = {
     "dense-with-0": (np.array([3, 0, 2, 3, 1, 0, 2], dtype=np.uint64), True),
@@ -341,17 +358,14 @@ NARROW_IDS = {
     "int32-negative": (np.array([3, -2, 0, 3, -7], dtype=np.int32), False),
     "int64-negative": (np.array([-1, 4, -1, 2, 0, 4], dtype=np.int64), False),
     "3d": (np.random.default_rng(10).integers(1, 50, (3, 4, 5)).astype(np.uint64), True),
+    "strided": (np.random.default_rng(11).integers(0, 9, (3, 4, 6)).astype(np.uint64)[:, ::2],
+                True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(NARROW_IDS))
 def test_unique_inverse_counts_narrow_ids_and_sorts_the_rest(case, monkeypatch):
-    x, counted = NARROW_IDS[case]
-    searches = []
-    search = np.searchsorted
-    monkeypatch.setattr(np, "searchsorted", lambda *a: searches.append(1) or search(*a))
-    assert_unique_inverse_equals_np_unique(x)
-    assert not searches if counted else searches
+    assert_label_index_matches_oracle(*NARROW_IDS[case], monkeypatch)
 
 
 @pytest.mark.parametrize("values", ID_SETS)
@@ -377,13 +391,46 @@ def test_cooccurrence_matches_counter_oracle(values):
     [0],
     [],
     np.random.default_rng(9).integers(0, 9, (3, 4, 5), dtype=np.uint64) * np.uint64(TOP // 8),
+    [6, 2, 6, 4, 2, 4, 6],  # ids in [0, size]: the table lists 0, 1, 3 and 5, which do not occur
+    [0, 5, 0, 3, 5],
 ], ids=["with-0", "without-0", "top-with-0", "top-without-0", "one-value", "only-0", "empty",
-        "3d"])
+        "3d", "table-gaps-without-0", "table-gaps-with-0"])
 def test_dense_relabel_matches_first_occurrence_loop(values):
     x = np.array(values, dtype=np.uint64)
     got = dense_relabel(x)
     assert got.dtype == np.uint64 and got.shape == x.shape
     assert np.array_equal(got, dense_relabel_reference(x))
+
+
+def test_label_table_consumers_leave_their_input_alone():
+    # label_index hands dense ids back as the caller's own memory, so a
+    # consumer that wrote through idx would change a writable input and
+    # raise on a frozen one
+    rng = np.random.default_rng(12)
+    seg = LabelVolume(rng.integers(0, 7, (3, 4, 5)))
+    gt = LabelVolume(rng.integers(0, 4, (3, 4, 5)))
+    weights = rng.random(seg.data.size)
+    calls = {
+        "cooccurrence": lambda s, g: cooccurrence(s.ravel(), g.ravel()),
+        "cooccurrence-weighted": lambda s, g: cooccurrence(s.ravel(), g.ravel(), weights),
+        "overlap_counts": overlap_counts,
+        "dense_relabel": lambda s, g: (dense_relabel(s),),
+        "_replay": lambda s, g: (_replay(AsIs(s), [(1, 2, 0.9), (3, 5, 0.4)], 0.5),),
+    }
+    for name, call in calls.items():
+        s, g = seg.data.copy(), gt.data.copy()
+        on_copies = call(s, g)
+        assert np.array_equal(s, seg.data) and np.array_equal(g, gt.data), name
+        for got, want in zip(call(seg.data, gt.data), on_copies):
+            assert np.array_equal(got, want), name
+
+
+class AsIs:
+    """A label volume stand-in that holds the caller's array itself, not a
+    frozen copy, so that `_replay` can be handed a writable one."""
+
+    def __init__(self, data):
+        self.data = data
 
 
 def wrap_layouts():
