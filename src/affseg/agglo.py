@@ -331,10 +331,10 @@ class Rag:
     `nodes` maps each label to its voxel count and `adj` each label to
     {neighbour: row of `table`}, the boundary's statistics; `edges` is the
     same graph as {(lo, hi): row}.  `relink` and `merge_nodes` mutate the
-    graph in place exactly the way watershed rule (d) and the agglomeration
-    row stores (a scorer's `rows(rag)`, else `_table_rows`) do, so
-    recomputation tests can drive them directly.  Both hand back the
-    (kept, dropped) row pairs of the merge, which a row store folds.
+    graph in place exactly the way the agglomeration row stores (a scorer's
+    `rows(rag)`, else `_table_rows`) do, so recomputation tests can drive
+    them directly.  Both hand back the (kept, dropped) row pairs of the
+    merge, which a row store folds.
     """
 
     labels: LabelVolume

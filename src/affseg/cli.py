@@ -241,6 +241,7 @@ def _cmd_pipeline(args) -> int:
     merged, tree = agglo.agglomerate(seg, aff, scorer, args.theta)
     write_volume(merged, os.path.join(args.workdir, "agglomerated.volb"))
     tree.write(os.path.join(args.workdir, "merge_tree.txt"))
+    del aff, seg, tree  # split_vi reads only merged and gt
     score = metrics.split_vi(merged, gt)
     print(f"{score.vi_under:.6f},{score.vi_over:.6f}")
     return 0

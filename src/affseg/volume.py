@@ -337,7 +337,7 @@ def write_volume(vol: LabelVolume | AffinityVolume, path) -> None:
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, VERSION, code, math.prod(lead), bytes(6),
                              *vol.shape3.as_tuple()))
-        f.write(vol.data.tobytes())  # the constructor's dtype is the file's
+        f.write(vol.data)  # the constructor's C-order copy, in the file's dtype
 
 
 def read_volume(path) -> LabelVolume | AffinityVolume:

@@ -7,16 +7,16 @@ The segmentation is built in four fixed stages:
       incident edge when that affinity is >= t_low (ties: lower channel
       first, then the neighbour at the lower coordinate);
   (c) voxels with no incident edge >= t_low stay background (label 0);
-  (d) on the region adjacency graph of `agglo.build_rag`, basins smaller
-      than size_min merge into the neighbour behind their strongest
-      boundary edge (ties: the smaller neighbour label), provided that edge
-      is >= t_merge, processed to a fixpoint in decreasing order of that
-      boundary affinity (ties: smaller label first); the merged basin keeps
-      the neighbour's label and the stronger of the two boundaries to each
-      third basin (`Rag.relink`); leftovers below size_min with no qualifying
-      neighbour merge into background (0).  The heap holds one entry per
-      boundary side, live while that side is small and borders the other; the
-      merges are relabeled by agglomeration's replay.
+  (d) on the region adjacency graph of `agglo.build_rag`, a boundary weighing
+      its strongest lattice edge, one sweep takes the boundaries >= t_merge
+      in decreasing weight, a group of equal weights at a time, and visits
+      the group's basins in label order: each basin still smaller than
+      size_min merges into its smallest-labelled neighbour across a boundary
+      of that weight, which keeps its label and takes over the absorbed
+      basin's boundaries of that weight; leftovers below size_min merge into
+      background (0).  The merges are relabeled by agglomeration's replay.
+      This is the size-dependent single linkage of Zlateski & Seung (2015);
+      ties go smallest small label first, into its smallest neighbour.
 
 Stages (a)-(c) are computed on ascent trees.  A voxel of (b) links to the
 far end of its strongest edge, whose own strongest edge is no weaker, so
@@ -35,12 +35,12 @@ Output labels are densified to 1..K in order of each segment's first voxel
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from affseg.agglo import _replay, build_rag
+from affseg.agglo import _chase, _replay, build_rag
 from affseg.unionfind import components, index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, as_real, dense_relabel, edge_ends,
                            label_index, require_affinity_range, require_same_shape)
@@ -131,33 +131,34 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
                  size_min: int, t_merge: float) -> LabelVolume:
     """Rule (d) on the RAG of `labels`, a boundary weighing its strongest
     lattice edge; `_replay` and `dense_relabel` (1..K by first voxel) apply its
-    merges.  A heap entry (-weight, i, j) is a boundary >= t_merge seen from
-    its side i below size_min, live while i is still below size_min and borders
-    j: labels never return and sizes and weights only grow, so a dead entry
-    stays dead and a boundary's newest entry pops first, with its weight."""
+    merges, `_chase` maps a label to the basin that absorbed it.  One pass
+    suffices: no merge lifts a boundary above the weight being swept, since
+    each heavier one merged or joins two basins >= size_min, which stay so
+    (so only boundaries with a side below size_min are swept).  Within
+    one weight a basin that absorbs and is still small has the larger label,
+    so visiting labels in order merges in the order of a heap keyed by
+    (-weight, small label, neighbour label)."""
     if size_min == 0:
         return labels
     rag = build_rag(labels, aff, ("vmax",))
-    weight, sizes = rag.table.vmax.max(-1).tolist(), rag.nodes
-    heap = [(-weight[row], i, j) for i, nbrs in rag.adj.items() if sizes[i] < size_min
-            for j, row in nbrs.items() if weight[row] >= t_merge]
-    heapq.heapify(heap)
-    merges = []
-    while heap:
-        negw, i, j = heapq.heappop(heap)
-        if sizes.get(i, size_min) >= size_min or j not in rag.adj[i]:
-            continue  # absorbed, grown big enough, or j absorbed
-        # j absorbs i and keeps the stronger boundary to each third basin
-        merges.append((j, i, -negw))
-        touched, pairs = rag.relink(j, i)
-        for kept, row in pairs:
-            weight[kept] = max(weight[kept], weight[row])
-        for x, row in touched.items():
-            w = weight[row]
-            if w >= t_merge and sizes[j] < size_min:
-                heapq.heappush(heap, (-w, j, x))
-            if w >= t_merge and sizes[x] < size_min:
-                heapq.heappush(heap, (-w, x, j))
+    weight, sizes, parent, merges = rag.table.vmax.max(-1).tolist(), rag.nodes, {}, []
+    edges = sorted((-weight[row], i, j) for i, nbrs in rag.adj.items() if sizes[i] < size_min
+                   for j, row in nbrs.items() if weight[row] >= t_merge)
+    for negw, group in groupby(edges, lambda e: e[0]):
+        near = {}  # {basin: its neighbours across this weight}, chased when read
+        for _, i, j in group:
+            for a, b in ((i, j), (j, i)):
+                near.setdefault(_chase(parent, a), []).append(b)
+        for i in sorted(near):
+            if sizes.get(i, size_min) >= size_min:
+                continue  # absorbed, or big for good
+            far = {_chase(parent, x) for x in near[i]} - {i}
+            if far:  # its smallest neighbour absorbs it and its boundaries of this weight
+                j = parent[i] = min(far)
+                sizes[j] += sizes.pop(i)
+                near[j] += near[i]
+                merges.append((j, i, -negw))
+    del rag, edges
 
     # survivors below size_min had no qualifying neighbour: merged into 0 at the replay's t_merge
     merges += [(0, l, t_merge) for l, n in sizes.items() if n < size_min]

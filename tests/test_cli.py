@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import re
+import shutil
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -9,7 +13,8 @@ import pytest
 from affseg.agglo import MODEL_MAGIC_VERSION, N_FEATURES
 from affseg.cli import REQUIRED, _build_parser, main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import AffinityVolume, LabelVolume, Shape3, read_volume, write_volume
+from affseg.volume import (HEADER_SIZE, AffinityVolume, LabelVolume, Shape3, read_volume,
+                           write_volume)
 
 
 def run(argv):
@@ -623,3 +628,104 @@ def test_logistic_scorer_requires_model(replay_inputs, command):
     assert code == 2
     assert "missing required option --model " in err
     assert sorted(replay_inputs.iterdir()) == before
+
+
+# the commands that read each input file, over `replay_inputs` plus a model
+# and a config file; a model or config is passed with the flags that read it
+FUZZ_READERS = {
+    "ws.volb": ["size-filter", "build-rag", "train", "agglomerate", "apply-threshold", "eval",
+                "curve"],
+    "aff.volb": ["malis-grad", "watershed", "size-filter", "build-rag", "train", "agglomerate",
+                 "pipeline"],
+    "gt.volb": ["malis-grad", "train", "eval", "curve", "pipeline"],
+    "blk_0000.volb": ["stitch"],
+    "tree.txt": ["apply-threshold", "curve"],
+    "manifest.txt": ["stitch"],
+    "model.bin": ["agglomerate", "pipeline"],
+    "config.json": ["watershed", "size-filter", "agglomerate", "apply-threshold", "pipeline"],
+}
+FUZZ_CONFIG = {
+    "watershed": {"t-high": 0.995, "t-low": 0.5, "size-min": 3, "t-merge": 0.5},
+    "size-filter": {"size-min": 3, "t-merge": 0.5},
+    "agglomerate": {"scorer": "mean", "theta": 0.5},
+    "apply-threshold": {"theta": 0.25},
+    "pipeline": {"t-high": 0.995, "t-low": 0.5, "size-min": 3, "t-merge": 0.5, "theta": 0.5},
+}
+# what replaces one number of a text file: NaN, infinities, out-of-range
+# values and wrong types; none lies between 99 and 2**64, so no mutated
+# manifest asks for a large volume
+FUZZ_TOKENS = [b"nan", b"NaN", b"inf", b"1e999", b"-1", b"-0", b"2", b"99", b"1.5", b"0",
+               b"18446744073709551616", b"x", b"", b'"x"', b"[1]", b"null", b"true"]
+FUZZ_VALUES = {"f4": [np.nan, np.inf, -np.inf, -0.25, 1.5, 3e38],
+               "u8": [0, 1, 2**63, 2**64 - 1], "f8": [np.nan, np.inf, -np.inf, 1e308, -1e308]}
+# (offset, format) of each VOLB header field after the magic: version, dtype
+# code, channels, the first reserved byte, z, y, x
+VOLB_FIELDS = [(4, "<I"), (8, "<B"), (9, "<B"), (10, "<B"), (16, "<Q"), (24, "<Q"), (32, "<Q")]
+
+
+def _mutate(raw: bytes, name: str, rng) -> bytes:
+    """One seeded corruption of a file: a truncation, 1-3 byte flips, a header
+    edit (binary files) or a bad value in place of a good one."""
+    op, out = int(rng.integers(4)), bytearray(raw)
+    if op == 0:
+        return raw[:rng.integers(len(raw))]
+    if op == 1:
+        for at in rng.integers(len(raw), size=rng.integers(1, 4)):
+            out[at] ^= int(rng.integers(1, 256))
+    elif not name.endswith((".volb", ".bin")):
+        numbers = list(re.finditer(rb"-?[0-9][0-9.e+-]*", raw))
+        number = numbers[rng.integers(len(numbers))]
+        return raw[:number.start()] + rng.choice(FUZZ_TOKENS) + raw[number.end():]
+    elif op == 2 and name.endswith(".volb"):
+        at, fmt = VOLB_FIELDS[rng.integers(len(VOLB_FIELDS))]
+        struct.pack_into(fmt, out, at, int(rng.choice([0, 1, 2, 3, 12, 255])))
+    elif op == 2:  # the model's magic byte
+        out[0] = int(rng.integers(256))
+    else:  # a NaN or out-of-range payload value
+        kind = "f8" if name.endswith(".bin") else "f4" if name == "aff.volb" else "u8"
+        dtype, start = np.dtype("<" + kind), 1 if name.endswith(".bin") else HEADER_SIZE
+        at = start + dtype.itemsize * int(rng.integers((len(raw) - start) // dtype.itemsize))
+        value = FUZZ_VALUES[kind][rng.integers(len(FUZZ_VALUES[kind]))]
+        out[at:at + dtype.itemsize] = np.array(value, dtype).tobytes()
+    return bytes(out)
+
+
+def test_mutated_inputs_exit_0_or_2_and_leave_no_output_on_2(replay_inputs):
+    # every bad input is a ValueError (exit 2) with nothing written; exit 1
+    # only for an OS error on a path that names no file, here a manifest's
+    # block path that a flip or truncation changed (missing, or a directory)
+    d = replay_inputs
+    assert run(["train", "--labels", str(d / "ws.volb"), "--aff", str(d / "aff.volb"),
+                "--gt", str(d / "gt.volb"), "--model-out", str(d / "model.bin")])[0] == 0
+    (d / "config.json").write_text(json.dumps(FUZZ_CONFIG))
+    rng = np.random.default_rng(2017)
+    names = sorted(FUZZ_READERS)
+    codes = []
+    for _ in range(300):
+        name = names[rng.integers(len(names))]
+        command = FUZZ_READERS[name][rng.integers(len(FUZZ_READERS[name]))]
+        argv = _required_argv(d, command)
+        if name == "model.bin":
+            argv += ["--scorer", "logistic", "--model", str(d / name)]
+        if name == "config.json":
+            argv += ["--config", str(d / name)]
+        raw = (d / name).read_bytes()
+        (d / name).write_bytes(_mutate(raw, name, rng))
+        try:
+            code, _, err = run(argv)
+        finally:
+            (d / name).write_bytes(raw)
+        outputs = sorted(p.name for p in d.iterdir() if p.name.startswith("n"))
+        for p in outputs:
+            if (d / p).is_dir():
+                shutil.rmtree(d / p)
+            else:
+                (d / p).unlink()
+        assert code in (0, 1, 2), (name, command, err)
+        if code == 1:
+            missing = re.fullmatch(r"error: \[Errno \d+\] [^:]+: '(.*)'\n", err)
+            assert missing and not os.path.isfile(missing[1]), (name, command, err)
+        if code == 2:
+            assert err.startswith("error: ") and not outputs, (name, command, err, outputs)
+        codes.append(code)
+    assert codes.count(2) > 100 and codes.count(0) > 10  # both outcomes really occur

@@ -180,16 +180,26 @@ def test_split_vi_peak_per_voxel(fragments, volume, curve):
     assert peak / SHAPE.voxels <= 20
 
 
-@pytest.mark.parametrize("size_min,bound", [(0, 61), (25, 60)],
+@pytest.mark.parametrize("which", [0, 1], ids=["labels", "affinities"])
+def test_write_volume_peak_per_voxel(volume, tmp_path, which):
+    # the frozen array's own buffer goes to the file, about 0.08 B/voxel for
+    # both kinds; a tobytes() copy of the payload took 8.1 (labels) and
+    # 12.1 (affinities)
+    peak = traced_peak(write_volume, volume[which], tmp_path / "v.volb")
+    assert peak / SHAPE.voxels <= 1
+
+
+@pytest.mark.parametrize("size_min,bound", [(0, 52), (25, 52)],
                          ids=["size_min_0", "size_min_25"])
 def test_cli_pipeline_peak_and_leftovers(volume, tmp_path, size_min, bound):
-    # with both input volumes read, the closing split_vi sets the peak: about
-    # 60.0 B/voxel at size_min 0 and 58.1 at size_min 25 (76.0 and 74.1 when
-    # overlap_counts made masked copies and inverses); a merge tree that
-    # keeps the RAG alive adds about 2.4 at size_min 0.  After the call about
-    # 5 KB stay traced, or 55-690 KB if the RAG outlives the call.  The first
-    # call in a process also fills import and locale caches (about 170 KB),
-    # so the traced call is the second
+    # with both input volumes read, agglomerate sets the peak at size_min 0,
+    # about 50.9 B/voxel, and the size-filtered zwatershed at size_min 25,
+    # about 50.4; the closing split_vi set it at 60.0 and 58.1 while the
+    # affinities, watershed labels and merge tree stayed alive through it
+    # (76.0 and 74.1 when overlap_counts made masked copies and inverses).
+    # After the call about 5 KB stay traced, or 55-690 KB if the RAG
+    # outlives the call.  The first call in a process also fills import and
+    # locale caches (about 170 KB), so the traced call is the second
     gt, aff = volume
     write_volume(gt, tmp_path / "gt.volb")
     write_volume(aff, tmp_path / "aff.volb")

@@ -359,3 +359,47 @@ def test_size_filter_matches_rule_d_oracle_on_ties_and_thin_shapes(case):
                     assert np.array_equal(got.data, expected), (n, size_min, t_merge)
                     removed += n - int(expected.max())
     assert removed > 0 or aff.data[0].size == 1  # rule (d) really ran
+
+
+def tie_row(*runs):
+    """A 1x1xN row of (label, voxels) runs whose x-affinities all tie at 0.5."""
+    labels = np.concatenate([np.full(n, l, dtype=np.uint64) for l, n in runs])
+    aff = np.zeros((3, 1, 1, len(labels)), dtype=np.float32)
+    aff[2] = 0.5
+    return LabelVolume(labels.reshape(1, 1, -1)), AffinityVolume(aff)
+
+
+@pytest.mark.parametrize("runs,expected", [
+    # A (2) and B (3) are small, C (1) is not: A, the smaller small label,
+    # joins B, which is then big enough to stay apart from C.  Visiting the
+    # boundaries in (lo, hi) order would let B join C first, then A join both
+    ([(2, 20), (3, 20), (1, 30)], [1] * 40 + [2] * 30),
+    # X (1) joins Y (2), its smallest neighbour; Y, still small, joins Z (3)
+    # across the boundary it took over from X.  Y has no boundary of its own
+    # to Z: without X's, X and Y would both drop to background
+    ([(3, 30), (1, 5), (2, 5)], [1] * 40),
+], ids=["order-decides-the-partition", "absorber-inherits-boundary"])
+def test_size_filter_tie_order(runs, expected):
+    labels, aff = tie_row(*runs)
+    assert size_filter(labels, aff, 25, 0.3).data.ravel().tolist() == expected
+    assert size_filter_reference(labels, aff, 25, 0.3).ravel().tolist() == expected
+
+
+def test_size_filter_matches_rule_d_oracle_on_random_tie_grids():
+    # affinities on a 0.25 grid tie many boundaries at each weight, so label
+    # order settles most merges; permuted ids vary that order
+    rng = np.random.default_rng(13)
+    merged = 0
+    for _ in range(50):
+        shape = (3, *rng.integers(1, (11, 15, 15)))
+        aff = AffinityVolume(rng.integers(0, 5, shape).astype(np.float32) / 4)
+        t_low = float(rng.choice([0.0, 0.25, 0.5]))
+        basins, stats = zwatershed(aff, WatershedParams(1.0, t_low, 0, t_low))
+        ids = np.concatenate([np.zeros(1, np.uint64),
+                              rng.permutation(stats.n_segments).astype(np.uint64) + 1])
+        labels = LabelVolume(ids[basins.data])
+        size_min, t_merge = int(rng.integers(1, 41)), float(rng.choice([0.25, 0.5, 0.75]))
+        expected = size_filter_reference(labels, aff, size_min, t_merge)
+        assert np.array_equal(size_filter(labels, aff, size_min, t_merge).data, expected)
+        merged += stats.n_segments - int(expected.max())
+    assert merged > 0  # rule (d) really ran
