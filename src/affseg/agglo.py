@@ -500,8 +500,12 @@ def _table_rows(scorer, rag: Rag):
     def merge(a: int, b: int) -> dict[int, int]:
         rag.merge_nodes(a, b)
         touched = dict(sorted(rag.adj[a].items()))  # one fixed batch order
-        keys = [(min(a, x), max(a, x)) for x in touched]
-        for row, sc in zip(touched.values(), scorer.score(*rag.boundaries(keys)).tolist()):
+        rows = np.fromiter(touched.values(), np.intp, len(touched))
+        size = np.fromiter(map(rag.nodes.get, touched), np.int64, len(touched))
+        # sizes in each boundary's (lo, hi) order, as `boundaries` gives them
+        below = np.fromiter(touched, np.uint64, len(touched)) < a
+        sizes = np.where(below, size, rag.nodes[a]), np.where(below, rag.nodes[a], size)
+        for row, sc in zip(touched.values(), scorer.score(rag.table[rows], *sizes).tolist()):
             score[row] = sc
         return touched
 

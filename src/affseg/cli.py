@@ -3,17 +3,19 @@
 One subcommand per pipeline stage plus `pipeline`, which chains
 watershed -> agglomerate -> eval and writes every intermediate.  Each flag
 is declared once, in `_build_parser`, with its type and either its default
-(read from the library where it has one, e.g. `WatershedParams`) or the
-mark `REQUIRED`.  Any flag can instead come from a JSON config file
-(``--config``): one object per subcommand, keyed by flag name and converted
-like the flags, which becomes the subcommand's defaults, so flags beat
-config values and config values beat defaults.  Required options and
-``--threads`` (from either source) are checked before any input is read.
+(read from the library where it has one, e.g. `WatershedParams`) or
+``required=True``.  Any flag can instead come from a JSON config file
+(``--config``): one object per subcommand, keyed by flag name.  Its keys
+are placed before the command line's flags and parsed with them, so each
+is converted and checked as its flag is (with argparse's message), flags
+beat config values and config values beat defaults, and missing required
+flags are reported together.  All of it, and ``--threads``, is checked
+before any input is read.
 
 Exit codes: 0 success; 2 for any ValueError, which every bad-input error of
 the package is (a bad parameter, a malformed config, tree, model or volume
-file, a ground truth `train` cannot learn from); 1 for anything else, such
-as a missing input file.
+file, a ground truth `train` cannot learn from), and for a usage error;
+1 for anything else, such as a missing input or config file.
 All subcommands are deterministic: identical inputs give byte-identical
 outputs, regardless of ``--threads`` (a cap on internal parallelism; the
 current implementation is single-threaded).
@@ -32,14 +34,6 @@ from affseg.stitch import partition_blocks, read_manifest, stitch, tiled_shape, 
 from affseg.volume import (AffinityVolume, LabelVolume, Shape3, read_volume,
                            require_affinity_range, require_same_shape, write_volume)
 from affseg.zwatershed import WatershedParams, size_filter, zwatershed
-
-REQUIRED = object()
-"""Default of a flag that must be given, on the command line or in the config."""
-
-
-def _missing(flag: str) -> ValueError:
-    return ValueError(f"missing required option --{flag} (or config key {flag!r})")
-
 
 def _read_labels(path) -> LabelVolume:
     vol = read_volume(path)
@@ -66,33 +60,13 @@ def _read_affinities(path) -> AffinityVolume:
     return vol
 
 
-def _config_value(where: str, action: argparse.Action, value):
-    """Convert a config value with the type, arity and choices of its flag."""
-    if action.nargs == 0:  # a switch such as --normalize
-        if not isinstance(value, bool):
-            raise ValueError(f"{where}: expected true or false, got {value!r}")
-        return value
-    many = action.nargs is not None
-    items = value if many and isinstance(value, list) else [value]
-    if many != isinstance(value, list) or not items or action.nargs not in (None, "+", len(items)):
-        raise ValueError(f"{where}: expected {action.nargs or 1} value(s), got {value!r}")
-    out = []
-    for v in items:
-        try:
-            if isinstance(v, bool) or not isinstance(v, (str, int, float)):
-                raise ValueError
-            out.append((action.type or str)(str(v)))
-            if action.choices is not None and out[-1] not in action.choices:
-                raise ValueError
-        except ValueError:
-            raise ValueError(f"{where}: invalid value {v!r}") from None
-    return out if many else out[0]
-
-
-def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
-    """The command's config section by flag dest, each value converted like its flag."""
-    if path is None:
-        return {}
+def _config_tokens(path, command: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The command's config section as flag tokens for argparse to convert and
+    check: ``--key=value`` for one value, ``--key v1 v2 ...`` for a list and
+    ``--key`` for a switch set true.  The JSON types, which the tokens do not
+    carry, are checked here: a switch takes true or false, a list goes to a
+    flag of several values only, and no other flag takes a boolean, null or
+    an object."""
     with open(path) as f:
         try:
             cfg = json.load(f)
@@ -103,20 +77,27 @@ def _load_config(path, command: str, parser: argparse.ArgumentParser) -> dict:
     sec = cfg.get(command, {})
     if not isinstance(sec, dict):
         raise ValueError(f"{path}: section {command!r} must be a JSON object")
-    out = {}
+    tokens = []
     for key, value in sec.items():
         action = parser._option_string_actions.get(f"--{key}")
         if action is None or key in ("config", "help"):
             raise ValueError(f"{path}: unknown key {key!r} in section {command!r}")
-        out[action.dest] = _config_value(f"{path}: {command}.{key}", action, value)
-    return out
+        items = value if isinstance(value, list) and action.nargs else [value]
+        if (action.nargs == 0) != isinstance(value, bool) or not all(
+                isinstance(v, (str, int, float)) for v in items):
+            raise ValueError(f"{path}: {command}.{key}: invalid value {value!r}")
+        if isinstance(value, list):
+            tokens += [f"--{key}", *map(str, value)]
+        elif value is not False:
+            tokens.append(f"--{key}" if value is True else f"--{key}={value}")
+    return tokens
 
 
 def _scorer_from(args) -> object:
     if args.scorer == "mean":
         return agglo.MeanAffinity()
     if args.model is None:
-        raise _missing("model")
+        raise ValueError("missing required option --model (or config key 'model')")
     return agglo.Logistic.load(args.model)
 
 
@@ -262,7 +243,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     def required(sp, *flags, **kwargs):
         for flag in flags:
-            sp.add_argument(flag, default=REQUIRED, **kwargs)
+            sp.add_argument(flag, required=True, **kwargs)
 
     def watershed_flags(sp, names=("t-high", "t-low", "size-min", "t-merge")):
         for name in names:
@@ -339,19 +320,19 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        # the config section becomes the subcommand's defaults, so parsing
-        # again lets flags beat config values and config values beat defaults
-        sp = commands[args.command]
-        sp.set_defaults(**_load_config(args.config, args.command, sp))
+        if argv and argv[0] in commands:
+            # the config section goes before the command line's flags, which win
+            pre = argparse.ArgumentParser(add_help=False)
+            pre.add_argument("--config", nargs="?")  # a missing path is the full parse's error
+            path = pre.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv[1:1] = _config_tokens(path, argv[0], commands[argv[0]])
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
-        for action in sp._actions:
-            if getattr(args, action.dest, None) is REQUIRED:
-                raise _missing(action.option_strings[0][2:])
         return args.handler(args)
     except SystemExit as e:  # argparse: usage error or --help
         return int(e.code) if e.code else 0

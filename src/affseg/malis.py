@@ -31,7 +31,8 @@ import numpy as np
 
 from affseg.unionfind import index_dtype, jump
 from affseg.volume import (AffinityVolume, LabelVolume, edge_ends, label_index,
-                           oob_edge_mask, require_same_shape, slot_ends)
+                           oob_edge_mask, require_affinity_range, require_same_shape,
+                           slot_ends)
 
 
 class OutOfBounds(ValueError):
@@ -73,22 +74,17 @@ def maximin_affinity(aff: AffinityVolume, v1, v2) -> float:
 
 
 def _sweep_order(a: np.ndarray) -> np.ndarray:
-    """Indices that sort float32 `a` by decreasing value, ties by index.
+    """Indices that sort float32 `a`, with values in [0, 1], by decreasing
+    value, ties by index.
 
-    The order of ``np.argsort(-a, kind="stable")`` -- -0.0 ties +0.0, every
-    NaN comes last -- from one sort of uint64 keys: the high word maps the
-    value's bits to a uint32 that falls as the value rises, the low word is
-    the index.  Only integer operations touch the values, so signalling NaNs
-    raise no floating-point warning.
+    The order of ``np.argsort(-a, kind="stable")`` -- -0.0 ties +0.0 --
+    from one sort of uint64 keys: the high word counts down from 0x7FFFFFFF
+    by the value's sign-cleared bits, which rise with a non-negative value,
+    and the low word is the index.
     """
     if len(a) >= 2**32:
         raise ValueError(f"{len(a)} edges do not fit the 32-bit index of the sweep key")
-    bits = a.view(np.uint32)
-    magnitude = bits & np.uint32(0x7FFFFFFF)
-    # positives and both zeros count down from 0x7FFFFFFF, negatives up from
-    # 0x80000001, and every NaN takes the largest key
-    rank = np.where(bits > np.uint32(0x80000000), bits, np.uint32(0x7FFFFFFF) - magnitude)
-    rank[magnitude > np.uint32(0x7F800000)] = 0xFFFFFFFF
+    rank = np.uint32(0x7FFFFFFF) - (a.view(np.uint32) & np.uint32(0x7FFFFFFF))
     keys = rank.astype(np.uint64) << np.uint64(32)
     keys |= np.arange(len(a), dtype=np.uint64)
     keys.sort()
@@ -231,7 +227,9 @@ def _leaf_order(aff: AffinityVolume):
     and closes[p - 1] the merge joining positions p - 1, p.  The cycle
     filter's candidates are contracted (`_contract`) until one node is
     left, the order expanded back level by level (`_expand`), and the
-    merges sorted once."""
+    merges sorted once.  Raises ValueError unless the affinities are finite
+    and in [0, 1]."""
+    require_affinity_range(aff.data)
     n = aff.shape3.voxels
     slots, u, v = _candidates_in_sweep_order(aff)
     bound = len(slots)

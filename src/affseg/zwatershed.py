@@ -182,9 +182,11 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     """Run the four-stage watershed on finite affinities in [0, 1] (else ValueError)."""
     require_affinity_range(aff.data)
     tree, k = _ascent_trees(aff, params.t_low)  # (b)-(c); frees its temporaries
-    vol = LabelVolume(dense_relabel(
-        components(k + 1, *_tree_edges(tree, aff, params.t_high))[tree]))
-    del tree  # (d) builds its RAG with only the stage-(c) labels alive
+    basin = components(k + 1, *_tree_edges(tree, aff, params.t_high))  # smallest tree ranks
+    # numbered by a running count of the roots, so dense_relabel's table spans the basins only
+    basin = (np.cumsum(basin == np.arange(k + 1), dtype=basin.dtype) - 1)[basin]
+    vol = LabelVolume(dense_relabel(basin[tree]))
+    del tree, basin  # (d) builds its RAG with only the stage-(c) labels alive
 
     # (d)/(e) size filtering, renumbered by first voxel
     vol = _size_filter(vol, aff, params.size_min, params.t_merge)

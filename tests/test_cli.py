@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from affseg.agglo import MODEL_MAGIC_VERSION, N_FEATURES
-from affseg.cli import REQUIRED, _build_parser, main
+from affseg.cli import _build_parser, main
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
 from affseg.volume import (HEADER_SIZE, AffinityVolume, LabelVolume, Shape3, read_volume,
                            write_volume)
@@ -562,10 +562,10 @@ def test_non_finite_model_is_usage_error_naming_file(replay_inputs, command, at,
 
 
 def _required_flags():
-    """(subcommand, flag) for every flag the parser declares REQUIRED."""
+    """(subcommand, flag) for every flag the parser declares required."""
     _, commands = _build_parser()
     return [(name, action.option_strings[0]) for name, sp in commands.items()
-            for action in sp._actions if action.default is REQUIRED]
+            for action in sp._actions if action.required]
 
 
 # one complete, valid set of required options per subcommand, over the
@@ -616,7 +616,7 @@ def test_missing_required_option_is_usage_error(replay_inputs, command, flag):
     before = sorted(replay_inputs.iterdir())
     code, out, err = run(_required_argv(replay_inputs, command, omit=flag))
     assert code == 2
-    assert f"missing required option {flag} " in err
+    assert f"the following arguments are required: {flag}\n" in err
     assert out == ""
     assert sorted(replay_inputs.iterdir()) == before
 
@@ -628,6 +628,57 @@ def test_logistic_scorer_requires_model(replay_inputs, command):
     assert code == 2
     assert "missing required option --model " in err
     assert sorted(replay_inputs.iterdir()) == before
+
+
+def test_missing_required_options_are_named_together(replay_inputs):
+    d = replay_inputs
+    (d / "cfg.json").write_text(json.dumps({"train": {"labels": str(d / "ws.volb")}}))
+    before = sorted(d.iterdir())
+    code, out, err = run(["train", "--config", str(d / "cfg.json"), "--aff", str(d / "aff.volb")])
+    assert code == 2
+    assert "the following arguments are required: --gt, --model-out\n" in err
+    assert out == ""
+    assert sorted(d.iterdir()) == before
+
+
+@pytest.mark.parametrize("section", [
+    {"size-min": False}, {"scorer": "logistic", "model": None},
+    {"scorer": "logistic", "model": {"path": "model.bin"}},
+])
+def test_config_json_types_no_flag_takes_are_usage_errors(replay_inputs, section):
+    # argparse would read false as no flag at all, and null as the path "None"
+    d = replay_inputs
+    code, _, err = _run_with_config(d, "pipeline", section, *_required_argv(d, "pipeline")[1:])
+    assert code == 2
+    assert f"pipeline.{list(section)[-1]}: invalid value" in err
+    assert not (d / "n_dir").exists()
+
+
+def test_command_line_flags_beat_config_values(replay_inputs):
+    d = replay_inputs
+    # a list flag: the command line's --thetas 0.9 0.5 replaces the config's list
+    code, _, err = _run_with_config(d, "curve", {"thetas": [0.25]}, *_required_argv(d, "curve")[1:])
+    assert code == 0, err
+    assert [row.split(",")[0] for row in (d / "n.csv").read_text().splitlines()[1:]] == [
+        "0.900000", "0.500000"]
+    # a single-value flag
+    outputs = []
+    for config, flags in (({}, ["--theta", "1.0"]), ({"theta": 0.0}, ["--theta", "1.0"]),
+                          ({"theta": 0.0}, [])):
+        code, _, err = _run_with_config(d, "agglomerate", config,
+                                        *_required_argv(d, "agglomerate")[1:], *flags)
+        assert code == 0, err
+        outputs.append((d / "n.volb").read_bytes())
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_config_string_is_one_value_even_like_a_flag(replay_inputs):
+    d = replay_inputs
+    code, _, err = _run_with_config(d, "partition", {"prefix": "-a=b"},
+                                    *_required_argv(d, "partition")[1:])
+    assert code == 0, err
+    assert [line.split()[-1] for line in (d / "n.txt").read_text().splitlines()] == [
+        "-a=b_0000.volb", "-a=b_0001.volb"]
 
 
 # the commands that read each input file, over `replay_inputs` plus a model

@@ -134,6 +134,18 @@ def test_counts_shape_mismatch():
         malis_edge_counts(aff, gt)
 
 
+@pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5, np.inf])
+def test_affinities_outside_unit_range_raise(bad):
+    a = chain_volume([0.9, 0.4, 0.7]).data.copy()
+    a[2, 0, 0, 1] = bad
+    aff = AffinityVolume(a, check_range=False)
+    gt = LabelVolume(np.array([[[1, 1, 2, 2]]], dtype=np.uint64))
+    for call in (lambda: malis_gradient(aff, gt), lambda: malis_edge_counts(aff, gt),
+                 lambda: maximin_affinity(aff, (0, 0, 0), (0, 0, 3))):
+        with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+            call()
+
+
 def test_counts_match_bruteforce_oracle():
     rng = np.random.default_rng(9)
     for _ in range(60):
@@ -230,16 +242,14 @@ def test_cycle_filter_drops_only_edges_kruskal_rejects(shape, values):
 
 @pytest.mark.filterwarnings("error")
 def test_sweep_order_matches_stable_argsort():
-    # quiet and signalling NaNs of both signs, +-0, +-inf, +-subnormals
-    special = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFA00000, 0x7FFFFFFF,
-                        0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
-                        0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF,
-                        0x3F800000, 0xBF800000, 0x7F7FFFFF, 0xFF7FFFFF],
+    # +-0, subnormals, the smallest normal, the float just below 1, and 1
+    special = np.array([0x00000000, 0x80000000, 0x00000001, 0x00000002, 0x007FFFFF,
+                        0x00800000, 0x3F7FFFFF, 0x3F800000],
                        dtype=np.uint32).view(np.float32)
     rng = np.random.default_rng(15)
     for size in (0, 1, 2, 17, 300, 5000):
-        values = np.concatenate([special, rng.normal(size=8).astype(np.float32),
-                                 np.float32([0.5, -0.5, 0.25])])
+        values = np.concatenate([special, rng.random(8, dtype=np.float32),
+                                 np.float32([0.5, 0.25, 0.75])])
         a = values[rng.integers(0, len(values), size)]  # long ties
         assert np.array_equal(_sweep_order(a), np.argsort(-a, kind="stable"))
     a = np.repeat(special, 50)
