@@ -560,7 +560,7 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     plus one merge's pushes.  The RAG is freed before the replay."""
     check_theta(theta)
     merges = _greedy_merges(labels, aff, scorer, theta)
-    return LabelVolume(_replay(labels, merges, theta)), MergeTree(merges=merges, base=labels)
+    return LabelVolume._adopt(_replay(labels, merges, theta)), MergeTree(merges=merges, base=labels)
 
 
 def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVolume:
@@ -571,7 +571,7 @@ def apply_threshold(tree: MergeTree, base: LabelVolume, theta: float) -> LabelVo
     """
     check_theta(theta)
     check_base(tree, base)
-    return LabelVolume(_replay(base, tree.merges, theta))
+    return LabelVolume._adopt(_replay(base, tree.merges, theta))
 
 
 def check_base(tree: MergeTree, base: LabelVolume) -> None:

@@ -10,10 +10,12 @@ Everything in this package works on two arrays:
   neighbour along axis ``c``.  Slots whose neighbour falls outside the
   volume carry no edge and are forced to 0.0 on every construction path.
 
-Both containers own their data: every construction path, reading a file
-included, makes exactly one private C-contiguous copy of its input and
-freezes it read-only, so a volume never aliases the array it was built
-from and can be shared freely between threads.
+Both containers own their data, frozen read-only, so a volume never
+aliases an array anyone can write and can be shared freely between
+threads.  The public constructors make exactly one private C-contiguous
+copy of their input.  A file read, the watershed and a merge-tree replay
+build a fresh array that nothing else holds and hand it to the internal
+path, `_Volume._adopt`, which freezes it in place without a copy.
 
 Per-label tables (sizes, lookups, pair counts) are indexed through
 `label_index`.  Dense ids, as the watershed and stitching produce them,
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -223,7 +226,7 @@ def overlap_counts(seg: np.ndarray, gt: np.ndarray):
 
 
 class _Volume:
-    """Both kinds' one construction path (see the module docstring) and
+    """Both kinds' construction paths (see the module docstring) and
     comparison; `check_range` tests the kind's value range, if it has one."""
 
     __slots__ = ("data",)
@@ -236,6 +239,18 @@ class _Volume:
         if arr.ndim != len(lead) + 3 or arr.shape[:len(lead)] != lead:
             axes = ", ".join([*map(str, lead), "z", "y", "x"])
             raise ValueError(f"{noun} volume must have shape ({axes}), got {arr.shape}")
+        self._own(arr, check_range)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, check_range: bool = True):
+        """The internal path: wrap a fresh array of the kind's shape that
+        nothing else holds, such as a replay's or a file read's, without
+        copying it (unless its dtype or layout differ from the kind's)."""
+        vol = object.__new__(cls)
+        vol._own(np.asarray(arr, dtype=_CODECS[cls][2], order="C"), check_range)
+        return vol
+
+    def _own(self, arr: np.ndarray, check_range: bool) -> None:
         self._settle(arr, check_range)
         arr.flags.writeable = False
         self.data = arr
@@ -342,31 +357,35 @@ def write_volume(vol: LabelVolume | AffinityVolume, path) -> None:
 
 def read_volume(path) -> LabelVolume | AffinityVolume:
     """Read a VOLB file back into memory, bit-for-bit; affinities are not
-    range-checked, since gradient volumes share the format."""
+    range-checked, since gradient volumes share the format.  The payload's
+    size is checked against the header before it is read, straight into
+    the array the volume then owns."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a VOLB file")
-    if len(raw) < HEADER_SIZE:
-        raise TruncatedPayload(f"{path}: header truncated at {len(raw)} bytes")
-    magic, version, dtype_code, channels, reserved, z, y, x = _HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise VolumeError(f"{path}: unsupported format version {version}")
-    if reserved != bytes(6):
-        raise VolumeError(f"{path}: reserved header bytes are not zero")
-    kinds = {row[1]: (kind, *row) for kind, row in _CODECS.items()}
-    if dtype_code not in kinds:
-        raise UnknownDtype(f"{path}: dtype code {dtype_code}")
-    kind, noun, _, dtype, lead = kinds[dtype_code]
-    if channels != math.prod(lead):
-        raise VolumeError(f"{path}: {noun} file declares {channels} channels")
-    try:
-        shape = Shape3(int(z), int(y), int(x))
-    except ValueError as e:
-        raise VolumeError(f"{path}: {e}") from None
-    expected = channels * shape.voxels * dtype.itemsize
-    got = len(raw) - HEADER_SIZE
+        raw = f.read(HEADER_SIZE)
+        if len(raw) < 4 or raw[:4] != MAGIC:
+            raise BadMagic(f"{path}: not a VOLB file")
+        if len(raw) < HEADER_SIZE:
+            raise TruncatedPayload(f"{path}: header truncated at {len(raw)} bytes")
+        magic, version, dtype_code, channels, reserved, z, y, x = _HEADER.unpack_from(raw)
+        if version != VERSION:
+            raise VolumeError(f"{path}: unsupported format version {version}")
+        if reserved != bytes(6):
+            raise VolumeError(f"{path}: reserved header bytes are not zero")
+        kinds = {row[1]: (kind, *row) for kind, row in _CODECS.items()}
+        if dtype_code not in kinds:
+            raise UnknownDtype(f"{path}: dtype code {dtype_code}")
+        kind, noun, _, dtype, lead = kinds[dtype_code]
+        if channels != math.prod(lead):
+            raise VolumeError(f"{path}: {noun} file declares {channels} channels")
+        try:
+            shape = Shape3(int(z), int(y), int(x))
+        except ValueError as e:
+            raise VolumeError(f"{path}: {e}") from None
+        expected = channels * shape.voxels * dtype.itemsize
+        got = os.fstat(f.fileno()).st_size - HEADER_SIZE
+        if got == expected:
+            arr = np.empty(lead + shape.as_tuple(), dtype=dtype)
+            got = f.readinto(arr)  # fewer bytes only if the file shrank meanwhile
     if got != expected:
         raise TruncatedPayload(f"{path}: payload is {got} bytes, header implies {expected}")
-    view = np.frombuffer(raw, dtype=dtype, offset=HEADER_SIZE)
-    return kind(view.reshape(lead + shape.as_tuple()), check_range=False)
+    return kind._adopt(arr, check_range=False)

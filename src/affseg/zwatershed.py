@@ -19,15 +19,21 @@ The segmentation is built in four fixed stages:
       ties go smallest small label first, into its smallest neighbour.
 
 Stages (a)-(c) are computed on ascent trees.  A voxel of (b) links to the
-far end of its strongest edge, whose own strongest edge is no weaker, so
+far end of its strongest edge, found without masked writes: its six
+neighbours, in tie order, are places 1..6, and one pass per place keeps
+the running maximum of the voxel's strongest weight and, before that is
+updated, of the place where the weight is strictly stronger than every
+earlier one; places only rise, so the last such place is the first that
+holds the maximum.  The far end's own strongest edge is no weaker, so
 chains of links end in cycles of links of one weight.  No cycle is longer
 than 2: if i -> j moves minus along the lowest axis c of a cycle, j's move
 back has that weight too, so by the tie rule j moves back or minus along c
 again, and a longer cycle could never close.  Mutual pairs are rooted at
 their smaller voxel, `unionfind.jump` finds each voxel's root, a cumulative
 sum ranks the growing trees 1..k, and `unionfind.components` hooks the
-ranks at the ends of slots >= t_high over those k ids, not the n voxels.
-Thresholds are compared as float32 ceilings: exactly as in float64.
+ranks at the ends of slots >= t_high that join two trees, over those k
+ids, not the n voxels.  Thresholds are compared as float32 ceilings:
+exactly as in float64.
 
 Output labels are densified to 1..K in order of each segment's first voxel
 (flat index, x fastest), so identical inputs give identical volumes.
@@ -93,21 +99,27 @@ def _ascent_trees(aff: AffinityVolume, t_low: float):
     """Stages (b)-(c): per voxel the rank 1..k of its ascent tree, in order of
     the tree's root, or 0 if it does not grow (strongest edge below t_low);
     and k.  Neighbours are visited in tie-rule order, channel ascending, minus
-    before plus; a later one wins only when strictly stronger."""
+    before plus, as places 1..6: a place is recorded where its edge is strictly
+    stronger than every earlier one, so the running maximum of the recorded
+    places is the first neighbour that holds the voxel's strongest edge."""
     Z, Y, X = aff.data.shape[1:]
     best = np.full((Z, Y, X), -1.0, dtype=np.float32)
-    link = np.zeros((Z, Y, X), dtype=index_dtype(best.size))
+    place, step = np.zeros((Z, Y, X), dtype=np.uint8), [0]  # place 0: no neighbour
     for c, stride in enumerate((Y * X, X, 1)):
         w = edge_ends(aff.data[c], c)[0]
         for end, s in ((1, -stride), (0, stride)):  # the upper end steps down
-            b = edge_ends(best, c)[end]
-            take = w > b
-            np.copyto(b, w, where=take)
-            np.copyto(edge_ends(link, c)[end], s, where=take)
+            b, p = edge_ends(best, c)[end], edge_ends(place, c)[end]
+            step.append(s)
+            np.maximum(p, (w > b) * np.uint8(len(step) - 1), out=p)
+            np.maximum(b, w, out=b)
     grow = (best >= _float32_ceil(t_low)).ravel()
+    link = np.array(step, dtype=index_dtype(grow.size))[place.ravel()]
+    del best, b, place, p  # b and p are views of them
+    link *= grow  # voxels that do not grow: roots
     ids = np.arange(grow.size, dtype=link.dtype)
-    link = ids + link.ravel() * grow  # voxels that do not grow: roots
-    np.minimum(link, ids, out=link, where=link[link] == ids)  # mutual pairs
+    link += ids
+    pair = np.flatnonzero((link[link] == ids) & (link > ids))  # mutual pairs' smaller ends
+    link[pair] = pair
     link = jump(link)  # each voxel's root
     rank = np.cumsum(grow & (link == ids), dtype=link.dtype)  # of the growing roots
     rank *= grow  # a voxel that does not grow is its own root, of rank 0
@@ -115,15 +127,17 @@ def _ascent_trees(aff: AffinityVolume, t_low: float):
 
 
 def _tree_edges(tree: np.ndarray, aff: AffinityVolume, t_high: float):
-    """Stage (a): the tree ranks (u, v) at the ends of edges >= t_high joining two trees."""
+    """Stage (a): the tree ranks (u, v) at the ends of edges >= t_high joining
+    two trees, marked per channel through the lower-end view of a mask."""
     _, Y, X = tree.shape
-    tree, ends, t_high = tree.ravel(), [], _float32_ceil(t_high)
+    flat, ends, t_high = tree.ravel(), [], _float32_ceil(t_high)
     for c, stride in enumerate((Y * X, X, 1)):
-        strong = aff.data[c] >= t_high
-        strong[(slice(None),) * c + (-1,)] = False  # out-of-bounds plane
-        slot = np.flatnonzero(strong)
-        u, v = tree[slot], tree[slot + stride]
-        ends.append((u[u != v], v[u != v]))
+        cut = np.zeros(tree.shape, dtype=bool)
+        mark = edge_ends(cut, c)[0]
+        np.not_equal(*edge_ends(tree, c), out=mark)
+        mark &= edge_ends(aff.data[c], c)[0] >= t_high
+        slot = np.flatnonzero(cut)
+        ends.append((flat[slot], flat[slot + stride]))
     return tuple(map(np.concatenate, zip(*ends)))
 
 
@@ -162,7 +176,7 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
 
     # survivors below size_min had no qualifying neighbour: merged into 0 at the replay's t_merge
     merges += [(0, l, t_merge) for l, n in sizes.items() if n < size_min]
-    return LabelVolume(dense_relabel(_replay(labels, merges, t_merge)))
+    return LabelVolume._adopt(dense_relabel(_replay(labels, merges, t_merge)))
 
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,
@@ -185,7 +199,7 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     basin = components(k + 1, *_tree_edges(tree, aff, params.t_high))  # smallest tree ranks
     # numbered by a running count of the roots, so dense_relabel's table spans the basins only
     basin = (np.cumsum(basin == np.arange(k + 1), dtype=basin.dtype) - 1)[basin]
-    vol = LabelVolume(dense_relabel(basin[tree]))
+    vol = LabelVolume._adopt(dense_relabel(basin[tree]))
     del tree, basin  # (d) builds its RAG with only the stage-(c) labels alive
 
     # (d)/(e) size filtering, renumbered by first voxel

@@ -19,7 +19,7 @@ from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply
 from affseg.malis import _leaf_order, malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import Shape3, label_index, overlap_counts, write_volume
+from affseg.volume import Shape3, label_index, overlap_counts, read_volume, write_volume
 from affseg.zwatershed import WatershedParams, zwatershed
 
 SHAPE = Shape3(16, 64, 64)
@@ -51,11 +51,13 @@ def fragments(volume):
 
 
 def test_watershed_peak_per_voxel(volume):
-    # stage (a) sets the peak, about 23.5 B/voxel: the tree ranks and the
-    # edge pairs between trees, gathered per channel and joined (hooking
-    # them in `components` takes 23.3); the closing dense_relabel took 24.2
-    # when it ranked the ids into an int64 inverse, and float64 compares and
-    # strided gathers over voxel ids took 45.3
+    # hooking stage (a)'s edge pairs between trees in `components` sets the
+    # peak, about 23.3 B/voxel with the tree ranks and the pairs alive;
+    # gathering the pairs takes 19.1 and the ascent trees 20.3 (23.1 with
+    # the running maxima alive through the pointer jumps, 25.3 with the
+    # mutual pairs too).  Gathering every strong slot's ranks took 23.5, the
+    # closing dense_relabel 24.2 when it ranked the ids into an int64
+    # inverse, and float64 compares and strided gathers over voxel ids 45.3
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 0, 0.3))
     assert peak / SHAPE.voxels <= 25
@@ -65,8 +67,8 @@ def test_size_filtered_watershed_peak_per_voxel(volume):
     # rule (d)'s build_rag sets the peak, about 28.7 B/voxel with the
     # stage-(c) labels alive, and its closing replay and relabel reach 28.2;
     # that relabel took 36.0 when the replay and dense_relabel each made an
-    # int64 inverse.  Stage (a) takes 23.5 as at size_min 0, and took 45.3
-    # over voxel ids
+    # int64 inverse.  Stages (a)-(c) take 23.3 as at size_min 0, and took
+    # 45.3 over voxel ids
     _, aff = volume
     peak = traced_peak(zwatershed, aff, WatershedParams(0.99, 0.3, 25, 0.3))
     assert peak / SHAPE.voxels <= 30
@@ -161,10 +163,11 @@ def test_build_rag_peak_per_voxel(fragments, volume):
 
 
 def test_apply_threshold_peak_per_voxel(fragments):
-    # the replay's relabeled array and LabelVolume's private copy of it take
-    # about 16.1 B/voxel, or 24.1 with the int64 inverse still alive
+    # the replay's relabeled array, which the LabelVolume adopts without a
+    # copy, sets the peak, about 8.1 B/voxel; a private copy of it took 16.1,
+    # or 24.1 with the int64 inverse still alive
     ws, tree = fragments
-    assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 17
+    assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 8.5
 
 
 @pytest.mark.parametrize("curve", [False, True], ids=["split_vi", "vi_curve"])
@@ -187,6 +190,15 @@ def test_write_volume_peak_per_voxel(volume, tmp_path, which):
     # 12.1 (affinities)
     peak = traced_peak(write_volume, volume[which], tmp_path / "v.volb")
     assert peak / SHAPE.voxels <= 1
+
+
+@pytest.mark.parametrize("which,bound", [(0, 9), (1, 13)], ids=["labels", "affinities"])
+def test_read_volume_peak_per_voxel(volume, tmp_path, which, bound):
+    # the payload is read straight into the array the volume keeps, about
+    # 8.1 (labels) and 12.1 (affinities) B/voxel; reading the file into
+    # bytes and copying them into the volume took 16.0 and 24.0
+    write_volume(volume[which], tmp_path / "v.volb")
+    assert traced_peak(read_volume, tmp_path / "v.volb") / SHAPE.voxels <= bound
 
 
 @pytest.mark.parametrize("size_min,bound", [(0, 52), (25, 52)],

@@ -268,7 +268,7 @@ def tie_volume(case):
 
 
 TIE_CASES = [f"{kind}_{dims}" for kind in ("equal", "grid")
-             for dims in ("6x12x12", "1x1x1", "1x1x7", "1x6x6")]
+             for dims in ("6x12x12", "1x1x1", "1x1x7", "1x6x6", "6x1x6", "6x6x1", "7x1x1")]
 
 
 @pytest.mark.parametrize("case", TIE_CASES)
@@ -278,6 +278,32 @@ def test_basins_match_bfs_oracle_on_ties_and_thin_shapes(case):
     # at t_high 0 every slot is strong, the out-of-bounds ones included
     extra = ((0.75, 0.5), (0.5, 0.5), (0.5, 0.25), (1.0, 0.0), (0.0, 0.0))
     assert_basins_match_bfs(tie_volume(case), BFS_THRESHOLDS + extra)
+
+
+# the centre of a 3x3x3 volume: its six neighbours in tie order (channel
+# ascending, minus before plus), the slots of its edges to them, and for
+# each neighbour the slot of an edge to a partner voxel of its own
+CENTRE_NEIGHBOURS = [(0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2)]
+CENTRE_SLOTS = [(0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 1), (2, 1, 1, 0), (2, 1, 1, 1)]
+PARTNER_SLOTS = [(1, 0, 0, 1), (1, 2, 1, 1), (2, 1, 0, 0), (2, 1, 2, 1), (0, 0, 1, 0), (0, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("mask", range(1, 64))
+def test_centre_links_to_its_first_tied_neighbour(mask):
+    # the centre's edges to the places in `mask` tie at its maximum, 0.75,
+    # and its others weigh 0.5; each neighbour's own strongest edge (1.0)
+    # leads to its partner, so only the centre's link joins it to the basin
+    # of one neighbour: the first tied place, never a later one
+    a = np.zeros((3, 3, 3, 3), dtype=np.float32)
+    for place, (slot, partner) in enumerate(zip(CENTRE_SLOTS, PARTNER_SLOTS)):
+        a[slot] = 0.75 if mask >> place & 1 else 0.5
+        a[partner] = 1.0
+    aff = AffinityVolume(a)
+    seg, _ = zwatershed(aff, WatershedParams(1.0, 0.3, 0, 0.3))
+    assert np.array_equal(seg.data, watershed_basins(aff, 1.0, 0.3))
+    first = CENTRE_NEIGHBOURS[(mask & -mask).bit_length() - 1]
+    assert seg.data[1, 1, 1] == seg.data[first]
+    assert seg.data.max() == 6
 
 
 def rule_d_volume(kind, seed):
