@@ -8,14 +8,17 @@ array per statistic, each merged by its own rule (add, min or max); one
 adjacency map takes each segment to {neighbour: row}.  A merge relinks the
 absorbed segment's rows to the survivor, or merges them into the survivor's
 rows to the same neighbours.  Agglomeration is one greedy best-first loop
-over a lazily invalidated heap: pop the best boundary, merge it (the
-smaller label survives), push the boundaries the merge changed, and stop
-once the best score is below the threshold.  A scorer has `score(table,
-size_a, size_b)`, optionally the statistics it `reads` (else all) and
-optionally a row store `rows(rag)` -> (score per row, merge(a, b) ->
-{neighbour: row to push}); the default, `_table_rows`, re-scores every
-boundary of the survivor, so its time grows with the sum of the survivors'
-degrees; the heap is rebuilt from its live entries each time it doubles.
+over lazily invalidated entries: the boundaries scoring at least the
+threshold are sorted once into a run, a heap holds only what merges push,
+and each step takes the better of the run's next entry and the heap's top,
+merges it (the smaller label survives), pushes the boundaries the merge
+changed, and stops once the best score is below the threshold.  A scorer
+has `score(table, size_a, size_b)`, optionally the statistics it `reads`
+(else all) and optionally a row store `rows(rag)` -> (score per row,
+merge(a, b) -> {neighbour: row to push}); the default, `_table_rows`,
+re-scores every boundary of the survivor, so its time grows with the sum
+of the survivors' degrees; the heap is rebuilt from its live entries each
+time it doubles.
 Every applied merge is recorded in a MergeTree that can be replayed later,
 at one threshold or, walking the merges once, at a whole decreasing series.
 
@@ -388,15 +391,16 @@ class Rag:
         self.nodes[a] += self.nodes.pop(b)
         mine, theirs = self.adj[a], self.adj.pop(b)
         del mine[b], theirs[a]
-        pairs = []
+        touched, pairs = {}, []
         for x, row in theirs.items():
             other = self.adj[x]
             del other[b]
             if x in mine:
-                pairs.append((mine[x], row))
+                touched[x] = kept = mine[x]
+                pairs.append((kept, row))
             else:
-                mine[x] = other[a] = row
-        return {x: mine[x] for x in theirs}, pairs
+                touched[x] = mine[x] = other[a] = row
+        return touched, pairs
 
     def merge_nodes(self, a: int, b: int):
         """Merge neighbour b's node into a's: `relink`, then add each dropped
@@ -416,6 +420,12 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     the ids are too wide to pack.  All runs are folded into the rows of one
     table at once.  Raises ValueError unless the affinities are finite and
     in [0, 1]."""
+    return _build_rag(labels, aff, stats)[0]
+
+
+def _build_rag(labels: LabelVolume, aff: AffinityVolume, stats):
+    """`build_rag`'s graph, and each row's lo and hi ends as two lists of
+    the label ints its adjacency map holds."""
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     lab = labels.data
@@ -442,10 +452,11 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     table._push_runs(((np.cumsum(new_pair) - 1)[starts], ch[starts]), val, starts)
 
     # pairs come sorted by (lo, hi), so each label's neighbours go in ascending
+    lo, hi = lo[new_pair].tolist(), hi[new_pair].tolist()
     adj = {l: {} for l in ids.tolist()}
-    for row, (a, b) in enumerate(zip(lo[new_pair].tolist(), hi[new_pair].tolist())):
+    for row, (a, b) in enumerate(zip(lo, hi)):
         adj[a][b] = adj[b][a] = row
-    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), adj, table)
+    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), adj, table), lo, hi
 
 
 def edge_features(rag: Rag, edge: tuple[int, int]) -> np.ndarray:
@@ -514,27 +525,34 @@ def _table_rows(scorer, rag: Rag):
 
 def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: float):
     """`agglomerate`'s merges, on a RAG that is freed when they are done."""
-    rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
+    rag, lo, hi = _build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
     score, merge = scorer.rows(rag) if hasattr(scorer, "rows") else _table_rows(scorer, rag)
+    adj = rag.adj
+    neg = -np.array(score, dtype=np.float64)
+    order = np.argsort(neg, kind="stable")  # rows go in (lo, hi) order, so ties keep it
+    order = order[neg[order] <= -theta]
+    rows = order.tolist()
+    # the run, an entry made as it is reached, from the label ints the RAG holds
+    run = zip(neg[order].tolist(), map(lo.__getitem__, rows), map(hi.__getitem__, rows), rows)
+    first = next(run, None)
 
-    def live(neg: float, a: int, b: int, row: int) -> bool:
-        return b in rag.adj.get(a, ()) and score[row] == -neg
-
-    merges = []
-    heap = [(-score[r], a, b, r) for a, nbrs in rag.adj.items() for b, r in nbrs.items() if a < b]
-    heapq.heapify(heap)
-    limit = 2 * len(heap)
-    while heap:
-        neg, a, b, row = heapq.heappop(heap)
-        if not live(neg, a, b, row):
+    merges, heap = [], []
+    limit = len(rows)
+    while first or heap:
+        if first and not (heap and heap[0] < first):
+            neg, a, b, row = first
+            first = next(run, None)
+        else:
+            neg, a, b, row = heapq.heappop(heap)
+        if score[row] != -neg or b not in adj.get(a, ()):
             continue
         if -neg < theta:
             break
         merges.append((a, b, -neg))
         for x, row in merge(a, b).items():
-            heapq.heappush(heap, (-score[row], min(a, x), max(a, x), row))
+            heapq.heappush(heap, (-score[row], a, x, row) if a < x else (-score[row], x, a, row))
         if len(heap) > limit:  # doubled since the last rebuild
-            heap = list({e for e in heap if live(*e)})
+            heap = list({e for e in heap if score[e[3]] == -e[0] and e[2] in adj.get(e[1], ())})
             heapq.heapify(heap)
             limit = 2 * len(heap)
     return merges
@@ -549,15 +567,20 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     reproduces the output exactly.
 
     The RAG holds the statistics the scorer `reads` (all if it declares
-    none).  A heap entry (-score, a, b, row) is live while b is a's
-    neighbour and `score` is still its row's: a live boundary keeps its
-    row, and every score its row store writes is pushed, so a live entry is
-    its row's latest push or a twin of it, dead once that push's merge
+    none).  An entry (-score, a, b, row) is live while b is a's neighbour
+    and `score` is still its row's: a live boundary keeps its row, and
+    every score its row store writes is pushed, so a live entry is its
+    row's first score or latest push, or a twin of it, dead once its merge
     removes b.  A kept score is the score a re-scoring would give, so the
-    pop order is the same as re-scoring every boundary.  A heap that has
-    doubled since its last rebuild is rebuilt from one copy of each live
-    entry (a twin pops dead), so it stays within twice the live boundaries
-    plus one merge's pushes.  The RAG is freed before the replay."""
+    pop order is the same as re-scoring every boundary.  The first scores
+    come as one run, sorted by entry (rows are numbered in (lo, hi) order,
+    so a stable sort by -score is enough), that leaves out what scores
+    below `theta`: such an entry could only be skipped or end the loop.
+    Each step pops the smaller of the run's next entry and the heap's top,
+    so the order is that of one heap holding both.  A heap that has grown
+    past twice its size at the last rebuild (at first, the run's length)
+    is rebuilt from one copy of each live entry (a twin pops dead).  The
+    RAG is freed before the replay."""
     check_theta(theta)
     merges = _greedy_merges(labels, aff, scorer, theta)
     return LabelVolume._adopt(_replay(labels, merges, theta)), MergeTree(merges=merges, base=labels)

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.unionfind import components
-from affseg.volume import (LabelVolume, Shape3, VolumeError, as_real, cooccurrence, dense_relabel,
-                           label_index)
+from affseg.volume import LabelVolume, Shape3, VolumeError, as_real, dense_relabel, label_index
 
 
 class InvalidPartition(ValueError):
@@ -163,7 +162,12 @@ def _stitch_graph(specs, block_labelings):
     rows = [np.empty((0, 5), dtype=np.int64)]  # a, b, overlap, count_a, count_b
     for i, j, lo, hi in _overlaps(halos):
         ti, tj = (tables[k][1][tuple(map(slice, lo - h0[k], hi - h0[k]))] for k in (i, j))
-        ia, ib, n = cooccurrence(ti, tj)
+        # each (ti, tj) pair of table indices as one key, below len(ti's table) * len(tj's)
+        width = len(tables[j][0])
+        key = np.multiply(ti, width, dtype=np.int64)
+        key += tj
+        key, n = np.unique(key, return_counts=True)
+        ia, ib = np.divmod(key, width)
         na, nb = node_of[i][ia], node_of[j][ib]
         # each side's voxels per label in the region, background partners included
         counts = [np.bincount(t, n).astype(np.int64)[t] for t in (ia, ib)]

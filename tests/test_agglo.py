@@ -509,13 +509,14 @@ TIE_LEVELS = [[0.0, 0.25, 0.5, 0.75, 1.0], [0.5], [0.0, 1.0], [0.25, 0.75]]
 
 
 @pytest.mark.parametrize("levels", TIE_LEVELS)
-@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 0.75])
 def test_agglomerate_matches_exhaustive_reference(levels, theta):
+    # 0.25 and 0.75 are levels of the grid, so boundaries score exactly theta
     for seed in range(4):
         labels, aff = grid_instance(seed, levels)
         _, tree = agglomerate(labels, aff, MeanAffinity(), theta)
         assert tree.merges == agglomerate_reference(labels, aff, theta)
-        assert tree.merges
+        assert tree.merges or theta > max(levels)  # no boundary scores above its top level
 
 
 def greedy_rescoring_everything(labels, aff, scorer, theta=0.0):
@@ -572,6 +573,20 @@ def test_agglomerate_skips_stale_entries_of_dropped_and_relinked_rows():
     for theta, want in ((0.5, [(1, 2)]), (0.0, [(1, 2), (1, 3)])):
         _, tree = agglomerate(labels, aff, scorer, theta)
         assert [m[:2] for m in tree.merges] == want
+
+
+def test_agglomerate_merges_a_row_lifted_above_theta_by_a_fold():
+    # 1 1 2 / 3 3 2: row (1, 3) starts at 0.4, below theta, so only a push
+    # can bring it back; merging 1 and 2 folds row (2, 3), mean 0.85, into
+    # it and lifts its pooled mean to 0.55
+    labels = LabelVolume(np.array([[[1, 1, 2], [3, 3, 2]]], dtype=np.uint64))
+    a = np.zeros((3, 1, 2, 3), dtype=np.float32)
+    a[2, 0, :, 1] = [0.9, 0.85]
+    a[1, 0, 0, :2] = 0.4
+    for theta, want in ((0.5, 2), (0.55, 2), (0.6, 1)):
+        _, tree = agglomerate(labels, AffinityVolume(a), MeanAffinity(), theta)
+        assert [m[:2] for m in tree.merges] == [(1, 2), (1, 3)][:want]
+        assert tree.merges[-1][2] == pytest.approx([0.9, 0.55][want - 1])
 
 
 def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():

@@ -130,12 +130,14 @@ def test_mean_agglomerate_peak_per_voxel(volume):
                          ids=["random_weights", "saturated"])
 def test_logistic_agglomerate_peak_per_voxel(fragments, volume, bias, seed):
     # scores that stay above theta as segments grow let one survivor absorb
-    # everything, and each merge pushes all of its boundaries again; with the
-    # heap rebuilt from one copy of each live entry whenever it doubles,
-    # build_rag's all-statistics table sets the peak, about 41 B/voxel.
-    # Without rebuilds the heap takes about 126 (random weights) and 79
-    # (saturated: every score is 1 - 1e-13, so each merge pushes twins of
-    # the survivor's live entries, and a rebuild keeping twins reads 78)
+    # everything, and each merge pushes all of its boundaries again; with
+    # the first scores in one sorted run and the heap of pushes rebuilt from
+    # one copy of each live entry whenever it doubles, build_rag's
+    # all-statistics table sets the peak, about 41.7 B/voxel (41.3 with
+    # the first scores in the heap too).  Without rebuilds the heap takes
+    # about 126 (random weights) and 79 (saturated: every score is
+    # 1 - 1e-13, so each merge pushes twins of the survivor's live entries,
+    # and a rebuild keeping twins reads 78)
     ws, _ = fragments
     weights = np.zeros(N_FEATURES) if seed is None else \
         np.random.default_rng(seed).normal(0.0, 0.1, N_FEATURES)
