@@ -5,10 +5,11 @@ boundary of two segments, one row of a single table of mergeable per-channel
 statistics, filled in one array pass, that holds only what its consumer
 reads (mean scorer: count and s1, rule (d): max, logistic scorer: all), one
 array per statistic, each merged by its own rule (add, min or max); one
-adjacency map takes each segment to {neighbour: row}.  A merge relinks the
-absorbed segment's rows to the survivor, or merges them into the survivor's
-rows to the same neighbours.  Agglomeration is one greedy best-first loop
-over lazily invalidated entries: the boundaries scoring at least the
+adjacency map takes each segment to {neighbour: row}, and each row keeps
+its two ends as built.  A merge relinks the absorbed segment's rows to the
+survivor, or merges them into the survivor's rows to the same neighbours.
+Agglomeration is one greedy best-first loop over lazily invalidated
+entries: the boundaries scoring at least the
 threshold are sorted once into a run, a heap holds only what merges push,
 and each step takes the better of the run's next entry and the heap's top,
 merges it (the smaller label survives), pushes the boundaries the merge
@@ -78,24 +79,17 @@ class FeatureAccumulator:
     (by default `ALL_STATS`), each as one float64 array: `count`,
     `s1`..`s4`, `vmin` and `vmax` are (..., 3), `hist` is (..., 3, 10).
     Naming a statistic outside `ALL_STATS`, or passing a string, raises
-    ValueError; reading one not held raises AttributeError.  Every statistic
-    below reduces over the channel axis.
+    ValueError.  The held statistics are the instance's only attributes, so
+    `vars(acc)` maps each to its array and reading any other raises
+    AttributeError.  Every statistic below reduces over the channel axis.
     """
-
-    __slots__ = ("_held",)
 
     def __init__(self, stats=ALL_STATS):
         if isinstance(stats, str) or not set(stats) <= set(ALL_STATS):
             raise ValueError(f"stats must be a collection of names in {ALL_STATS}, got {stats!r}")
         empty = {"hist": np.zeros((3, HIST_BINS)), "vmin": np.full(3, np.inf),
                  "vmax": np.full(3, -np.inf)}
-        self._held = {s: empty.get(s, np.zeros(3)) for s in ALL_STATS if s in stats}
-
-    def __getattr__(self, name: str):
-        """Each held statistic, by name."""
-        if name not in ALL_STATS or name not in self._held:
-            raise AttributeError(f"this table does not hold {name}")
-        return self._held[name]
+        vars(self).update((s, empty.get(s, np.zeros(3))) for s in ALL_STATS if s in stats)
 
     @classmethod
     def table(cls, rows: int, stats=ALL_STATS) -> "FeatureAccumulator":
@@ -104,7 +98,7 @@ class FeatureAccumulator:
 
     def _map(self, f) -> "FeatureAccumulator":
         out = FeatureAccumulator.__new__(FeatureAccumulator)
-        out._held = {name: f(a) for name, a in self._held.items()}
+        vars(out).update((name, f(a)) for name, a in vars(self).items())
         return out
 
     def __getitem__(self, rows) -> "FeatureAccumulator":
@@ -121,7 +115,7 @@ class FeatureAccumulator:
         (..., channel) cell ``tuple(i[k] for i in cells)``, all runs at once."""
         v = values.astype(np.float64)
         n = np.diff(starts, append=len(v))
-        for name, field in self._held.items():
+        for name, field in vars(self).items():
             rule = MERGE_RULES[name]
             if name == "count":
                 runs = n
@@ -134,12 +128,12 @@ class FeatureAccumulator:
             field[cells] = rule(field[cells], runs)
 
     def merge(self, other: "FeatureAccumulator") -> None:
-        for name, field in self._held.items():
+        for name, field in vars(self).items():
             MERGE_RULES[name](field, getattr(other, name), out=field)
 
     def merge_rows(self, into: np.ndarray, rows: np.ndarray) -> None:
         """Merge table row rows[k] into row into[k] for every k, all at once."""
-        for name, field in self._held.items():
+        for name, field in vars(self).items():
             MERGE_RULES[name].at(field, into, field[rows])
 
     def combine(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
@@ -333,8 +327,10 @@ class Rag:
 
     `nodes` maps each label to its voxel count and `adj` each label to
     {neighbour: row of `table`}, the boundary's statistics; `edges` is the
-    same graph as {(lo, hi): row}.  `relink` and `merge_nodes` mutate the
-    graph in place exactly the way the agglomeration row stores (a scorer's
+    same graph as {(lo, hi): row}.  `lo` and `hi` hold each row's smaller
+    and larger label as built: merges leave them, like dropped table rows,
+    and a copy shares them.  `relink` and `merge_nodes` mutate the graph
+    in place exactly the way the agglomeration row stores (a scorer's
     `rows(rag)`, else `_table_rows`) do, so recomputation tests can drive
     them directly.  Both hand back the (kept, dropped) row pairs of the
     merge, which a row store folds.
@@ -344,6 +340,8 @@ class Rag:
     nodes: dict[int, int]
     adj: dict[int, dict[int, int]]
     table: FeatureAccumulator
+    lo: list[int]
+    hi: list[int]
 
     @property
     def n_nodes(self) -> int:
@@ -361,7 +359,7 @@ class Rag:
     def copy(self) -> "Rag":
         """An independent graph over the same labels, to merge in a simulation."""
         return Rag(self.labels, dict(self.nodes), {l: dict(n) for l, n in self.adj.items()},
-                   self.table.copy())
+                   self.table.copy(), self.lo, self.hi)
 
     def edge_acc(self, a: int, b: int) -> FeatureAccumulator:
         """The statistics of one boundary: views into its table row."""
@@ -418,14 +416,9 @@ def build_rag(labels: LabelVolume, aff: AffinityVolume, stats=ALL_STATS) -> Rag:
     (lo, hi) leaves them in (boundary, channel) runs, each in slot order:
     one sort of packed (lo, hi, edge index) uint64 keys, or a lexsort where
     the ids are too wide to pack.  All runs are folded into the rows of one
-    table at once.  Raises ValueError unless the affinities are finite and
-    in [0, 1]."""
-    return _build_rag(labels, aff, stats)[0]
-
-
-def _build_rag(labels: LabelVolume, aff: AffinityVolume, stats):
-    """`build_rag`'s graph, and each row's lo and hi ends as two lists of
-    the label ints its adjacency map holds."""
+    table at once, numbered in (lo, hi) order, and each row's ends as built
+    are kept as `Rag.lo` and `Rag.hi`.  Raises ValueError unless the
+    affinities are finite and in [0, 1]."""
     require_same_shape(labels, aff)
     require_affinity_range(aff.data)
     lab = labels.data
@@ -456,7 +449,7 @@ def _build_rag(labels: LabelVolume, aff: AffinityVolume, stats):
     adj = {l: {} for l in ids.tolist()}
     for row, (a, b) in enumerate(zip(lo, hi)):
         adj[a][b] = adj[b][a] = row
-    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), adj, table), lo, hi
+    return Rag(labels, dict(zip(ids.tolist(), sizes.tolist())), adj, table, lo, hi)
 
 
 def edge_features(rag: Rag, edge: tuple[int, int]) -> np.ndarray:
@@ -503,10 +496,10 @@ def check_theta(theta: float) -> None:
 
 
 def _table_rows(scorer, rag: Rag):
-    """The row store of a scorer without `rows`, over the RAG's table: the
+    """The row store of a scorer without `rows`, over a fresh RAG's table: the
     scorer may read sizes, so a merge re-scores every boundary of the survivor."""
-    keys = list(rag.edges)  # rows in order: build_rag numbers them in (lo, hi) order
-    score = scorer.score(*rag.boundaries(keys)).tolist()
+    sizes = (np.array([rag.nodes[l] for l in ends], np.int64) for ends in (rag.lo, rag.hi))
+    score = scorer.score(rag.table, *sizes).tolist()
 
     def merge(a: int, b: int) -> dict[int, int]:
         rag.merge_nodes(a, b)
@@ -525,9 +518,9 @@ def _table_rows(scorer, rag: Rag):
 
 def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: float):
     """`agglomerate`'s merges, on a RAG that is freed when they are done."""
-    rag, lo, hi = _build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
+    rag = build_rag(labels, aff, getattr(scorer, "reads", ALL_STATS))
     score, merge = scorer.rows(rag) if hasattr(scorer, "rows") else _table_rows(scorer, rag)
-    adj = rag.adj
+    adj, lo, hi = rag.adj, rag.lo, rag.hi
     neg = -np.array(score, dtype=np.float64)
     order = np.argsort(neg, kind="stable")  # rows go in (lo, hi) order, so ties keep it
     order = order[neg[order] <= -theta]
@@ -537,7 +530,7 @@ def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: floa
     first = next(run, None)
 
     merges, heap = [], []
-    limit = len(rows)
+    limit = len(score)
     while first or heap:
         if first and not (heap and heap[0] < first):
             neg, a, b, row = first
@@ -578,7 +571,7 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     below `theta`: such an entry could only be skipped or end the loop.
     Each step pops the smaller of the run's next entry and the heap's top,
     so the order is that of one heap holding both.  A heap that has grown
-    past twice its size at the last rebuild (at first, the run's length)
+    past twice its size at the last rebuild (at first, the table's row count)
     is rebuilt from one copy of each live entry (a twin pops dead).  The
     RAG is freed before the replay."""
     check_theta(theta)

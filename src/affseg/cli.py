@@ -144,8 +144,8 @@ def _cmd_build_rag(args) -> int:
     rag = agglo.build_rag(_read_labels(args.labels), _read_affinities(args.aff), scorer.reads)
     counts, means = rag.table.total_count.tolist(), scorer.score(rag.table, None, None).tolist()
     with open(args.out, "w") as f:
-        f.write("label_a,label_b,boundary_count,mean_affinity\n")  # edges in row (lo, hi) order
-        f.writelines(f"{a},{b},{n},{m:.6f}\n" for (a, b), n, m in zip(rag.edges, counts, means))
+        f.write("label_a,label_b,boundary_count,mean_affinity\n")  # rows in (lo, hi) order
+        f.writelines(f"{a},{b},{n},{m:.6f}\n" for a, b, n, m in zip(rag.lo, rag.hi, counts, means))
     print(f"nodes={rag.n_nodes} edges={rag.n_edges}", file=sys.stderr)
     return 0
 

@@ -325,4 +325,4 @@ def malis_gradient(aff: AffinityVolume, gt: LabelVolume, normalize: bool = False
         grad /= total
     gradient = np.zeros(aff.data.shape, dtype=np.float32)
     gradient.reshape(-1)[slots] = grad
-    return MalisResult(loss=loss, gradient=AffinityVolume(gradient, check_range=False))
+    return MalisResult(loss=loss, gradient=AffinityVolume._adopt(gradient, check_range=False))

@@ -202,7 +202,7 @@ def stitch(specs: list[BlockSpec], block_labelings: list[LabelVolume],
     walk = np.concatenate([w.ravel() for w in walk])
     glob = np.zeros(len(g.nodes) + 1, dtype=np.uint64)
     glob[walk] = dense_relabel(walk)
-    return LabelVolume(glob[out])
+    return LabelVolume._adopt(glob[out])
 
 
 def tiled_shape(specs) -> tuple[int, int, int]:

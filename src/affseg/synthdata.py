@@ -81,7 +81,7 @@ def labels_from_seeds(shape: Shape3, seeds: np.ndarray, anisotropy: float) -> La
             best_d[z][closer] = d2[closer]
             label[z][closer] = k + 1
             farthest[z] = best_d[z].max()
-    return LabelVolume(label)
+    return LabelVolume._adopt(label)
 
 
 def synth_labels(shape: Shape3, p: SynthParams) -> LabelVolume:
@@ -131,7 +131,7 @@ def affinities_from_labels(labels: LabelVolume,
     for c, src in enumerate((shifted, lab, lab)):
         lower, upper = edge_ends(src, c)
         edge_ends(aff[c], c)[0][...] = (lower == upper) & (lower != 0)
-    return AffinityVolume(aff)
+    return AffinityVolume._adopt(aff)
 
 
 def synth_affinities(labels: LabelVolume, n: NoiseParams) -> AffinityVolume:
@@ -150,4 +150,4 @@ def synth_affinities(labels: LabelVolume, n: NoiseParams) -> AffinityVolume:
     noisy = clean.data.astype(np.float64)
     noisy += rng.normal(0.0, n.flip_sigma, size=noisy.shape)
     np.clip(noisy, 0.0, 1.0, out=noisy)
-    return AffinityVolume(noisy.astype(np.float32))
+    return AffinityVolume._adopt(noisy.astype(np.float32))

@@ -13,9 +13,11 @@ Everything in this package works on two arrays:
 Both containers own their data, frozen read-only, so a volume never
 aliases an array anyone can write and can be shared freely between
 threads.  The public constructors make exactly one private C-contiguous
-copy of their input.  A file read, the watershed and a merge-tree replay
+copy of their input.  A file read, the watershed, a merge-tree replay,
+stitching, the MALIS gradient and the synthetic labels and affinities
 build a fresh array that nothing else holds and hand it to the internal
-path, `_Volume._adopt`, which freezes it in place without a copy.
+path, `_Volume._adopt`, which freezes it in place without a copy but
+still zeroes the out-of-bounds slots and checks the value range.
 
 Per-label tables (sizes, lookups, pair counts) are indexed through
 `label_index`.  Dense ids, as the watershed and stitching produce them,

@@ -156,8 +156,8 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
         return labels
     rag = build_rag(labels, aff, ("vmax",))
     weight, sizes, parent, merges = rag.table.vmax.max(-1).tolist(), rag.nodes, {}, []
-    edges = sorted((-weight[row], i, j) for i, nbrs in rag.adj.items() if sizes[i] < size_min
-                   for j, row in nbrs.items() if weight[row] >= t_merge)
+    edges = sorted((-w, i, j) for w, a, b in zip(weight, rag.lo, rag.hi) if w >= t_merge
+                   for i, j in ((a, b), (b, a)) if sizes[i] < size_min)
     for negw, group in groupby(edges, lambda e: e[0]):
         near = {}  # {basin: its neighbours across this weight}, chased when read
         for _, i, j in group:
@@ -181,7 +181,7 @@ def _size_filter(labels: LabelVolume, aff: AffinityVolume,
 
 def size_filter(labels: LabelVolume, aff: AffinityVolume,
                 size_min: int, t_merge: float) -> LabelVolume:
-    """Re-apply the size filter (rules d/e) to an existing labeling.
+    """Re-apply the size filter (rule (d)) to an existing labeling.
 
     size_min == 0 is a no-op that returns `labels` itself.  Both
     parameters are checked as `WatershedParams` checks them (ValueError).
@@ -202,7 +202,7 @@ def zwatershed(aff: AffinityVolume, params: WatershedParams) -> tuple[LabelVolum
     vol = LabelVolume._adopt(dense_relabel(basin[tree]))
     del tree, basin  # (d) builds its RAG with only the stage-(c) labels alive
 
-    # (d)/(e) size filtering, renumbered by first voxel
+    # (d) size filtering, renumbered by first voxel
     vol = _size_filter(vol, aff, params.size_min, params.t_merge)
     cnts = np.bincount(label_index(vol.data)[1].ravel(), minlength=1).tolist()  # ids 0..K
     return vol, BasinStats(sizes=dict(enumerate(cnts[1:], 1)), background=cnts[0])

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 
@@ -227,8 +229,8 @@ def test_subset_rag_columns_equal_full_rag(stats):
         for name in stats:
             assert np.array_equal(getattr(sub.table, name), getattr(full.table, name))
         # the table stores the declared statistics and nothing else
-        assert sorted(sub.table._held) == sorted(stats)
-        for name, field in sub.table._held.items():
+        assert sorted(vars(sub.table)) == sorted(stats)
+        for name, field in vars(sub.table).items():
             assert field.shape == (len(full.edges), 3) + (HIST_BINS,) * (name == "hist")
 
 
@@ -589,6 +591,19 @@ def test_agglomerate_merges_a_row_lifted_above_theta_by_a_fold():
         assert tree.merges[-1][2] == pytest.approx([0.9, 0.55][want - 1])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_mean_agglomerate_heap_below_the_row_count_is_never_rebuilt(seed, monkeypatch):
+    # the heap is first rebuilt past the table's row count, which the
+    # entries merges push at theta 0.5 stay below; a first limit of the
+    # theta-cut run's length was passed for seeds 1, 2 and 4
+    _, aff, seg = noisy_instance(seed, Shape3(16, 64, 64), n_seeds=20)
+    rebuilds, heapify = [], heapq.heapify
+    monkeypatch.setattr(heapq, "heapify", lambda heap: (rebuilds.append(len(heap)), heapify(heap)))
+    _, tree = agglomerate(seg, aff, MeanAffinity(), 0.5)
+    assert tree.merges
+    assert rebuilds == []
+
+
 def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():
     # the logistic features include log segment sizes, which a merge
     # changes on every boundary of the survivor
@@ -857,6 +872,12 @@ def test_logistic_bias_too_large_for_int64_is_checked_as_a_float():
     for bad in (float("inf"), float("nan"), "x"):
         with pytest.raises(ValueError):
             Logistic(np.zeros(N_FEATURES), bad)
+
+
+@pytest.mark.parametrize("shape", [(N_FEATURES - 1,), (N_FEATURES + 1,), (0,), (1, N_FEATURES)])
+def test_logistic_rejects_weights_other_than_51_values(shape):
+    with pytest.raises(ValueError, match=f"expected {N_FEATURES} weights, got shape"):
+        Logistic(np.zeros(shape), 0.0)
 
 
 def test_logistic_model_file_roundtrip(tmp_path):

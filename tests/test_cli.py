@@ -388,6 +388,19 @@ def test_malformed_config_is_usage_error_naming_file(workdir):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ('[{"eval": {}}]', "config root must be a JSON object"),
+    ('{"eval": ["--seg", "gt.volb"]}', "section 'eval' must be a JSON object")])
+def test_config_root_and_section_must_be_json_objects(workdir, text, message):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(text)
+    code, out, err = run(["eval", "--config", str(cfg), "--seg", str(workdir / "gt.volb"),
+                          "--gt", str(workdir / "gt.volb")])
+    assert code == 2, err
+    assert f"{cfg}: {message}" in err
+    assert out == ""
+
+
 BAD_INPUT_FILES = {
     "tree-two-fields": ("tree.txt", "3 1 0.9\n1 2\n", 2),
     "tree-score-not-a-float": ("tree.txt", "3 1 0.9\n\n1 2 notafloat\n", 3),
@@ -458,6 +471,7 @@ BAD_VOLUMES = {
                        "dimension z must be a positive integer, got 0"),
     "truncated-payload": (lambda raw: raw[:-8], "payload is"),
     "bad-magic": (lambda raw: b"XXXX" + raw[4:], "not a VOLB file"),
+    "truncated-header": (lambda raw: raw[:20], "header truncated at 20 bytes"),
 }
 
 
@@ -474,6 +488,20 @@ def test_malformed_volume_files_are_usage_errors(workdir, case):
         assert code == 2, err
         assert f"{bad}: {message}" in err
         assert out == ""
+        assert sorted(workdir.iterdir()) == before
+
+
+def test_volume_of_the_wrong_kind_is_usage_error_naming_file(workdir):
+    labels, aff, out = (str(workdir / name) for name in ("ws.volb", "aff.volb", "o.volb"))
+    before = sorted(workdir.iterdir())
+    for argv, bad, kind in (
+            (["watershed", "--aff", labels, "--out", out], labels, "an affinity"),
+            (["size-filter", "--labels", aff, "--aff", aff, "--out", out], aff, "a label"),
+            (["eval", "--seg", labels, "--gt", aff], aff, "a label")):
+        code, stdout, err = run(argv)
+        assert code == 2, err
+        assert f"{bad}: expected {kind} volume" in err
+        assert stdout == ""
         assert sorted(workdir.iterdir()) == before
 
 

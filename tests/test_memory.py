@@ -18,8 +18,10 @@ from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply
                           build_rag)
 from affseg.malis import _leaf_order, malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
+from affseg.stitch import partition_blocks, stitch
 from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_labels
-from affseg.volume import Shape3, label_index, overlap_counts, read_volume, write_volume
+from affseg.volume import (AffinityVolume, Shape3, label_index, overlap_counts, read_volume,
+                           write_volume)
 from affseg.zwatershed import WatershedParams, zwatershed
 
 SHAPE = Shape3(16, 64, 64)
@@ -170,6 +172,22 @@ def test_apply_threshold_peak_per_voxel(fragments):
     # or 24.1 with the int64 inverse still alive
     ws, tree = fragments
     assert traced_peak(apply_threshold, tree, ws, 0.5) / SHAPE.voxels <= 8.5
+
+
+def test_stitch_peak_per_voxel(volume):
+    # the intp core map, the int32 block walk and dense_relabel's voxel
+    # positions set the peak, about 21.6 B/voxel, and the global labels,
+    # which the LabelVolume adopts without a copy, reach about as much;
+    # a private copy of them took 28.5
+    _, aff = volume
+    specs = partition_blocks(SHAPE, (8, 32, 32), (2, 4, 4))
+    labelings = []
+    for spec in specs:
+        sub = AffinityVolume(aff.data[(slice(None),) + tuple(slice(a, b) for a, b in spec.halo)])
+        ws, _ = zwatershed(sub, WatershedParams(0.99, 0.3, 0, 0.3))
+        labelings.append(agglomerate(ws, sub, MeanAffinity(), 0.5)[0])
+    peak = traced_peak(stitch, specs, labelings)
+    assert peak / SHAPE.voxels <= 23
 
 
 @pytest.mark.parametrize("curve", [False, True], ids=["split_vi", "vi_curve"])

@@ -130,6 +130,12 @@ def test_stitch_missing_block():
         stitch(specs, [LabelVolume(np.zeros((1, 1, 8), dtype=np.uint64)), None])
 
 
+def test_stitch_fewer_labelings_than_specs():
+    specs = two_blocks_1d()
+    with pytest.raises(CoverageGap, match="2 specs but 1 labelings"):
+        stitch(specs, [LabelVolume(np.zeros((1, 1, 8), dtype=np.uint64))])
+
+
 def test_stitch_wrong_shape():
     specs = two_blocks_1d()
     good = LabelVolume(np.zeros((1, 1, 8), dtype=np.uint64))
@@ -273,3 +279,12 @@ def test_manifest_roundtrip(tmp_path):
     assert specs2 == specs
     assert paths2 == paths
     assert isinstance(specs2[0], BlockSpec)
+
+
+def test_manifest_blank_lines_are_skipped(tmp_path):
+    specs = partition_blocks(Shape3(9, 7, 5), (4, 4, 4), (2, 2, 2))
+    paths = [f"seg_{i:04d}.volb" for i in range(len(specs))]
+    p = tmp_path / "manifest.txt"
+    write_manifest(specs, paths, p)
+    p.write_text("\n" + "  \n".join(p.read_text().splitlines(keepends=True)) + "\t\n\n")
+    assert read_manifest(p) == (specs, paths)

@@ -87,6 +87,19 @@ def test_too_many_seeds():
         synth_labels(Shape3(1, 2, 2), SynthParams(n_seeds=5, rng_seed=0))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 4), (1, 3, 1)])
+def test_labels_from_seeds_rejects_seeds_not_k_by_3(shape):
+    with pytest.raises(ValueError, match=r"seeds must be \(k, 3\) voxel coordinates"):
+        labels_from_seeds(Shape3(2, 2, 2), np.zeros(shape, dtype=np.int64), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 1)])
+def test_affinities_from_labels_rejects_misshaped_section_shifts(shape):
+    labels = LabelVolume(np.ones((2, 2, 2), dtype=np.uint64))
+    with pytest.raises(ValueError, match=r"section_shifts must have shape \(2, 2\)"):
+        affinities_from_labels(labels, np.zeros(shape, dtype=np.int64))
+
+
 def test_nan_seed_count_is_rejected():
     with pytest.raises(ValueError, match="n_seeds"):
         SynthParams(n_seeds=float("nan"))

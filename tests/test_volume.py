@@ -219,6 +219,28 @@ def test_shape_validation():
         Shape3(-2, 1, 1)
 
 
+def test_voxel_count_must_fit_in_64_bits_and_unflatten_checks_its_range():
+    with pytest.raises(ValueError, match="total voxel count does not fit in 64 bits"):
+        Shape3(2**21, 2**21, 2**21)
+    assert Shape3(2**21, 2**21, 2**21 - 1).voxels == 2**63 - 2**42
+    shape = Shape3(2, 3, 4)
+    assert shape.unflatten(23) == (1, 2, 3)
+    for i in (-1, 24):
+        with pytest.raises(IndexError, match=f"flat index {i} outside"):
+            shape.unflatten(i)
+
+
+@pytest.mark.parametrize("kind,dtype,shape,axes", [
+    (LabelVolume, np.uint64, (2, 3), "z, y, x"), (LabelVolume, np.uint64, (1, 2, 3, 4), "z, y, x"),
+    (AffinityVolume, np.float32, (2, 3, 4), "3, z, y, x"),
+    (AffinityVolume, np.float32, (2, 2, 3, 4), "3, z, y, x")])
+def test_volume_of_the_wrong_rank_or_channel_count_is_rejected(kind, dtype, shape, axes):
+    noun = "label" if kind is LabelVolume else "affinity"
+    with pytest.raises(ValueError) as e:
+        kind(np.zeros(shape, dtype=dtype))
+    assert str(e.value) == f"{noun} volume must have shape ({axes}), got {shape}"
+
+
 KINDS = [(LabelVolume, np.uint64, (2, 3, 4), 7), (AffinityVolume, np.float32, (3, 2, 3, 4), 0.5)]
 
 
