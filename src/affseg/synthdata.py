@@ -4,6 +4,10 @@ Ground truth is an anisotropic Voronoi labeling: seeds are dropped by a
 seeded RNG and every voxel takes the label of its nearest seed under
 d^2 = dx^2 + dy^2 + (anisotropy * dz)^2, so cells span few z sections and
 overlap in x/y across sections the way thick-section imaging makes them.
+The nearest-seed search is exact but pruned: each z section is cut into
+8 x 8 tiles, and a seed is evaluated only on the tiles where the lower
+bound of its distance does not exceed the least upper bound any seed has
+there (`labels_from_seeds` gives the argument).
 
 Affinities encode the labels (1 within a segment, 0 across) and are then
 degraded two ways: per-section jitter shifts whole x/y planes by one voxel
@@ -15,8 +19,9 @@ All randomness comes from numpy's PCG64 via ``np.random.default_rng(seed)``.
 Draw order is fixed and documented per function so runs are reproducible:
 `synth_labels` draws exactly one choice of seed voxels; `synth_affinities`
 draws per-section jitter decisions first (ascending z: one uniform, then
-axis and sign when triggered), then a single Gaussian noise array when
-flip_sigma > 0.
+axis and sign when triggered), then, when flip_sigma > 0, a single
+standard-normal array scaled by flip_sigma (the values
+``Generator.normal(0.0, flip_sigma)`` would draw).
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, as_real, edge_ends
+
+
+_TILE = 8  # side of the square x/y tiles `labels_from_seeds` bounds distances on
 
 
 class TooManySeeds(ValueError):
@@ -58,30 +66,84 @@ class NoiseParams:
             raise ValueError(f"jitter_prob must be in [0, 1], got {self.jitter_prob}")
 
 
+def _tile_sq(c: np.ndarray, n: int, far: bool) -> np.ndarray:
+    """Squared distance from each coordinate of the column `c` to the
+    nearest (far=False) or farthest (far=True) real coordinate, below `n`,
+    of each tile."""
+    lo = np.arange(0, n, _TILE)
+    hi = np.minimum(lo + _TILE, n) - 1
+    d = np.maximum(c - lo, hi - c) if far else np.maximum(np.maximum(lo - c, c - hi), 0)
+    return d * d
+
+
+def _seed_tiles(shape: Shape3, seeds: np.ndarray, anisotropy: float, far: bool):
+    """Per seed in index order: its squared plane distance to the nearest
+    (far=False) or farthest (far=True) real voxel of each tile, as a
+    (tiles_y, tiles_x) int array, and its dz^2 term per section."""
+    ys = _tile_sq(seeds[:, 1:2], shape.y, far)
+    xs = _tile_sq(seeds[:, 2:3], shape.x, far)
+    dz2 = (anisotropy * (np.arange(shape.z) - seeds[:, :1]).astype(np.float64)) ** 2
+    for k in range(len(seeds)):
+        yield ys[k][:, None] + xs[k], dz2[k]
+
+
 def labels_from_seeds(shape: Shape3, seeds: np.ndarray, anisotropy: float) -> LabelVolume:
     """Nearest-seed labeling under the anisotropic metric; ties take the
     lowest seed index.  Seed k (0-based row of `seeds`) produces label k+1.
 
-    Each seed's dx^2 + dy^2 plane is built once and offered to every z
-    section whose current farthest voxel is further than the seed's dz term
-    alone; in the other sections no voxel can get strictly closer."""
+    A seed's d2 at a voxel is fl(plane + dz^2): its integer dx^2 + dy^2 cast
+    to float64 plus its dz^2 float.  Each z section is cut into 8 x 8 tiles
+    (`_TILE`; the last row and column of tiles may hang over the plane's
+    edge).  A first pass folds every seed's fl(farthest^2 + dz^2) into a
+    bound U per (section, tile), farthest^2 being the plane distance from
+    the seed to the tile's farthest real voxel.  The second pass takes the
+    seeds in index order and evaluates each, with a strict-< update, only on
+    the tiles where fl(nearest^2 + dz^2) <= U, nearest^2 being the plane
+    distance to the tile's nearest real voxel.
+
+    This is exact.  The plane distance is an exact integer and float
+    rounding is monotone, so fl(nearest^2 + dz^2) <= d2 <=
+    fl(farthest^2 + dz^2) at every voxel of the tile.  The winner's d2 at
+    each voxel is therefore <= U, and a seed whose lower bound is > U is
+    strictly farther than the winner at every voxel of the tile: it can
+    neither win nor tie.  A seed whose lower bound equals U can tie, which
+    is why the test is <=."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim != 2 or seeds.shape[1] != 3:
         raise ValueError(f"seeds must be (k, 3) voxel coordinates, got {seeds.shape}")
-    yy, xx = np.meshgrid(np.arange(shape.y), np.arange(shape.x), indexing="ij")
-    best_d = np.full(shape.as_tuple(), np.inf)
-    farthest = np.full(shape.z, np.inf)  # per section, the maximum of best_d
-    label = np.zeros(shape.as_tuple(), dtype=np.uint64)
-    for k, (sz, sy, sx) in enumerate(seeds.tolist()):
-        plane = ((xx - sx) ** 2 + (yy - sy) ** 2).astype(np.float64)
-        dz2 = (anisotropy * (np.arange(shape.z) - sz).astype(np.float64)) ** 2
-        for z in np.flatnonzero(dz2 < farthest).tolist():
-            d2 = plane + dz2[z]
-            closer = d2 < best_d[z]
-            best_d[z][closer] = d2[closer]
-            label[z][closer] = k + 1
-            farthest[z] = best_d[z].max()
-    return LabelVolume._adopt(label)
+    Z, Y, X = shape.as_tuple()
+    ty, tx = -(-Y // _TILE), -(-X // _TILE)
+    bound = np.full((Z, ty, tx), np.inf)
+    for far2, dz2 in _seed_tiles(shape, seeds, anisotropy, far=True):
+        np.minimum(bound, far2 + dz2[:, None, None], out=bound)
+    # best distance and label per tile, each tile's _TILE x _TILE voxels
+    # contiguous; tile t is section t // (ty * tx), row-major within it
+    best = np.full((Z * ty * tx, _TILE, _TILE), np.inf)
+    label = np.zeros((Z * ty * tx, _TILE, _TILE), dtype=np.uint64)
+    rows = np.arange(ty * _TILE).reshape(ty, _TILE)
+    cols = np.arange(tx * _TILE).reshape(tx, _TILE)
+    near = _seed_tiles(shape, seeds, anisotropy, far=False)
+    for k, ((_, sy, sx), (near2, dz2)) in enumerate(zip(seeds.tolist(), near)):
+        t = (near2 + dz2[:, None, None] <= bound).ravel().nonzero()[0]
+        z, yx = np.divmod(t, ty * tx)
+        iy, ix = np.divmod(yx, tx)
+        d2 = (((rows - sy) ** 2)[iy][:, :, None]
+              + ((cols - sx) ** 2)[ix][:, None, :]).astype(np.float64)
+        d2 += dz2[z][:, None, None]
+        cur = best.take(t, axis=0)
+        closer = d2 < cur
+        np.minimum(cur, d2, out=cur)
+        best[t] = cur
+        del cur, d2
+        lab = label.take(t, axis=0)
+        np.putmask(lab, closer, k + 1)
+        label[t] = lab
+        del closer, lab
+    del best
+    planes = label.reshape(Z, ty, tx, _TILE, _TILE).transpose(0, 1, 3, 2, 4).reshape(
+        Z, ty * _TILE, tx * _TILE)
+    del label
+    return LabelVolume._adopt(planes[:, :Y, :X])
 
 
 def synth_labels(shape: Shape3, p: SynthParams) -> LabelVolume:
@@ -147,7 +209,11 @@ def synth_affinities(labels: LabelVolume, n: NoiseParams) -> AffinityVolume:
     clean = affinities_from_labels(labels, shifts)
     if n.flip_sigma == 0.0:
         return clean
-    noisy = clean.data.astype(np.float64)
-    noisy += rng.normal(0.0, n.flip_sigma, size=noisy.shape)
+    noisy = rng.standard_normal(size=clean.data.shape)
+    noisy *= n.flip_sigma
+    noisy += clean.data
+    del clean
     np.clip(noisy, 0.0, 1.0, out=noisy)
-    return AffinityVolume._adopt(noisy.astype(np.float32))
+    aff = noisy.astype(np.float32)
+    del noisy  # before the range check of `_adopt`
+    return AffinityVolume._adopt(aff)

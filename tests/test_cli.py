@@ -89,6 +89,24 @@ def test_synth_writes_volumes(tmp_path):
     assert aff.data.shape == (3, 4, 6, 6)
 
 
+def test_synth_outputs_match_pinned_digests(tmp_path):
+    # a 40x44 plane covers 5x6 of labels_from_seeds' 8x8 tiles, partial at
+    # both far edges; digests recorded before the tile bound replaced the
+    # per-section search
+    code, _, _ = run(["synth", "--shape", "12", "40", "44", "--seeds", "30",
+                      "--anisotropy", "2.5", "--sigma", "0.2", "--jitter", "0.3",
+                      "--rng-seed", "5",
+                      "--gt-out", str(tmp_path / "gt.volb"),
+                      "--aff-out", str(tmp_path / "aff.volb")])
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("gt.volb", "aff.volb")}
+    assert digests == {
+        "gt.volb": "e68948b0f35cad369f28aeba310484522d111eb2ac71d457a05c77b023856b12",
+        "aff.volb": "f93558b7c9f0d95dbe98ab8edc34fa24a17ec64912dc2a177640d1031dfa2899",
+    }
+
+
 def test_malis_grad_prints_loss_and_writes_gradient(workdir):
     code, out, _ = run(["malis-grad", "--aff", str(workdir / "aff.volb"),
                         "--gt", str(workdir / "gt.volb"),

@@ -52,6 +52,31 @@ def fragments(volume):
     return ws, agglomerate(ws, aff, MeanAffinity(), 0.0)[1]
 
 
+def test_synth_labels_peak_per_voxel(volume):
+    # the per-tile best distances and labels (16 B/voxel) with the largest
+    # seed's candidate tiles in flight set the peak, about 20.6 B/voxel: that
+    # seed is evaluated on a fifth of the tiles, and its integer plane
+    # distances, their float64 cast and numpy's fixed broadcast buffers
+    # cost about 20 B per candidate voxel here.  The closing tile-to-plane
+    # copy takes 16 after the distances are freed (24 before), and the
+    # per-section search over whole planes took 19.6.  The fixture has
+    # made the same call, so numpy.random, which numpy imports on first
+    # use (about 11.6 B/voxel here), is already loaded
+    peak = traced_peak(synth_labels, SHAPE, SynthParams(n_seeds=40, anisotropy=2.0, rng_seed=3))
+    assert peak / SHAPE.voxels <= 22
+
+
+def test_synth_affinities_peak_per_voxel(volume):
+    # the float64 noise buffer (24 B/voxel) beside the clean float32
+    # encoding (12) sets the peak, about 37.1 B/voxel, and so does its
+    # float32 cast; keeping the buffer alive through the range check of the
+    # adopted result took 45.0, and a float64 copy of the encoding plus a
+    # second array from rng.normal 60.0
+    gt, _ = volume
+    peak = traced_peak(synth_affinities, gt, NoiseParams(flip_sigma=0.2, rng_seed=3))
+    assert peak / SHAPE.voxels <= 38
+
+
 def test_watershed_peak_per_voxel(volume):
     # hooking stage (a)'s edge pairs between trees in `components` sets the
     # peak, about 23.3 B/voxel with the tree ranks and the pairs alive;

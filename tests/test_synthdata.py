@@ -53,6 +53,20 @@ def test_labels_match_full_volume_reference_on_random_layouts():
         for anisotropy in (1.0, 1.7, 3.0):
             got = labels_from_seeds(shape, seeds, anisotropy).data
             assert np.array_equal(got, labels_from_seeds_reference(shape, seeds, anisotropy))
+    # planes of several 8x8 tiles with partial tiles at their edges, up to 60
+    # seeds of which some lie up to 6 voxels outside the volume, and no seed
+    rng = np.random.default_rng(14)
+    for _ in range(24):
+        z = int(rng.integers(1, 7))
+        y, x = (int(d) + (d % 8 == 0) for d in rng.integers(9, 46, 2))
+        shape = Shape3(z, y, x)
+        n = int(rng.integers(1, 61))
+        seeds = np.stack([rng.integers(-6, d + 6, n) for d in (z, y, x)], axis=1)
+        for anisotropy in (1.0, 1.7, 3.0):
+            got = labels_from_seeds(shape, seeds, anisotropy).data
+            assert np.array_equal(got, labels_from_seeds_reference(shape, seeds, anisotropy))
+    got = labels_from_seeds(Shape3(3, 20, 13), np.zeros((0, 3), dtype=np.int64), 2.0).data
+    assert got.shape == (3, 20, 13) and not got.any()
 
 
 def test_labels_match_full_volume_reference_on_symmetric_ties():
@@ -139,6 +153,28 @@ def test_affinities_deterministic():
     a = synth_affinities(gt, n)
     b = synth_affinities(gt, n)
     assert np.array_equal(a.data, b.data)
+
+
+def test_noisy_affinities_match_clean_encoding_plus_normal_draws():
+    # the noise is drawn after the jitter decisions: the clean encoding as
+    # float64 plus Generator.normal(0, sigma), clamped, cast to float32, and
+    # the out-of-bounds slots zeroed as every affinity volume has them
+    gt = synth_labels(Shape3(5, 9, 11), SynthParams(n_seeds=6, anisotropy=2.0, rng_seed=8))
+    for seed in range(3):
+        for sigma in (0.05, 0.3, 1.5):
+            for jitter in (0.0, 0.5, 1.0):
+                rng = np.random.default_rng(seed)
+                shifts = np.zeros((5, 2), dtype=np.int64)
+                for s in range(5):
+                    if rng.random() < jitter:
+                        axis = int(rng.integers(0, 2))
+                        shifts[s, axis] = 1 if rng.integers(0, 2) else -1
+                clean = affinities_from_labels(gt, shifts).data.astype(np.float64)
+                want = clean + rng.normal(0.0, sigma, size=clean.shape)
+                want = np.clip(want, 0.0, 1.0).astype(np.float32)
+                want[oob_edge_mask(gt.shape3)] = 0.0
+                got = synth_affinities(gt, NoiseParams(sigma, jitter, seed)).data
+                assert got.tobytes() == want.tobytes()
 
 
 def test_forced_jitter_flips_z_affinities_at_stripe_boundary():
