@@ -9,11 +9,11 @@ adjacency map takes each segment to {neighbour: row}, and each row keeps
 its two ends as built.  A merge relinks the absorbed segment's rows to the
 survivor, or merges them into the survivor's rows to the same neighbours.
 Agglomeration is one greedy best-first loop over lazily invalidated
-entries: the boundaries scoring at least the
-threshold are sorted once into a run, a heap holds only what merges push,
-and each step takes the better of the run's next entry and the heap's top,
-merges it (the smaller label survives), pushes the boundaries the merge
-changed, and stops once the best score is below the threshold.  A scorer
+entries: the boundaries scoring at least the threshold are sorted once into
+a run, a heap holds only what merges push, and each step takes the better
+of the run's next entry and the heap's top, merges it (the smaller label
+survives), pushes the boundaries the merge changed, and stops once the best
+score is below the threshold or no boundary is left.  A scorer
 has `score(table, size_a, size_b)`, optionally the statistics it `reads`
 (else all) and optionally a row store `rows(rag)` -> (score per row,
 merge(a, b) -> {neighbour: row to push}); the default, `_table_rows`,
@@ -22,6 +22,9 @@ of the survivors' degrees; the heap is rebuilt from its live entries each
 time it doubles.
 Every applied merge is recorded in a MergeTree that can be replayed later,
 at one threshold or, walking the merges once, at a whole decreasing series.
+Training (`train_scorer`) merges against ground truth in rounds over arrays,
+folding each round's parallel rows with `FeatureAccumulator.fold`, and never
+changes the RAG it is given.
 
 Feature vector layout (length 51), used by the logistic scorer and exposed
 through `edge_features`: for each channel z, y, x in order -- mean,
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from affseg.unionfind import jump
+from affseg.unionfind import components, jump
 from affseg.volume import (AffinityVolume, LabelVolume, as_real, boundary_edges,
                            cooccurrence, label_index, label_sizes, overlap_counts,
                            require_affinity_range, require_same_shape)
@@ -135,6 +138,15 @@ class FeatureAccumulator:
         """Merge table row rows[k] into row into[k] for every k, all at once."""
         for name, field in vars(self).items():
             MERGE_RULES[name].at(field, into, field[rows])
+
+    def fold(self, rows: np.ndarray, starts: np.ndarray) -> "FeatureAccumulator":
+        """A table whose row k merges rows ``rows[starts[k]:starts[k + 1]]``
+        of this one (the last run ends at ``len(rows)``), by each statistic's
+        rule, one `reduceat` per statistic."""
+        out = FeatureAccumulator.__new__(FeatureAccumulator)
+        vars(out).update((name, MERGE_RULES[name].reduceat(a[rows], starts))
+                         for name, a in vars(self).items())
+        return out
 
     def combine(self, other: "FeatureAccumulator") -> "FeatureAccumulator":
         out = self.copy()
@@ -329,11 +341,13 @@ class Rag:
     {neighbour: row of `table`}, the boundary's statistics; `edges` is the
     same graph as {(lo, hi): row}.  `lo` and `hi` hold each row's smaller
     and larger label as built: merges leave them, like dropped table rows,
-    and a copy shares them.  `relink` and `merge_nodes` mutate the graph
-    in place exactly the way the agglomeration row stores (a scorer's
-    `rows(rag)`, else `_table_rows`) do, so recomputation tests can drive
-    them directly.  Both hand back the (kept, dropped) row pairs of the
-    merge, which a row store folds.
+    so they list every boundary only while the RAG is fresh (`n_edges ==
+    len(lo)`, as `build_rag` returns it); `train_scorer` reads a fresh RAG
+    through them, its table and `nodes`, and never merges it.  `relink` and
+    `merge_nodes` mutate the graph in place exactly the way the
+    agglomeration row stores (a scorer's `rows(rag)`, else `_table_rows`)
+    do, so recomputation tests can drive them directly.  Both hand back the
+    (kept, dropped) row pairs of the merge, which a row store folds.
     """
 
     labels: LabelVolume
@@ -356,25 +370,12 @@ class Rag:
         """{(lo, hi): row} of every boundary, built afresh from `adj`."""
         return {(a, b): row for a, nbrs in self.adj.items() for b, row in nbrs.items() if a < b}
 
-    def copy(self) -> "Rag":
-        """An independent graph over the same labels, to merge in a simulation."""
-        return Rag(self.labels, dict(self.nodes), {l: dict(n) for l, n in self.adj.items()},
-                   self.table.copy(), self.lo, self.hi)
-
     def edge_acc(self, a: int, b: int) -> FeatureAccumulator:
         """The statistics of one boundary: views into its table row."""
         row = self.adj.get(a, {}).get(b)
         if row is None:
             raise MissingEdge(f"no boundary between labels {a} and {b}")
         return self.table[row]
-
-    def boundaries(self, keys: list[tuple[int, int]]):
-        """(table rows, sizes of a, sizes of b) of the boundaries (a, b) in
-        `keys`, to score or describe them all in one call."""
-        size_a = np.fromiter((self.nodes[a] for a, _ in keys), np.int64, len(keys))
-        size_b = np.fromiter((self.nodes[b] for _, b in keys), np.int64, len(keys))
-        rows = np.fromiter((self.adj[a][b] for a, b in keys), np.intp, len(keys))
-        return self.table[rows], size_a, size_b
 
     def relink(self, a: int, b: int):
         """Merge neighbour b's node into a's in the graph alone; a may be the
@@ -506,7 +507,7 @@ def _table_rows(scorer, rag: Rag):
         touched = dict(sorted(rag.adj[a].items()))  # one fixed batch order
         rows = np.fromiter(touched.values(), np.intp, len(touched))
         size = np.fromiter(map(rag.nodes.get, touched), np.int64, len(touched))
-        # sizes in each boundary's (lo, hi) order, as `boundaries` gives them
+        # sizes in each boundary's (lo, hi) order
         below = np.fromiter(touched, np.uint64, len(touched)) < a
         sizes = np.where(below, size, rag.nodes[a]), np.where(below, rag.nodes[a], size)
         for row, sc in zip(touched.values(), scorer.score(rag.table[rows], *sizes).tolist()):
@@ -530,8 +531,8 @@ def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: floa
     first = next(run, None)
 
     merges, heap = [], []
-    limit = len(score)
-    while first or heap:
+    limit = live = len(score)  # live: the boundaries left in the graph
+    while live and (first or heap):
         if first and not (heap and heap[0] < first):
             neg, a, b, row = first
             first = next(run, None)
@@ -542,8 +543,10 @@ def _greedy_merges(labels: LabelVolume, aff: AffinityVolume, scorer, theta: floa
         if -neg < theta:
             break
         merges.append((a, b, -neg))
+        live -= len(adj[a]) + len(adj[b]) - 1  # a's and b's rows, their shared one once
         for x, row in merge(a, b).items():
             heapq.heappush(heap, (-score[row], a, x, row) if a < x else (-score[row], x, a, row))
+        live += len(adj[a])
         if len(heap) > limit:  # doubled since the last rebuild
             heap = list({e for e in heap if score[e[3]] == -e[0] and e[2] in adj.get(e[1], ())})
             heapq.heapify(heap)
@@ -573,7 +576,10 @@ def agglomerate(labels: LabelVolume, aff: AffinityVolume, scorer,
     so the order is that of one heap holding both.  A heap that has grown
     past twice its size at the last rebuild (at first, the table's row count)
     is rebuilt from one copy of each live entry (a twin pops dead).  The
-    RAG is freed before the replay."""
+    loop counts the boundaries left in the graph from the degrees of each
+    merge's two ends, before and after it, and stops when none is left, so
+    it pops no stale entry after the last merge.  The RAG is freed before
+    the replay."""
     check_theta(theta)
     merges = _greedy_merges(labels, aff, scorer, theta)
     return LabelVolume._adopt(_replay(labels, merges, theta)), MergeTree(merges=merges, base=labels)
@@ -596,17 +602,13 @@ def check_base(tree: MergeTree, base: LabelVolume) -> None:
         raise TreeBaseMismatch("merge tree was built from a different base labeling")
 
 
-def _standardize(X: np.ndarray):
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    return (X - mu) / sd, mu, sd
-
-
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> Logistic:
-    """Full-batch gradient descent on mean cross-entropy, then fold the
-    feature standardization into the returned weights."""
-    Xs, mu, sd = _standardize(X)
+    """Full-batch gradient descent on mean cross-entropy over standardized
+    features, then fold the standardization into the returned weights."""
+    mu, sd = X.mean(axis=0), X.std(axis=0)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    Xs = X - mu
+    Xs /= sd  # in place: one copy of X beside it, not two
     n = len(y)
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -625,8 +627,7 @@ def _dominant(seg: np.ndarray, gt: np.ndarray, counts: np.ndarray):
     """(segments, dominant gt labels, purities) of an overlap table of
     (seg, gt, count) rows sorted by (seg, gt): plurality, ties to the
     smaller gt label.  A segment with no row gets no entry."""
-    ids = np.unique(seg)
-    start = np.searchsorted(seg, ids)  # each segment's first row
+    ids, start = np.unique(seg, return_index=True)  # each segment's first row
     # ordered by seg first, so each segment's rows keep their place and
     # the plurality row leads them
     lead = np.lexsort((gt, -counts, seg))[start]
@@ -637,49 +638,55 @@ def train_scorer(rag: Rag, gt: LabelVolume) -> Logistic:
     """Fit a logistic boundary scorer by simulated agglomeration against GT.
 
     A boundary is a merge (positive) example iff both segments' dominant GT
-    labels agree and both segments are at least 50% pure.  Positive pairs
-    are merged between rounds in a copy of the caller's RAG, each round's
-    features computed from its table in one call, and fresh decisions
-    collected, until a round yields no positives.  The decisions come from
-    the fragment x GT overlap table, counted once, regrouped each round
-    by replaying the merges so far over the fragments.
-    Raises DegenerateTraining when the collected decisions are all one class.
+    labels agree and both segments are at least 50% pure.  The simulation
+    runs in rounds over arrays and leaves `rag` as it was.  Its nodes are
+    the ranks of ``[0, *sorted(rag.nodes)]``, its boundaries the rows of a
+    table (at first `rag.table` itself) with their (lo, hi) ranks, and each
+    node has a voxel count.  Each round takes every row's features and
+    decision in one call each, then merges the positive rows' components
+    (`unionfind.components`: the smallest rank, so the smallest label,
+    survives), sums the sizes by bincount, drops the rows inside one
+    component and folds the others, grouped by their survivors' (lo, hi)
+    in one stable sort, into one row each (`FeatureAccumulator.fold`),
+    until a round has no positive.  Purity comes from the fragment x GT
+    overlap table, counted once, each fragment's segment being the rounds'
+    roots composed.  Raises ValueError for a RAG that has been merged, whose
+    rows are not its graph, and DegenerateTraining when the collected
+    decisions are all one class.
     """
     require_same_shape(rag.labels, gt)
-    sim = rag.copy()
+    if rag.n_edges != len(rag.lo):
+        raise ValueError("train_scorer needs a fresh RAG; this one has been merged")
+    names, size = np.array([(0, 0), *sorted(rag.nodes.items())], dtype=np.uint64).T
+    n, size = len(names), size.astype(np.int64)
+    lo, hi = (np.searchsorted(names, np.array(ends, dtype=np.uint64)) for ends in (rag.lo, rag.hi))
     seg, gt_ids, counts = overlap_counts(rag.labels.data, gt.data)
+    frag, owner = np.searchsorted(names, seg), np.arange(n)
 
-    merged: list[tuple[int, int, float]] = []
-    X_rows: list[np.ndarray] = []
-    y_rows: list[bool] = []
+    table, rounds = rag.table, []
     while True:
-        node = next(threshold_lookups(merged, seg, [0.0]))  # each fragment's segment now
-        ids, dom, purity = _dominant(*cooccurrence(node, gt_ids, counts))
-        pure = dict(zip(ids[purity >= 0.5].tolist(), dom[purity >= 0.5].tolist()))
-        keys = sorted(sim.edges)
-        decisions = [a in pure and pure[a] == pure.get(b) for a, b in keys]
-        X_rows.append(edge_feature_vector(*sim.boundaries(keys)))
-        y_rows.extend(decisions)
-        positives = [key for key, pos in zip(keys, decisions) if pos]
-        if not positives:
+        ids, dom, purity = _dominant(*cooccurrence(owner[frag], gt_ids, counts))
+        pure = np.zeros(n, dom.dtype)  # each node's dominant gt label, 0 if impure
+        pure[ids[purity >= 0.5]] = dom[purity >= 0.5]
+        positive = (pure[lo] != 0) & (pure[lo] == pure[hi])
+        rounds.append((edge_feature_vector(table, size[lo], size[hi]), positive))
+        if not positive.any():
             break
-        # merge this round's positives; pairs may have been absorbed by an
-        # earlier merge in the same round, so chase the surviving labels
-        # (distinct survivors of two neighbours are still neighbours)
-        alias: dict[int, int] = {}
-        for a, b in positives:
-            ra, rb = _chase(alias, a), _chase(alias, b)
-            if ra == rb:
-                continue
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            sim.merge_nodes(lo, hi)
-            alias[hi] = lo
-            merged.append((lo, hi, 0.0))
+        root = components(n, lo[positive], hi[positive]).astype(np.int64)
+        owner, size = root[owner], np.bincount(root, size, n).astype(np.int64)
+        a, b = root[lo], root[hi]
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        rows = np.flatnonzero(a != b)  # the rows between two segments
+        rows = rows[np.argsort(key[rows], kind="stable")]
+        starts = np.flatnonzero(np.diff(key[rows], prepend=-1))
+        table = table.fold(rows, starts)
+        lo, hi = np.divmod(key[rows[starts]], n)
 
-    if not y_rows or len(set(y_rows)) < 2:
+    X, y = map(np.concatenate, zip(*rounds))
+    del rounds  # before the fit's standardized copy of X
+    if y.all() or not y.any():  # all one class, or none at all
         raise DegenerateTraining("boundary decisions contain a single class only")
-    X = np.concatenate(X_rows)
-    y = np.array(y_rows, dtype=np.float64)
+    y = y.astype(np.float64)
     scorer = _fit_logistic(X, y)
     # fit artifacts, kept for inspection of the decision set
     scorer.training_features = X

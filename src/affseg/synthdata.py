@@ -206,7 +206,8 @@ def synth_affinities(labels: LabelVolume, n: NoiseParams) -> AffinityVolume:
             axis = int(rng.integers(0, 2))  # 0 shifts y, 1 shifts x
             sign = 1 if rng.integers(0, 2) else -1
             shifts[s, axis] = sign
-    clean = affinities_from_labels(labels, shifts)
+    # None, where no section shifts: no shifted copy of every section
+    clean = affinities_from_labels(labels, shifts if shifts.any() else None)
     if n.flip_sigma == 0.0:
         return clean
     noisy = rng.standard_normal(size=clean.data.shape)

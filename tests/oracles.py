@@ -535,3 +535,54 @@ def cooccurrence_reference(a, b, weights=None):
             table[pair] = table.get(pair, 0.0) + w
     keys = sorted(table)
     return ([k[0] for k in keys], [k[1] for k in keys], [table[k] for k in keys])
+
+
+def training_rounds_reference(labels, aff, gt):
+    """(decisions, feature rows) of training by simulated agglomeration,
+    each round anew.  A fresh `build_rag` of the labels merged so
+    far gives the round's boundaries, in (lo, hi) order, and their 51-value
+    features; a dict count of (segment, gt label) voxels gives each
+    segment's dominant label and purity (`dominant_reference`); a boundary
+    is positive when both ends are at least half pure with one dominant
+    label.  The positives are merged with a dict union-find that keeps the
+    smaller label, until a round has none.  The RAG and its features come
+    from the package, which is what they describe; nothing of training
+    does."""
+    from affseg.agglo import N_FEATURES, build_rag, edge_features
+    from affseg.volume import LabelVolume
+
+    fragments, gt_flat = labels.data.ravel().tolist(), gt.data.ravel().tolist()
+    owner = {}
+
+    def find(label):
+        while label in owner:
+            label = owner[label]
+        return label
+
+    decisions, features = [], []
+    while True:
+        current = [find(l) for l in fragments]
+        rag = build_rag(LabelVolume(np.array(current, dtype=np.uint64).reshape(labels.data.shape)),
+                        aff)
+        hist = defaultdict(Counter)
+        for s, g in zip(current, gt_flat):
+            if s and g:
+                hist[s][g] += 1
+        pure = {}
+        for s, h in hist.items():
+            dominant, purity = dominant_reference(h)
+            if purity >= 0.5:
+                pure[s] = dominant
+        positives = []
+        for a, b in sorted(rag.edges):
+            decisions.append(a in pure and pure[a] == pure.get(b))
+            features.append(edge_features(rag, (a, b)))
+            if decisions[-1]:
+                positives.append((a, b))
+        if not positives:
+            break
+        for a, b in positives:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                owner[max(ra, rb)] = min(ra, rb)
+    return np.array(decisions, dtype=np.float64), np.array(features).reshape(-1, N_FEATURES)

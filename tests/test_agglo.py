@@ -1,3 +1,4 @@
+import copy
 import heapq
 
 import numpy as np
@@ -26,7 +27,7 @@ from affseg.synthdata import NoiseParams, SynthParams, synth_affinities, synth_l
 from affseg.volume import AffinityVolume, LabelVolume, Shape3, cooccurrence, overlap_counts
 
 from oracles import (agglomerate_reference, boundary_stats, boundary_values, dominant_reference,
-                     replay_reference)
+                     replay_reference, training_rounds_reference)
 
 # every named statistic of a FeatureAccumulator, whatever its storage
 STATS = ("count", "s1", "s2", "s3", "s4", "vmin", "vmax", "hist")
@@ -526,9 +527,12 @@ def greedy_rescoring_everything(labels, aff, scorer, theta=0.0):
     the RAG before each merge, with no heap."""
     rag = build_rag(labels, aff)
     merges = []
-    while rag.edges:
-        keys = sorted(rag.edges)
-        neg, (a, b) = min(zip((-scorer.score(*rag.boundaries(keys))).tolist(), keys))
+    while edges := rag.edges:
+        keys = sorted(edges)
+        rows = [edges[key] for key in keys]
+        size_a, size_b = (np.array([rag.nodes[key[i]] for key in keys]) for i in (0, 1))
+        scores = scorer.score(rag.table[rows], size_a, size_b)
+        neg, (a, b) = min(zip((-scores).tolist(), keys))
         if -neg < theta:
             break
         merges.append((a, b, -neg))
@@ -602,6 +606,50 @@ def test_mean_agglomerate_heap_below_the_row_count_is_never_rebuilt(seed, monkey
     _, tree = agglomerate(seg, aff, MeanAffinity(), 0.5)
     assert tree.merges
     assert rebuilds == []
+
+
+class ReadRecordingMean:
+    """The mean scorer's row store, with a score list that records each row
+    it is read at, and a marker after each merge."""
+
+    reads = MeanAffinity.reads
+
+    def __init__(self):
+        self.events = []
+
+    def rows(self, rag):
+        inner, inner_merge = MeanAffinity().rows(rag)
+        events = self.events
+
+        class Recorded(list):
+            def __getitem__(self, row):
+                events.append(row)
+                return list.__getitem__(self, row)
+
+        score = Recorded(inner)
+
+        def merge(a, b):
+            touched = inner_merge(a, b)
+            for row in touched.values():  # the only rows whose score can change
+                list.__setitem__(score, row, inner[row])
+            events.append(("merge", touched))
+            return touched
+
+        return score, merge
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_agglomerate_examines_no_entry_after_the_last_merges_pushes(seed):
+    # at theta 0 every boundary merges, so once the last merge has pushed
+    # what it changed, every entry left in the run or the heap is stale
+    _, aff, seg = noisy_instance(seed, Shape3(8, 32, 32), n_seeds=8)
+    scorer = ReadRecordingMean()
+    _, tree = agglomerate(seg, aff, scorer, 0.0)
+    assert tree.merges == agglomerate(seg, aff, MeanAffinity(), 0.0)[1].merges
+    marks = [i for i, e in enumerate(scorer.events) if isinstance(e, tuple)]
+    assert len(marks) == len(tree.merges)
+    last, (_, touched) = marks[-1], scorer.events[marks[-1]]
+    assert scorer.events[last + 1:] == list(touched.values())
 
 
 def test_agglomerate_size_reading_scorer_rescores_every_survivor_boundary():
@@ -752,7 +800,7 @@ def test_features_equal_fresh_rebuild_after_merges():
                 a, b = live(s), live(t)
                 if rng.random() < 0.5:
                     a, b = b, a
-                twin = rag.copy()
+                twin = copy.deepcopy(rag)
                 got = twin.relink(a, b)
                 assert all(np.array_equal(getattr(twin.table, f), getattr(rag.table, f))
                            for f in STATS)
@@ -839,6 +887,25 @@ def test_train_scorer_perfect_accuracy_on_decision_set():
     assert np.array_equal(pred, y == 1.0)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_train_scorer_rounds_match_a_fresh_rag_per_round(seed):
+    gt, aff, seg = noisy_instance(seed)
+    scorer = train_scorer(build_rag(seg, aff), gt)
+    decisions, features = training_rounds_reference(seg, aff, gt)
+    assert np.array_equal(scorer.training_decisions, decisions)
+    np.testing.assert_allclose(scorer.training_features, features, rtol=1e-9, atol=1e-12)
+
+
+def test_train_scorer_rejects_a_merged_rag():
+    # a merged RAG's rows no longer list its boundaries
+    gt, aff, seg = noisy_instance(0)
+    rag = build_rag(seg, aff)
+    rag.merge_nodes(rag.lo[0], rag.hi[0])
+    with pytest.raises(ValueError, match="fresh RAG") as caught:
+        train_scorer(rag, gt)
+    assert caught.type is ValueError
+
+
 def test_train_scorer_single_gt_label_degenerate():
     _, aff, seg = noisy_instance(1)
     flat_gt = LabelVolume(np.ones(seg.data.shape, dtype=np.uint64))
@@ -858,7 +925,7 @@ def test_trained_scorer_in_unit_interval():
     rag = build_rag(seg, aff)
     nodes, edges, table = dict(rag.nodes), dict(rag.edges), rag.table.copy()
     scorer = train_scorer(rag, gt)
-    # training merges a copy: the caller's graph and table are untouched
+    # training leaves the caller's graph and table untouched
     assert rag.nodes == nodes and rag.edges == edges
     assert all(np.array_equal(getattr(rag.table, f), getattr(table, f)) for f in STATS)
     for key in rag.edges:

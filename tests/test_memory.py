@@ -15,7 +15,7 @@ import pytest
 
 from affseg import cli
 from affseg.agglo import (N_FEATURES, Logistic, MeanAffinity, agglomerate, apply_threshold,
-                          build_rag)
+                          build_rag, train_scorer)
 from affseg.malis import _leaf_order, malis_edge_counts, malis_gradient, maximin_affinity
 from affseg.metrics import split_vi, vi_curve
 from affseg.stitch import partition_blocks, stitch
@@ -75,6 +75,17 @@ def test_synth_affinities_peak_per_voxel(volume):
     gt, _ = volume
     peak = traced_peak(synth_affinities, gt, NoiseParams(flip_sigma=0.2, rng_seed=3))
     assert peak / SHAPE.voxels <= 38
+
+
+def test_synth_affinities_unjittered_peak_per_voxel(volume):
+    # with no section shifted the clean encoding compares the labels
+    # themselves: its float32 array (12 B/voxel), the compares' bool masks
+    # and numpy's fixed buffers for strided operands set the peak, about
+    # 21.0 B/voxel; passing all-zero shifts made a shifted copy of every
+    # section and stacked them, 29.0
+    gt, _ = volume
+    peak = traced_peak(synth_affinities, gt, NoiseParams(flip_sigma=0.0, rng_seed=3))
+    assert peak / SHAPE.voxels <= 23
 
 
 def test_watershed_peak_per_voxel(volume):
@@ -170,6 +181,20 @@ def test_logistic_agglomerate_peak_per_voxel(fragments, volume, bias, seed):
         np.random.default_rng(seed).normal(0.0, 0.1, N_FEATURES)
     peak = traced_peak(agglomerate, ws, volume[1], Logistic(weights, bias), 0.5)
     assert peak / SHAPE.voxels <= 45
+
+
+def test_train_scorer_peak_per_voxel(fragments, volume):
+    # the fit's standardized copy of the training features, beside them,
+    # sets the peak, about 22.0 B/voxel, level with the first round's
+    # feature vectors (21.1); keeping the per-round feature blocks alive
+    # through the fit took 31.2, standardizing through a temporary as well
+    # 40.4, and merging a copy of the RAG's table too 48.6.  A plain
+    # np.unique (no return_index or counts) imports numpy.ma on its first
+    # call in a process, about 17 B/voxel more here; training makes none
+    ws, _ = fragments
+    gt, aff = volume
+    rag = build_rag(ws, aff)
+    assert traced_peak(train_scorer, rag, gt) / SHAPE.voxels <= 24
 
 
 def test_unique_inverse_peak_per_voxel(fragments):
